@@ -153,13 +153,23 @@ def _write_fit_row(out, phi: float, fit: FitResult) -> None:
 
 
 def _read_scan_csv(stream) -> FringeScan:
-    rows = []
+    """Parse ``T_s,P_e[,sd]`` rows.
+
+    Blank and ``#`` lines are skipped; the first other line is a header if
+    it starts with ``T``.  A malformed row, a non-finite value, ``P_e``
+    outside [0, 1], a negative ``sd`` or non-increasing ``T`` raises
+    ``FitError``, naming the line where there is one.
+    """
+    rows, linenos = [], []
+    header_allowed = True
     for lineno, line in enumerate(stream, start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        if lineno == 1 and line.lower().startswith("t"):
-            continue
+        if header_allowed:
+            header_allowed = False
+            if line.lower().startswith("t"):
+                continue
         parts = line.split(",")
         if len(parts) not in (2, 3):
             raise FitError(f"scan CSV line {lineno}: expected T_s,P_e[,sd]")
@@ -170,10 +180,22 @@ def _read_scan_csv(stream) -> FringeScan:
         except ValueError as exc:
             raise FitError(f"scan CSV line {lineno}: {exc}") from exc
         rows.append((T, p, sd))
+        linenos.append(lineno)
     if not rows:
         raise FitError("scan CSV holds no data rows")
     arr = np.asarray(rows, dtype=float)
-    return FringeScan(arr[:, 0], np.clip(arr[:, 1], 0.0, 1.0), arr[:, 2])
+    T, p, sd = arr.T
+    ok = np.isfinite(arr).all(axis=1) & (p >= 0.0) & (p <= 1.0) & (sd >= 0.0)
+    if not ok.all():
+        i = int(np.argmin(ok))
+        raise FitError(
+            f"scan CSV line {linenos[i]}: T_s,P_e,sd = {rows[i]} must be finite, "
+            "with P_e in [0, 1] and sd >= 0"
+        )
+    try:
+        return FringeScan(T, p, sd)
+    except ValueError as exc:
+        raise FitError(f"scan CSV: {exc}") from exc
 
 
 def _double_retrieve_parts(cfg, fields, rng, *, s1_keeps_random: bool = False):

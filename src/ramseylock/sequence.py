@@ -14,14 +14,22 @@ waits, so free phase accumulates over the declared intervals alone; with
 it on, every pulse also advances the clock by its own duration.  Both
 conventions are first-class: single scramble/retrieve pairs are timed on
 intervals alone, while the stacked-retrieval sum constraint carries a
-pulse-duration term that presupposes the wall-clock convention.
+pulse-duration term that presupposes the wall-clock convention.  This rule
+lives in one timeline walker that :func:`evolve`, :func:`scan`,
+:func:`compile_timeline` and :meth:`Sequence.end_time` all use.
+
+Scanning: a fringe ``p(T)`` is evaluated in one pass over the whole grid.
+The events before the scanned wait do not depend on ``T`` and are evolved
+once, on scalars.  The scanned wait's duration is the grid array, so the
+clock, the later pulse phases and the state become arrays of the grid's
+shape, and every later event costs one numpy operation over the grid.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import NamedTuple, Sequence as SequenceType, Union
+from typing import Iterator, NamedTuple, Sequence as SequenceType, Union
 
 import numpy as np
 
@@ -66,7 +74,7 @@ class Wait:
     """Free evolution for ``duration`` seconds.
 
     At most one wait in a sequence may be marked ``scanned``; its duration
-    is the variable replaced point-by-point by :func:`scan`.
+    is the variable that :func:`scan` sets to each grid value.
     """
 
     duration: float
@@ -78,6 +86,9 @@ class Wait:
 
 
 Event = Union[Wait, PulseSpec]
+
+#: A timeline clock value or phase: a float, or an array over a scan grid.
+Clock = Union[float, np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -105,13 +116,42 @@ class Sequence:
 
     def end_time(self, start_time: float = 0.0) -> float:
         """Timeline clock value after the last event."""
-        t = start_time
-        for e in self.events:
-            if isinstance(e, Wait):
-                t += e.duration
-            elif self.clock_during_pulses:
-                t += e.tau
-        return t
+        *_, last = _walk(self, start_time)
+        return last.end
+
+
+class _Step(NamedTuple):
+    """One event as the timeline walker sees it."""
+
+    event: Event
+    start: Clock  # clock before the event
+    end: Clock  # clock after the event
+    arg: Clock  # a wait's duration, or a pulse's phase argument
+
+
+def _walk(
+    seq: Sequence, start_time: float = 0.0, scan_value: Clock | None = None
+) -> Iterator[_Step]:
+    """Walk the timeline clock through ``seq``: the one place of the phase rule.
+
+    A pulse gets the phase argument ``rate * start + phase_offset`` with
+    ``rate`` its field's phase rate in the sequence frame.  Waits advance
+    the clock by their duration; pulses advance it by ``tau`` only with
+    ``clock_during_pulses``.  With ``scan_value`` given, the scanned wait
+    lasts that long instead; an array makes every later clock value and
+    phase an array of its shape.
+    """
+    t = start_time
+    for e in seq.events:
+        start = t
+        if isinstance(e, Wait):
+            arg = scan_value if e.scanned and scan_value is not None else e.duration
+            t = t + arg
+        else:
+            arg = seq.frame.pulse_phase_rate(e.field) * start + e.phase_offset
+            if seq.clock_during_pulses:
+                t = t + e.tau
+        yield _Step(e, start, t, arg)
 
 
 class TimelineEntry(NamedTuple):
@@ -131,39 +171,36 @@ def compile_timeline(seq: Sequence, start_time: float = 0.0) -> list[TimelineEnt
     returned phases are not reduced modulo 2*pi; reduction happens inside
     the trigonometric evaluation of the pulse unitary.
     """
-    entries = []
-    t = start_time
-    for e in seq.events:
+    return [
+        TimelineEntry(step.event, step.start, step.arg)
+        for step in _walk(seq, start_time)
+        if isinstance(step.event, PulseSpec)
+    ]
+
+
+def _run(
+    seq: Sequence, state: SpinState, start_time: float, scan_value: Clock | None = None
+) -> SpinState:
+    """Apply every event's unitary to ``state`` in timeline order."""
+    for step in _walk(seq, start_time, scan_value):
+        e = step.event
         if isinstance(e, Wait):
-            t += e.duration
+            u = free_unitary(seq.frame, step.arg)
         else:
-            rate = seq.frame.pulse_phase_rate(e.field)
-            entries.append(TimelineEntry(e, t, rate * t + e.phase_offset))
-            if seq.clock_during_pulses:
-                t += e.tau
-    return entries
+            u = pulse_unitary(e.field, e.tau, step.arg)
+        state = apply_unitary(u, state)
+    return state
 
 
 def evolve(seq: Sequence, initial: SpinState = GROUND, start_time: float = 0.0) -> SpinState:
     """Run the timeline on ``initial`` and return the final state.
 
     Applies ``free_unitary`` for each wait and ``pulse_unitary`` (with the
-    compiled phase argument) for each pulse, in timeline order.  Chaining:
-    evolving sequence A and then sequence B with
+    compiled phase argument) for each pulse, in timeline order, on complex
+    scalars.  Chaining: evolving sequence A and then sequence B with
     ``start_time = A.end_time()`` equals evolving their concatenation.
     """
-    state = initial
-    t = start_time
-    for e in seq.events:
-        if isinstance(e, Wait):
-            state = apply_unitary(free_unitary(seq.frame, e.duration), state)
-            t += e.duration
-        else:
-            rate = seq.frame.pulse_phase_rate(e.field)
-            state = apply_unitary(pulse_unitary(e.field, e.tau, rate * t + e.phase_offset), state)
-            if seq.clock_during_pulses:
-                t += e.tau
-    return state
+    return _run(seq, initial, start_time)
 
 
 @dataclass(frozen=True)
@@ -183,6 +220,9 @@ class FringeScan:
             raise ValueError("scan needs at least one point")
         if p.shape != T.shape or sd.shape != T.shape:
             raise ValueError("T, p and sd must have identical shapes")
+        for name, arr in (("T", T), ("p", p), ("sd", sd)):
+            if not np.all(np.isfinite(arr)):
+                raise ValueError(f"{name} values must be finite")
         if T.size > 1 and not np.all(np.diff(T) > 0.0):
             raise ValueError("T values must be strictly increasing")
         if np.any(p < -1e-9) or np.any(p > 1.0 + 1e-9):
@@ -198,34 +238,40 @@ class FringeScan:
         return int(self.T.size)
 
 
-def set_scan_value(template: Sequence, T: float) -> Sequence:
-    """Return a copy of ``template`` with its scanned wait set to ``T``."""
+def _scan_mark(template: Sequence) -> int:
+    """Index of the template's one scanned wait."""
     marks = [i for i, e in enumerate(template.events) if isinstance(e, Wait) and e.scanned]
     if len(marks) != 1:
         raise SequenceError(f"template must contain exactly one scanned wait, found {len(marks)}")
+    return marks[0]
+
+
+def set_scan_value(template: Sequence, T: float) -> Sequence:
+    """Return a copy of ``template`` with its scanned wait set to ``T``."""
+    mark = _scan_mark(template)
     events = list(template.events)
-    events[marks[0]] = replace(events[marks[0]], duration=float(T))
+    events[mark] = replace(events[mark], duration=float(T))
     return replace(template, events=tuple(events))
 
 
 def scan(template: Sequence, grid: SequenceType[float]) -> FringeScan:
-    """Evaluate ``p(T)`` over ``grid`` by evolving ``|g>`` per grid point.
+    """Evaluate ``p(T)`` of ``|g>`` evolved through ``template`` over ``grid``.
 
     The template must carry exactly one wait marked as the scan variable.
-    Points are noiseless (``sd = 0``); each evolution is independent, so
-    grid points may be distributed over workers and reassembled in order.
+    The events before it are evolved once on scalars; the scanned wait and
+    everything after it run once over the whole grid as numpy arrays.  The
+    result equals evolving ``set_scan_value(template, T)`` point by point,
+    to round-off.  Points are noiseless (``sd = 0``).
     """
-    grid_arr = np.asarray(list(grid), dtype=float)
-    if grid_arr.size == 0:
+    T = np.array(grid, dtype=float)  # a copy: FringeScan freezes its arrays
+    if T.size == 0:
         raise SequenceError("scan grid must not be empty")
-    if grid_arr.size > 1 and not np.all(np.diff(grid_arr) > 0.0):
+    if T.size > 1 and not np.all(np.diff(T) > 0.0):
         raise SequenceError("scan grid must be strictly increasing")
-    if np.any(grid_arr < 0.0):
+    if np.any(T < 0.0):
         raise SequenceError("scan grid values must be >= 0")
-    # validates the single scan mark before any evolution runs
-    set_scan_value(template, float(grid_arr[0]))
-    p = np.empty_like(grid_arr)
-    for i, T in enumerate(grid_arr):
-        final = evolve(set_scan_value(template, float(T)))
-        p[i] = excitation_probability(final)
-    return FringeScan(grid_arr, np.clip(p, 0.0, 1.0), np.zeros_like(grid_arr))
+    _scan_mark(template)
+    if not np.all(np.isfinite(T)):
+        raise InvalidDurationError("scan grid values must be finite")
+    p = np.broadcast_to(excitation_probability(_run(template, GROUND, 0.0, T)), T.shape)
+    return FringeScan(T, np.clip(p, 0.0, 1.0), np.zeros_like(T))

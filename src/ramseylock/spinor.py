@@ -9,6 +9,11 @@ pure function of its inputs and uses plain double-precision complex
 scalars, so the unitarity of every operator can be checked to machine
 precision.
 
+The phase argument of :func:`pulse_unitary` and the interval of
+:func:`free_unitary` may also be float arrays; the operator entries then
+become arrays of that shape, which is how a whole scan grid is evolved
+in one pass.
+
 By default the dynamics are written in the frame co-rotating with the
 atomic transition: the atomic frequency is set to zero and all phases
 advance at the field detunings.  The resulting populations are identical
@@ -23,6 +28,8 @@ import cmath
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DegradedStateError, InvalidDurationError, InvalidFieldError
 
 TWO_PI = 2.0 * math.pi
@@ -32,7 +39,7 @@ NORM_TOLERANCE = 1e-6
 
 
 def _wrap(angle: float) -> float:
-    """Reduce an angle to [0, 2*pi) before trigonometric evaluation.
+    """Reduce an angle (float or array) to [0, 2*pi) before trigonometric evaluation.
 
     Keeps round-off bounded when timeline phases grow over long sequences.
     """
@@ -115,7 +122,11 @@ ROTATING = FrameConvention("rotating")
 
 @dataclass(frozen=True)
 class SpinState:
-    """Two-component complex amplitude pair ``(c_g, c_e)``."""
+    """Two-component complex amplitude pair ``(c_g, c_e)``.
+
+    Each amplitude is a complex scalar, or an array holding one state per
+    element.
+    """
 
     c_g: complex
     c_e: complex
@@ -130,7 +141,10 @@ GROUND = SpinState(1.0 + 0.0j, 0.0 + 0.0j)
 
 @dataclass(frozen=True)
 class Unitary2:
-    """A 2x2 complex matrix, stored row-major in the ``{|g>, |e>}`` basis."""
+    """A 2x2 complex matrix, stored row-major in the ``{|g>, |e>}`` basis.
+
+    Entries are complex scalars, or arrays holding one matrix per element.
+    """
 
     u_gg: complex
     u_ge: complex
@@ -177,10 +191,12 @@ def pulse_unitary(field: FieldParams, tau: float, phi: float) -> Unitary2:
         Driving field (validated at construction).
     tau : float
         Pulse duration in seconds, >= 0.
-    phi : float
+    phi : float or ndarray
         Phase argument of the field at this pulse, in radians.  For a pulse
         starting at timeline time ``t`` this is the accumulated field phase
-        ``rate * t`` plus the field's constant phase offset.
+        ``rate * t`` plus the field's constant phase offset.  An array gives
+        one unitary per element: only the off-diagonal phase factors are
+        arrays, the magnitudes and the detuning factor stay scalars.
 
     Returns
     -------
@@ -200,6 +216,7 @@ def pulse_unitary(field: FieldParams, tau: float, phi: float) -> Unitary2:
     half_rot = _wrap(0.5 * w * tau)
     half_det = _wrap(0.5 * field.detuning * tau)
     phi = _wrap(phi)
+    exp = np.exp if isinstance(phi, np.ndarray) else cmath.exp
     cos_r = math.cos(half_rot)
     sin_r = math.sin(half_rot)
     d = field.detuning / w
@@ -209,25 +226,25 @@ def pulse_unitary(field: FieldParams, tau: float, phi: float) -> Unitary2:
     off = -1j * o * sin_r
     return Unitary2(
         e * diag,
-        e * cmath.exp(1j * phi) * off,
-        e.conjugate() * cmath.exp(-1j * phi) * off,
+        e * exp(1j * phi) * off,
+        e.conjugate() * exp(-1j * phi) * off,
         e.conjugate() * diag.conjugate(),
     )
 
 
 def free_unitary(frame: FrameConvention, t: float) -> Unitary2:
-    """Free-evolution unitary over an interval ``t``.
+    """Free-evolution unitary over an interval ``t`` (float or array).
 
     Diagonal ``(exp(i*w_a*t/2), exp(-i*w_a*t/2))`` with ``w_a`` the frame's
-    atomic frequency; exactly the identity in the rotating frame.
+    atomic frequency; exactly the (scalar) identity in the rotating frame.
     """
-    if t < 0.0 or not math.isfinite(t):
-        raise InvalidDurationError(f"free-evolution interval must be >= 0, got {t}")
+    if not np.all(np.isfinite(t) & (t >= 0.0)):
+        raise InvalidDurationError(f"free-evolution interval must be finite and >= 0, got {t}")
     rate = frame.free_rate
     if rate == 0.0:
         return Unitary2.identity()
     half = _wrap(0.5 * rate * t)
-    e = cmath.exp(1j * half)
+    e = (np.exp if isinstance(half, np.ndarray) else cmath.exp)(1j * half)
     return Unitary2(e, 0.0j, 0.0j, e.conjugate())
 
 
@@ -240,18 +257,24 @@ def apply_unitary(u: Unitary2, s: SpinState) -> SpinState:
     )
 
 
-def excitation_probability(s: SpinState) -> float:
+def excitation_probability(s: SpinState):
     """``|c_e|^2`` of an (approximately) normalized state.
+
+    Elementwise when the amplitudes are arrays.
 
     Raises
     ------
     DegradedStateError
-        If the state norm deviates from 1 by more than ``NORM_TOLERANCE``.
+        If the norm of any element deviates from 1 by more than
+        ``NORM_TOLERANCE``, or is not a number.
     """
-    n = s.norm()
-    if abs(n - 1.0) > NORM_TOLERANCE:
-        raise DegradedStateError(f"state norm {n!r} deviates from 1 beyond {NORM_TOLERANCE}")
-    return abs(s.c_e) ** 2
+    p = np.abs(s.c_e) ** 2
+    worst = np.max(np.abs(np.sqrt(np.abs(s.c_g) ** 2 + p) - 1.0))
+    if not worst <= NORM_TOLERANCE:
+        raise DegradedStateError(
+            f"state norm deviates from 1 by {float(worst)!r}, beyond {NORM_TOLERANCE}"
+        )
+    return p
 
 
 def closed_form_ramsey(field: FieldParams, tau: float, T: float) -> float:

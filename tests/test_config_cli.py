@@ -228,7 +228,50 @@ class TestRun:
         assert float(cells[3]) == pytest.approx(0.3, abs=1e-6)
 
 
+    def test_fit_csv_header_may_follow_comment_lines(self, tmp_path, capsys):
+        T = np.linspace(0.0, 20e-3, 201)
+        p = 0.5 + 0.4 * np.cos(TWO_PI * 110.0 * T + 0.3)
+        rows = "\n".join(f"{float(t)!r},{float(v)!r},0.0" for t, v in zip(T, p))
+        cfg = tmp_path / "fit.cfg"
+        cfg.write_text("protocol fit\n")
+        data = tmp_path / "scan.csv"
+        data.write_text("# exported scan\n#\n\nT_s,P_e,sd\n" + rows + "\n")
+        assert main([str(cfg), "--input", str(data)]) == 0
+        row = capsys.readouterr().out.strip().split("\n")[1]
+        assert float(row.split(",")[2]) == pytest.approx(110.0, rel=1e-6)
+
+
+def _fit_csv_exit(tmp_path, rows: list[str]) -> int:
+    T = np.linspace(0.0, 20e-3, 30)
+    good = [f"{float(t)!r},{0.5 + 0.4 * math.cos(TWO_PI * 110.0 * t)!r},0.01" for t in T]
+    cfg = tmp_path / "fit.cfg"
+    cfg.write_text("protocol fit\n")
+    data = tmp_path / "scan.csv"
+    data.write_text("T_s,P_e,sd\n" + "\n".join(good[:5] + rows + good[5:]) + "\n")
+    return main([str(cfg), "--input", str(data)])
+
+
 class TestExitCodes:
+    @pytest.mark.parametrize(
+        "row",
+        [
+            "0.00051,1.7,0.01",
+            "0.00051,-3,0.01",
+            "0.00051,0.5,-0.01",
+            "0.00051,nan,0.01",
+            "inf,0.5,0.01",
+            "0.00051,0.5,inf",
+        ],
+    )
+    def test_bad_scan_csv_value_is_4_and_names_the_line(self, tmp_path, capsys, row):
+        assert _fit_csv_exit(tmp_path, [row]) == 4
+        assert "line 7" in capsys.readouterr().err
+
+    def test_non_increasing_scan_csv_is_4(self, tmp_path, capsys):
+        assert _fit_csv_exit(tmp_path, ["0.0,0.5,0.01"]) == 4
+        assert "increasing" in capsys.readouterr().err
+
+
     def test_config_error_is_2(self, tmp_path, capsys):
         path = tmp_path / "bad.cfg"
         path.write_text("nonsense\n")

@@ -4,28 +4,51 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ramseylock import (
     GROUND,
+    ROTATING,
     FieldParams,
     FrameConvention,
     FringeScan,
+    InvalidDurationError,
     PulseSpec,
+    ScrambleKey,
     Sequence,
     SequenceError,
     Wait,
     apply_unitary,
+    build_double_retrieved,
+    build_double_scrambled,
+    build_retrieved,
+    build_scrambled,
     build_write_read,
     compile_timeline,
     evolve,
     excitation_probability,
     fit_damped_sinusoid,
+    plan_double_retrieval,
+    plan_retrieval,
     pulse_unitary,
     scan,
     set_scan_value,
 )
 
 TWO_PI = 2.0 * math.pi
+LAB = FrameConvention("lab", TWO_PI * 1e4)
+
+#: Largest |scan - per-point evolve| allowed; the two differ only in the
+#: rounding of numpy's complex exp against cmath's.
+ENGINE_TOL = 1e-12
+
+
+def per_point_reference(template: Sequence, grid) -> np.ndarray:
+    """The scan evaluated point by point on the scalar path."""
+    return np.array(
+        [excitation_probability(evolve(set_scan_value(template, float(T)))) for T in grid]
+    )
 
 
 class TestValidation:
@@ -172,8 +195,23 @@ class TestScan:
         assert fit.frequency == pytest.approx(110.0, rel=1e-3)
 
     def test_single_point_grid(self, write_key):
-        result = scan(build_write_read(write_key, 0.0, scanned=True), [2e-3])
+        template = build_write_read(write_key, 0.0, scanned=True)
+        result = scan(template, [2e-3])
         assert len(result) == 1
+        assert abs(result.p[0] - per_point_reference(template, [2e-3])[0]) <= ENGINE_TOL
+
+    @pytest.mark.parametrize("grid", [[math.nan], [0.0, math.inf]])
+    def test_non_finite_grid_rejected(self, write_key, grid):
+        with pytest.raises(InvalidDurationError):
+            scan(build_write_read(write_key, 0.0, scanned=True), grid)
+
+    def test_caller_grid_stays_writeable(self, write_key, readout_grid):
+        grid = readout_grid.copy()
+        result = scan(build_write_read(write_key, 0.0, scanned=True), grid)
+        assert grid.flags.writeable
+        assert not result.T.flags.writeable
+        grid[0] = 1.0
+        assert result.T[0] == 0.0
 
     def test_missing_scan_mark_rejected(self, write_key):
         seq = build_write_read(write_key, 1e-3)
@@ -194,7 +232,89 @@ class TestScan:
         assert waits[0].duration == 4e-3
 
 
+def _builder_templates(write_key, scramble_key, frame, clock):
+    fast = FieldParams(TWO_PI * 5000.0, TWO_PI * 100.0, "S")
+    tau = 0.8 * math.pi / fast.rabi
+    plan_2 = plan_double_retrieval(
+        fast.detuning, fast.detuning, tau, min_T3=1e-3, min_T2_plus_T4=1e-3,
+        clock_during_pulses=clock,
+    )
+    key_1 = ScrambleKey(fast, tau, 0.7, 5e-3)
+    key_2 = ScrambleKey(fast, tau, 2.9, plan_2.T2)
+    keyed = ScrambleKey(scramble_key.field, scramble_key.tau, 1.3, scramble_key.T1)
+    plan = plan_retrieval(keyed.field.detuning, 1e-3)
+    opts = dict(frame=frame, scanned=True)
+    clocked = dict(opts, clock_during_pulses=clock)  # the stacked plan carries its own clock
+    return {
+        "write_read": build_write_read(write_key, 0.0, **clocked),
+        "scrambled": build_scrambled(write_key, keyed, 0.0, **clocked),
+        "retrieved": build_retrieved(write_key, keyed, plan, 0.0, **clocked),
+        "double_scrambled": build_double_scrambled(write_key, key_1, key_2, 0.0, **clocked),
+        "double_retrieved": build_double_retrieved(write_key, key_1, key_2, plan_2, 0.0, **opts),
+    }
+
+
+_BUILDERS = ("write_read", "scrambled", "retrieved", "double_scrambled", "double_retrieved")
+
+
+class TestScanMatchesPerPointEvolve:
+    @pytest.mark.parametrize("clock", [False, True], ids=["clock-off", "clock-on"])
+    @pytest.mark.parametrize("frame", [ROTATING, LAB], ids=["rotating", "lab"])
+    @pytest.mark.parametrize("builder", _BUILDERS)
+    def test_every_builder_frame_and_clock(
+        self, write_key, scramble_key, readout_grid, builder, frame, clock
+    ):
+        template = _builder_templates(write_key, scramble_key, frame, clock)[builder]
+        got = scan(template, readout_grid).p
+        assert np.max(np.abs(got - per_point_reference(template, readout_grid))) <= ENGINE_TOL
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_random_timelines(self, data):
+        def field():
+            return FieldParams(
+                data.draw(st.floats(TWO_PI * 10.0, TWO_PI * 5000.0)),
+                data.draw(st.floats(-TWO_PI * 500.0, TWO_PI * 500.0)),
+            )
+
+        def event():
+            if data.draw(st.booleans()):
+                return Wait(data.draw(st.floats(0.0, 5e-3)))
+            return PulseSpec(
+                field(), data.draw(st.floats(1e-5, 2e-3)), data.draw(st.floats(0.0, TWO_PI))
+            )
+
+        before = [event() for _ in range(data.draw(st.integers(0, 3)))]
+        after = [event() for _ in range(data.draw(st.integers(0, 3)))]
+        if not any(isinstance(e, PulseSpec) for e in before + after):
+            after.append(PulseSpec(field(), 1e-4))
+        frame = data.draw(
+            st.one_of(
+                st.just(ROTATING),
+                st.floats(0.0, TWO_PI * 1e5).map(lambda w: FrameConvention("lab", w)),
+            )
+        )
+        template = Sequence(
+            (*before, Wait(0.0, scanned=True), *after),
+            frame=frame,
+            clock_during_pulses=data.draw(st.booleans()),
+        )
+        grid = sorted(
+            data.draw(st.lists(st.floats(0.0, 20e-3), min_size=1, max_size=20, unique=True))
+        )
+        got = scan(template, grid).p
+        assert np.max(np.abs(got - per_point_reference(template, grid))) <= ENGINE_TOL
+
+
 class TestFringeScan:
+    @pytest.mark.parametrize("field", ["T", "p", "sd"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_values(self, field, bad):
+        arrays = {"T": np.array([0.0, 1.0]), "p": np.array([0.5, 0.5]), "sd": np.zeros(2)}
+        arrays[field][1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            FringeScan(arrays["T"], arrays["p"], arrays["sd"])
+
     def test_rejects_nonincreasing_times(self):
         with pytest.raises(ValueError):
             FringeScan(np.array([0.0, 0.0]), np.array([0.5, 0.5]), np.zeros(2))

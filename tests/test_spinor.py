@@ -122,6 +122,11 @@ class TestFreeUnitary:
         with pytest.raises(InvalidDurationError):
             free_unitary(ROTATING, -1.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1e-9])
+    def test_array_interval_checked_elementwise(self, bad):
+        with pytest.raises(InvalidDurationError):
+            free_unitary(ROTATING, np.array([0.0, bad]))
+
 
 class TestApplyUnitary:
     def test_identity_keeps_state(self):
@@ -164,6 +169,15 @@ class TestExcitationProbability:
     def test_degraded_norm_rejected(self):
         with pytest.raises(DegradedStateError):
             excitation_probability(SpinState(1.0, 0.01))
+
+    def test_arrays_are_checked_elementwise(self):
+        r = math.sqrt(0.5)
+        good = SpinState(np.array([1.0, r]), np.array([0.0, 1.0j * r]))
+        np.testing.assert_allclose(excitation_probability(good), [0.0, 0.5], atol=1e-15)
+        with pytest.raises(DegradedStateError):
+            excitation_probability(SpinState(np.array([1.0, 1.0]), np.array([0.0, 0.01])))
+        with pytest.raises(DegradedStateError):
+            excitation_probability(SpinState(np.array([1.0, math.nan]), np.array([0.0, 0.0])))
 
 
 class TestClosedFormRamsey:
