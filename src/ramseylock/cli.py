@@ -21,7 +21,7 @@ import numpy as np
 from .analysis import FitResult, fit_damped_sinusoid, phase_spread
 from .config import ExperimentConfig, GridSpec, parse_config, parse_duration
 from .errors import ConfigError, FitError, PlannerError, RamseyLockError
-from .noise import NoiseModel, apply_contrast_decay, simulate_measurement
+from .noise import NoiseModel, apply_contrast_decay, measure_scan
 from .protocol import (
     ScrambleKey,
     WriteKey,
@@ -110,7 +110,6 @@ def _noise_model(cfg: ExperimentConfig, seed_override: int | None) -> NoiseModel
         atom_count=n.atoms,
         repeats=n.repeats,
         contrast_time_write=n.contrast_wri_s if n.contrast_wri_s is not None else math.inf,
-        contrast_time_scramble=n.contrast_sri_s if n.contrast_sri_s is not None else math.inf,
         seed=n.seed if seed_override is None else seed_override,
     )
 
@@ -119,14 +118,9 @@ def _measure(ideal: FringeScan, cfg: ExperimentConfig, model: NoiseModel | None,
     """Apply contrast decay and projective readout when noise is configured."""
     if cfg.noise is None or model is None:
         return ideal
-    result = ideal
     if cfg.noise.contrast_wri_s is not None:
-        result = apply_contrast_decay(result, cfg.noise.contrast_wri_s)
-    means = np.empty_like(result.p)
-    sds = np.empty_like(result.p)
-    for i, p in enumerate(result.p):
-        means[i], sds[i] = simulate_measurement(float(p), model, rng)
-    return FringeScan(result.T, np.clip(means, 0.0, 1.0), sds, label=result.label)
+        ideal = apply_contrast_decay(ideal, cfg.noise.contrast_wri_s)
+    return measure_scan(ideal, model, rng)
 
 
 def _write_scan(scan_data: FringeScan, out) -> None:

@@ -14,8 +14,7 @@ Statements::
     protocol ramsey|scramble|retrieve|double-scramble|double-retrieve|attack|fit
     interval T1=<f> [T2=<f> T3=<f> T4=<f>]
     grid <start>:<stop>:<step>
-    noise [linewidth_hz=<f>] [atoms=<i>] [repeats=<i>] [seed=<i>]
-          [contrast_wri_s=<f>] [contrast_sri_s=<f>]
+    noise [linewidth_hz=<f>] [atoms=<i>] [repeats=<i>] [seed=<i>] [contrast_wri_s=<f>]
     sweep phis=<i>
 
 ``parse_config`` and ``serialize_config`` round-trip exactly: floats are
@@ -70,7 +69,6 @@ class NoiseSpec:
     repeats: int = 5
     seed: int = 0
     contrast_wri_s: float | None = None
-    contrast_sri_s: float | None = None
 
 
 @dataclass
@@ -225,7 +223,13 @@ def parse_config(text: str) -> ExperimentConfig:
             cfg.grid = GridSpec(start, stop, step)
         elif keyword == "noise":
             pairs = _keyvals(args, lineno)
-            known = {"linewidth_hz", "atoms", "repeats", "seed", "contrast_wri_s", "contrast_sri_s"}
+            if "contrast_sri_s" in pairs:
+                raise ConfigError(
+                    "contrast_sri_s is not supported: no readout applies a "
+                    "scrambling-interferometer contrast time",
+                    lineno,
+                )
+            known = {"linewidth_hz", "atoms", "repeats", "seed", "contrast_wri_s"}
             unknown = set(pairs) - known
             if unknown:
                 raise ConfigError(f"unknown noise keys {sorted(unknown)}", lineno)
@@ -238,9 +242,6 @@ def parse_config(text: str) -> ExperimentConfig:
                 seed=_parse_int(pairs["seed"], "seed", lineno) if "seed" in pairs else 0,
                 contrast_wri_s=_parse_float(pairs["contrast_wri_s"], "contrast_wri_s", lineno)
                 if "contrast_wri_s" in pairs
-                else None,
-                contrast_sri_s=_parse_float(pairs["contrast_sri_s"], "contrast_sri_s", lineno)
-                if "contrast_sri_s" in pairs
                 else None,
             )
         elif keyword == "sweep":
@@ -293,8 +294,6 @@ def serialize_config(cfg: ExperimentConfig) -> str:
         ]
         if n.contrast_wri_s is not None:
             parts.append(f"contrast_wri_s={n.contrast_wri_s!r}")
-        if n.contrast_sri_s is not None:
-            parts.append(f"contrast_sri_s={n.contrast_sri_s!r}")
         lines.append("noise " + " ".join(parts))
     if cfg.sweep_phis is not None:
         lines.append(f"sweep phis={cfg.sweep_phis}")

@@ -20,11 +20,9 @@ from .protocol import ScrambleKey, WriteKey, build_scrambled
 from .sequence import FringeScan, scan
 from .spinor import ROTATING, TWO_PI, FrameConvention
 
-#: Lower-bound 1/e contrast times implied by the observed coherence of the
-#: two interferometers: >30 recording-field cycles and >100 scrambling-field
-#: cycles at the default Rabi frequencies (565 Hz and 169 Hz).
+#: Lower-bound 1/e contrast time implied by the observed coherence of the
+#: recording interferometer: >30 cycles at its 565 Hz Rabi frequency.
 DEFAULT_CONTRAST_WRITE = 30.0 / 565.0
-DEFAULT_CONTRAST_SCRAMBLE = 100.0 / 169.0
 
 
 @dataclass(frozen=True)
@@ -33,15 +31,14 @@ class NoiseModel:
 
     ``linewidth`` is the phase-diffusion rate in rad/s (angular linewidth);
     ``run_interval`` the wall-clock seconds between shots over which the
-    key phase diffuses; ``contrast_time_write``/``contrast_time_scramble``
-    the per-interferometer 1/e fringe-contrast times.
+    key phase diffuses; ``contrast_time_write`` the recording
+    interferometer's 1/e fringe-contrast time.
     """
 
     linewidth: float = 0.0
     atom_count: int = 50_000
     repeats: int = 5
     contrast_time_write: float = DEFAULT_CONTRAST_WRITE
-    contrast_time_scramble: float = DEFAULT_CONTRAST_SCRAMBLE
     run_interval: float = 47.0
     seed: int = 0
 
@@ -52,8 +49,8 @@ class NoiseModel:
             raise ValueError(f"atom_count must be >= 1, got {self.atom_count}")
         if self.repeats < 1:
             raise ValueError(f"repeats must be >= 1, got {self.repeats}")
-        if self.contrast_time_write <= 0.0 or self.contrast_time_scramble <= 0.0:
-            raise ValueError("contrast times must be > 0 (inf allowed)")
+        if self.contrast_time_write <= 0.0:
+            raise ValueError("contrast time must be > 0 (inf allowed)")
         if self.run_interval < 0.0:
             raise ValueError(f"run_interval must be >= 0, got {self.run_interval}")
 
@@ -84,22 +81,42 @@ def sample_relative_phase(linewidth: float, elapsed: float, rng: np.random.Gener
     return sample_phase_increment(linewidth, elapsed, rng) % TWO_PI
 
 
+def _readout(p, model: NoiseModel, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and sd of ``model.repeats`` binomial shots at each ``p``, drawn
+    as one ``(points, repeats)`` array of counts."""
+    p = np.asarray(p, dtype=float)
+    ok = (p >= 0.0) & (p <= 1.0)
+    if not ok.all():
+        raise ValueError(f"p_true must lie in [0, 1], got {p[np.argmin(ok)]}")
+    counts = rng.binomial(model.atom_count, p[:, None], size=(p.size, model.repeats))
+    fractions = counts / float(model.atom_count)
+    sd = fractions.std(axis=1, ddof=1) if model.repeats > 1 else np.zeros(p.size)
+    return fractions.mean(axis=1), sd
+
+
+def measure_scan(ideal: FringeScan, model: NoiseModel, rng: np.random.Generator) -> FringeScan:
+    """Projective readout of a whole scan in one binomial draw.
+
+    Each point becomes the mean excitation fraction of ``model.repeats``
+    binomial shots of ``model.atom_count`` atoms at its ``p``, with the
+    sample standard deviation across repeats as its ``sd`` (zeros for one
+    repeat); ``T`` and ``label`` are kept.  The counts are one
+    ``(points, repeats)`` draw, which reads the generator stream point by
+    point with repeats inner: the same variates, in the same order, as one
+    per-point draw after another.  A ``p`` outside [0, 1] (or NaN) raises
+    ``ValueError`` before anything is drawn.
+    """
+    mean, sd = _readout(ideal.p, model, rng)
+    return FringeScan(ideal.T, mean, sd, label=ideal.label)
+
+
 def simulate_measurement(
     p_true: float, model: NoiseModel, rng: np.random.Generator
 ) -> tuple[float, float]:
-    """Projective readout of one data point.
-
-    Draws ``model.repeats`` binomial samples of ``model.atom_count`` atoms
-    at success probability ``p_true`` and returns the mean excitation
-    fraction with the sample standard deviation across repeats.
-    """
-    if not (0.0 <= p_true <= 1.0):
-        raise ValueError(f"p_true must lie in [0, 1], got {p_true}")
-    counts = rng.binomial(model.atom_count, p_true, size=model.repeats)
-    fractions = counts / float(model.atom_count)
-    mean = float(np.mean(fractions))
-    sd = float(np.std(fractions, ddof=1)) if model.repeats > 1 else 0.0
-    return mean, sd
+    """Projective readout of one data point: the one-point case of
+    :func:`measure_scan`, returning ``(mean, sd)``."""
+    mean, sd = _readout([p_true], model, rng)
+    return float(mean[0]), float(sd[0])
 
 
 def apply_contrast_decay(scan_data: FringeScan, tau_c: float) -> FringeScan:
@@ -160,16 +177,12 @@ def monte_carlo_scramble(
         phase = (base_phase + sample_relative_phase(model.linewidth, model.run_interval, rng)) % TWO_PI
         keyed = ScrambleKey(scramble_key.field, scramble_key.tau, phase, scramble_key.T1)
         ideal = scan(build_scrambled(write_key, keyed, 0.0, frame=frame, scanned=True), grid)
-        means = np.empty_like(grid)
-        sds = np.empty_like(grid)
-        for i, p in enumerate(ideal.p):
-            means[i], sds[i] = simulate_measurement(float(p), model, rng)
-        scans.append(FringeScan(grid, np.clip(means, 0.0, 1.0), sds))
+        scans.append(measure_scan(ideal, model, rng))
 
     stacked = np.vstack([s.p for s in scans])
     pooled = FringeScan(
         grid,
-        np.clip(stacked.mean(axis=0), 0.0, 1.0),
+        stacked.mean(axis=0),
         stacked.std(axis=0, ddof=1) if trials > 1 else np.zeros_like(grid),
         label="pooled",
     )

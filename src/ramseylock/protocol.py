@@ -210,6 +210,8 @@ def plan_retrieval(delta_S: float, min_T2: float = 0.0) -> RetrievalPlan:
     n = max(0, math.ceil(estimate))
     while (2 * n + 1) * period < min_T2:  # guard against ceil round-off
         n += 1
+        if n > MAX_PLAN_INDEX:
+            raise InfeasiblePlanError(f"no n <= {MAX_PLAN_INDEX} satisfies the T2 bound")
     return RetrievalPlan(n=n, T2=(2 * n + 1) * math.pi / abs(delta_S))
 
 

@@ -124,7 +124,6 @@ def configs(draw):
             repeats=draw(st.integers(min_value=1, max_value=50)),
             seed=draw(st.integers(min_value=0, max_value=2**63 - 1)),
             contrast_wri_s=draw(st.one_of(st.none(), _positive)),
-            contrast_sri_s=draw(st.one_of(st.none(), _positive)),
         )
     frame_mode = draw(st.sampled_from(["rotating", "lab"]))
     return ExperimentConfig(
@@ -277,6 +276,15 @@ class TestExitCodes:
         path.write_text("nonsense\n")
         assert main([str(path)]) == 2
         assert "config error" in capsys.readouterr().err
+
+    def test_unapplied_scramble_contrast_key_is_2_and_names_the_line(self, tmp_path, capsys):
+        text = table1_text() + "noise seed=1 contrast_sri_s=0.5\n"
+        path = tmp_path / "sri.cfg"
+        path.write_text(text)
+        assert main([str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"line {len(text.splitlines())}" in err
+        assert "contrast_sri_s" in err
 
     def test_missing_file_is_2(self, capsys):
         assert main(["/does/not/exist.cfg"]) == 2

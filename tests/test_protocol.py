@@ -104,6 +104,12 @@ class TestPlanRetrieval:
         with pytest.raises(NoPrecessionError):
             plan_retrieval(0.0, 1e-3)
 
+    def test_round_off_step_past_index_bound_is_infeasible(self):
+        # the estimate lands exactly on MAX_PLAN_INDEX, and ceil round-off
+        # makes the guard loop step one past it
+        with pytest.raises(InfeasiblePlanError):
+            plan_retrieval(1535.755169500684, 4091.2696070006245)
+
 
 class TestPlanDoubleRetrieval:
     def test_interval_clock_solution(self):
