@@ -5,12 +5,19 @@ least-squares fit of::
 
     p(T) = offset + amplitude * exp(-T / decay_time) * cos(2*pi*frequency*T + phase)
 
-The fitter is deterministic and derivative-based: a coarse frequency grid
-over [0, Nyquist] (with linear subproblems for offset and quadrature
-amplitudes) picks the starting point, then Gauss-Newton iterations refine
-all five parameters.  Fitted phases feed the circular-spread statistic
-that quantifies how much key-phase ambiguity a scramble stage injects and
-how completely a retrieve stage removes it.
+The fitter is deterministic and derivative-based.  The frequency seed is
+the peak of the generalized Lomb-Scargle periodogram (Zechmeister &
+Kuerster 2009): the trial frequency with the least weighted residual sum
+of squares (SSR) of the undamped linear model, whose offset and quadrature
+amplitudes are solved exactly.  On a uniform grid the trial frequencies
+are those of a zero-padded FFT, which supplies every sum the SSR needs; on
+a non-uniform grid the SSR is evaluated directly on a grid over
+[0, Nyquist].  A fine scan of that same SSR one bin either side of the
+peak, then a few envelope-rate seeds, give the starting point;
+Gauss-Newton iterations refine all five parameters, and the result
+records why they stopped.  Fitted phases feed the circular-spread
+statistic that quantifies how much key-phase ambiguity a scramble stage
+injects and how completely a retrieve stage removes it.
 """
 
 from __future__ import annotations
@@ -25,8 +32,15 @@ from .errors import FitError
 from .sequence import FringeScan
 from .spinor import TWO_PI
 
-#: Coarse initialization grid size over [0, Nyquist].
+#: Periodogram seed resolution: the Lomb-Scargle SSR is evaluated at no
+#: fewer than COARSE_GRID_SIZE frequencies over [0, Nyquist], directly on a
+#: non-uniform grid, and on a uniform grid at the bins of an FFT zero-padded
+#: to PAD_FACTOR times the scan length (or more, to reach that count).
+PAD_FACTOR = 8
 COARSE_GRID_SIZE = 512
+
+#: Relative spacing deviation below which a grid counts as uniform.
+UNIFORM_TOLERANCE = 1e-9
 
 #: Gauss-Newton iteration cap and relative-step convergence threshold.
 MAX_ITERATIONS = 200
@@ -34,6 +48,15 @@ STEP_TOLERANCE = 1e-10
 
 #: Envelope rates tried (in units of 1/span) during initialization.
 _RATE_SEEDS = (0.0, 0.5, 1.0, 2.0, 4.0, 8.0)
+
+#: Why a fit stopped.  ``step_tol``: a step fell below STEP_TOLERANCE and
+#: the fringe explains the data (the only converged outcome);
+#: ``residual``: the step converged but the rms residual exceeds the data's
+#: standard deviation, or the amplitude is zero; ``halving_exhausted``: 30
+#: step halvings found no decrease; ``max_iter``: MAX_ITERATIONS steps ran
+#: out; ``singular``: the least-squares step could not be solved;
+#: ``zero_variance``: the data are constant, so no fit was attempted.
+FIT_REASONS = ("step_tol", "residual", "halving_exhausted", "max_iter", "singular", "zero_variance")
 
 
 @dataclass(frozen=True)
@@ -45,6 +68,10 @@ class FitResult:
     root-mean-square residual is below ``residual_threshold``, which is
     recorded alongside (the standard deviation of the input data, i.e. the
     residual of fitting no fringe at all).
+
+    ``iterations`` counts Gauss-Newton steps; ``reason`` says why they
+    stopped (see ``FIT_REASONS``) and is ``"step_tol"`` exactly when
+    ``converged`` is set.
     """
 
     amplitude: float
@@ -55,12 +82,18 @@ class FitResult:
     rms_residual: float
     converged: bool
     residual_threshold: float
+    iterations: int
+    reason: str
 
     def __post_init__(self):
         if self.amplitude < 0.0:
             raise ValueError("amplitude must be >= 0 after normalization")
         if self.rms_residual < 0.0:
             raise ValueError("rms_residual must be >= 0")
+        if self.reason not in FIT_REASONS:
+            raise ValueError(f"reason must be one of {FIT_REASONS}, got {self.reason!r}")
+        if self.converged != (self.reason == "step_tol"):
+            raise ValueError("converged must hold exactly when reason is 'step_tol'")
 
 
 def _model(T: np.ndarray, offset: float, a: float, b: float, rate: float, freq: float) -> np.ndarray:
@@ -82,21 +115,48 @@ def _linear_fit(T, p, weights, freq, rate):
 
 
 def _grid_ssr(T, p, weights, freqs):
-    """Weighted SSR of the undamped linear model at each trial frequency."""
+    """Weighted SSR of the undamped linear model at each trial frequency,
+    with the trigonometric sums evaluated directly on ``T``."""
     arg = TWO_PI * np.outer(freqs, T)
     cos_t, sin_t = np.cos(arg), np.sin(arg)
     w2 = weights * weights
-    gram = np.empty((freqs.size, 3, 3))
-    rhs = np.empty((freqs.size, 3))
+    return _ssr(
+        w2, p, cos_t @ w2, sin_t @ w2, (cos_t * cos_t) @ w2, (cos_t * sin_t) @ w2,
+        (sin_t * sin_t) @ w2, cos_t @ (w2 * p), sin_t @ (w2 * p),
+    )
+
+
+def _periodogram_ssr(p, weights, size):
+    """The same SSR on a uniform grid at the ``size // 2 + 1`` frequencies
+    ``k / (size * dt)``, with every sum read off a zero-padded FFT; the
+    squared and cross terms come from the doubled frequency ``2k``."""
+    w2 = weights * weights
+    total = np.sum(w2)
+    z = np.fft.fft(w2, size)  # sum of w2 * exp(-i * omega_k * (T - T[0]))
+    zp = np.fft.rfft(w2 * p, size)
+    k = np.arange(zp.size)
+    z1, z2 = z[k], z[2 * k % size]
+    return _ssr(
+        w2, p, z1.real, -z1.imag, 0.5 * (total + z2.real), -0.5 * z2.imag,
+        0.5 * (total - z2.real), zp.real, -zp.imag,
+    )
+
+
+def _ssr(w2, p, c, s, cc, cs, ss, cp, sp):
+    """Weighted SSR of ``offset + a*cos + b*sin`` from its normal equations;
+    each argument after ``p`` holds one weighted sum (of cos, sin, cos^2,
+    cos*sin, sin^2, p*cos, p*sin) per trial frequency."""
+    gram = np.empty((c.size, 3, 3))
+    rhs = np.empty((c.size, 3))
     gram[:, 0, 0] = np.sum(w2)
-    gram[:, 0, 1] = gram[:, 1, 0] = cos_t @ w2
-    gram[:, 0, 2] = gram[:, 2, 0] = sin_t @ w2
-    gram[:, 1, 1] = (cos_t * cos_t) @ w2
-    gram[:, 1, 2] = gram[:, 2, 1] = (cos_t * sin_t) @ w2
-    gram[:, 2, 2] = (sin_t * sin_t) @ w2
+    gram[:, 0, 1] = gram[:, 1, 0] = c
+    gram[:, 0, 2] = gram[:, 2, 0] = s
+    gram[:, 1, 1] = cc
+    gram[:, 1, 2] = gram[:, 2, 1] = cs
+    gram[:, 2, 2] = ss
     rhs[:, 0] = np.sum(w2 * p)
-    rhs[:, 1] = cos_t @ (w2 * p)
-    rhs[:, 2] = sin_t @ (w2 * p)
+    rhs[:, 1] = cp
+    rhs[:, 2] = sp
     # a ridge proportional to the gram scale keeps the degenerate rows
     # (f = 0 and f = Nyquist have a vanishing sin column) solvable;
     # selection is unaffected elsewhere
@@ -107,21 +167,31 @@ def _grid_ssr(T, p, weights, freqs):
 
 
 def _coarse_frequency(T, p, weights):
-    """Initial frequency: coarse grid over [0, Nyquist], then a fine local
-    scan one grid bin wide, so Gauss-Newton starts inside the right basin."""
-    nyquist = 0.5 / float(np.min(np.diff(T)))
-    freqs = np.linspace(0.0, nyquist, COARSE_GRID_SIZE)
-    best = float(freqs[int(np.argmin(_grid_ssr(T, p, weights, freqs)))])
-    bin_width = nyquist / (COARSE_GRID_SIZE - 1)
+    """Initial frequency: the generalized Lomb-Scargle peak (the SSR
+    minimum), then a fine SSR scan one periodogram bin either side on the
+    true ``T``, so Gauss-Newton starts inside the right basin."""
+    dt = np.diff(T)
+    step = float(np.min(dt))
+    if np.all(np.abs(dt - step) <= UNIFORM_TOLERANCE * step):
+        size = max(PAD_FACTOR * T.size, 2 * COARSE_GRID_SIZE)
+        bin_width = 1.0 / (size * step)
+        best = int(np.argmin(_periodogram_ssr(p, weights, size))) / (size * step)
+    else:
+        nyquist = 0.5 / step
+        freqs = np.linspace(0.0, nyquist, COARSE_GRID_SIZE)
+        best = float(freqs[int(np.argmin(_grid_ssr(T, p, weights, freqs)))])
+        bin_width = nyquist / (COARSE_GRID_SIZE - 1)
     fine = np.linspace(max(0.0, best - bin_width), best + bin_width, 65)
     return float(fine[int(np.argmin(_grid_ssr(T, p, weights, fine)))])
 
 
 def _gauss_newton(T, p, weights, params):
-    """Refine (offset, a, b, rate, freq); returns (params, step_converged)."""
+    """Refine (offset, a, b, rate, freq); returns (params, iterations, reason)
+    with reason one of ``step_tol``, ``halving_exhausted``, ``max_iter`` and
+    ``singular``."""
     offset, a, b, rate, freq = params
     ssr = None
-    for _ in range(MAX_ITERATIONS):
+    for iteration in range(1, MAX_ITERATIONS + 1):
         env = np.exp(-rate * T)
         arg = TWO_PI * freq * T
         cos_t, sin_t = np.cos(arg), np.sin(arg)
@@ -140,7 +210,7 @@ def _gauss_newton(T, p, weights, params):
         try:
             step, *_ = np.linalg.lstsq(jac, -resid, rcond=None)
         except np.linalg.LinAlgError:
-            return (offset, a, b, rate, freq), False
+            return (offset, a, b, rate, freq), iteration, "singular"
         scale = np.maximum(np.abs([offset, a, b, rate, freq]), 1.0)
         rel_step = float(np.max(np.abs(step) / scale))
 
@@ -154,10 +224,10 @@ def _gauss_newton(T, p, weights, params):
                 break
             shrink *= 0.5
         else:
-            return (offset, a, b, rate, freq), False
+            return (offset, a, b, rate, freq), iteration, "halving_exhausted"
         if rel_step * shrink < STEP_TOLERANCE:
-            return (offset, a, b, rate, freq), True
-    return (offset, a, b, rate, freq), False
+            return (offset, a, b, rate, freq), iteration, "step_tol"
+    return (offset, a, b, rate, freq), MAX_ITERATIONS, "max_iter"
 
 
 def fit_damped_sinusoid(scan: FringeScan) -> FitResult:
@@ -166,7 +236,8 @@ def fit_damped_sinusoid(scan: FringeScan) -> FitResult:
     Uses per-point standard deviations as inverse weights when every point
     carries one, unweighted least squares otherwise.  Needs at least 8
     points on a strictly increasing grid.  A zero-variance input is
-    reported as amplitude 0 and ``converged=False`` rather than an error.
+    reported as amplitude 0, ``converged=False`` and reason
+    ``zero_variance`` rather than an error.
 
     Returns
     -------
@@ -193,6 +264,8 @@ def fit_damped_sinusoid(scan: FringeScan) -> FitResult:
             rms_residual=0.0,
             converged=False,
             residual_threshold=0.0,
+            iterations=0,
+            reason="zero_variance",
         )
 
     weights = np.ones_like(T)
@@ -209,7 +282,7 @@ def fit_damped_sinusoid(scan: FringeScan) -> FitResult:
             best = (ssr, coef, rate)
     _, (offset, a, b), rate = best
 
-    (offset, a, b, rate, freq), step_ok = _gauss_newton(
+    (offset, a, b, rate, freq), iterations, reason = _gauss_newton(
         T, p, weights, (float(offset), float(a), float(b), rate, freq0)
     )
 
@@ -223,7 +296,8 @@ def fit_damped_sinusoid(scan: FringeScan) -> FitResult:
     decay_time = math.inf if rate * span < 1e-9 else 1.0 / rate
 
     rms = float(np.sqrt(np.mean((_model(T, offset, a, b, rate, freq) - p) ** 2)))
-    converged = bool(step_ok and amplitude > 0.0 and rms <= data_sd)
+    if reason == "step_tol" and not (amplitude > 0.0 and rms <= data_sd):
+        reason = "residual"
     return FitResult(
         amplitude=amplitude,
         frequency=float(freq),
@@ -231,8 +305,10 @@ def fit_damped_sinusoid(scan: FringeScan) -> FitResult:
         offset=float(offset),
         decay_time=decay_time,
         rms_residual=rms,
-        converged=converged,
+        converged=reason == "step_tol",
         residual_threshold=data_sd,
+        iterations=iterations,
+        reason=reason,
     )
 
 

@@ -6,7 +6,8 @@ fitted row per swept phase).  All output is plain CSV with a header row,
 ``\\n`` newlines and ``.`` decimal points, suitable for any plotter.
 
 Exit codes: 0 success, 2 config error, 3 timing-planner failure, 4 fit
-non-convergence where a fit is required.
+non-convergence where a fit is required (standard error then names each
+failed fit's ``reason`` and iteration count).
 """
 
 from __future__ import annotations
@@ -144,6 +145,11 @@ def _write_fit_row(out, phi: float, fit: FitResult) -> None:
         )
         + "\n"
     )
+
+
+def _report_unconverged(what: str, fit: FitResult) -> None:
+    print(f"{what} did not converge: {fit.reason} after {fit.iterations} iterations",
+          file=sys.stderr)
 
 
 def _read_scan_csv(stream) -> FringeScan:
@@ -285,7 +291,10 @@ def run(
         fit = fit_damped_sinusoid(_read_scan_csv(stream))
         out.write(_FIT_HEADER + "\n")
         _write_fit_row(out, math.nan, fit)
-        return 0 if fit.converged else 4
+        if not fit.converged:
+            _report_unconverged("fit", fit)
+            return 4
+        return 0
 
     fields = _build_fields(cfg)
     frame = _frame(cfg)
@@ -314,7 +323,10 @@ def run(
         converged = [f for f in fits if f.converged]
         if len(converged) >= 2:
             print(f"phase spread over sweep: {phase_spread(converged):.6f} rad", file=sys.stderr)
-        return 0 if all(f.converged for f in fits) else 4
+        for phi, fit in zip(phases, fits):
+            if not fit.converged:
+                _report_unconverged(f"fit at phi_S={float(phi):.6f}", fit)
+        return 0 if len(converged) == len(fits) else 4
 
     template = _single_template(cfg, fields, write_key, rng, frame)
     _write_scan(_measure(scan(template, grid), cfg, model, rng), out)

@@ -16,6 +16,7 @@ from ramseylock import (
     parse_config,
     serialize_config,
 )
+from ramseylock import analysis
 from ramseylock.cli import main, run
 from ramseylock.config import (
     ExperimentConfig,
@@ -270,6 +271,23 @@ class TestExitCodes:
         assert _fit_csv_exit(tmp_path, ["0.0,0.5,0.01"]) == 4
         assert "increasing" in capsys.readouterr().err
 
+
+    def test_unconverged_fit_is_4_and_names_the_reason(self, tmp_path, capsys):
+        cfg = tmp_path / "fit.cfg"
+        cfg.write_text("protocol fit\n")
+        data = tmp_path / "flat.csv"
+        data.write_text("".join(f"{t * 1e-3!r},0.5,0.01\n" for t in range(20)))
+        assert main([str(cfg), "--input", str(data)]) == 4
+        captured = capsys.readouterr()
+        assert len(captured.out.strip().split("\n")) == 2  # header + row, as before
+        assert "fit did not converge: zero_variance after 0 iterations" in captured.err
+
+    def test_unconverged_sweep_is_4_and_names_each_reason(self, table1_path, capsys, monkeypatch):
+        monkeypatch.setattr(analysis, "MAX_ITERATIONS", 1)
+        assert main([table1_path, "--protocol", "scramble", "--sweep-phis", "4"]) == 4
+        err = capsys.readouterr().err
+        assert err.count("did not converge: max_iter after 1 iterations") == 4
+        assert "fit at phi_S=1.570796" in err
 
     def test_config_error_is_2(self, tmp_path, capsys):
         path = tmp_path / "bad.cfg"
