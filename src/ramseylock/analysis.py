@@ -63,7 +63,9 @@ FIT_REASONS = ("step_tol", "residual", "halving_exhausted", "max_iter", "singula
 class FitResult:
     """Damped-sinusoid parameters extracted from one scan.
 
-    ``decay_time`` may be ``inf`` (no detectable damping).  ``converged``
+    ``decay_time`` may be ``inf`` (no detectable damping) and is negative
+    for a growing envelope, so ``exp(-T / decay_time)`` always reproduces
+    the fitted envelope.  ``converged``
     is set when the iteration reached its step tolerance and the remaining
     root-mean-square residual is below ``residual_threshold``, which is
     recorded alongside (the standard deviation of the input data, i.e. the
@@ -244,8 +246,10 @@ def fit_damped_sinusoid(scan: FringeScan) -> FitResult:
     FitResult
         Amplitude normalized to be >= 0 with the phase folded into
         [0, 2*pi); frequency in Hz; ``decay_time`` in seconds (``inf``
-        when no damping is resolved).
+        when no damping is resolved, negative for a growing envelope).
     """
+    if scan.p.ndim != 1:
+        raise ValueError("fit needs one fringe; fit the rows of a batch one by one")
     if len(scan) < 8:
         raise FitError(f"need at least 8 points to fit, got {len(scan)}")
     T = np.asarray(scan.T, dtype=float)
@@ -293,7 +297,7 @@ def fit_damped_sinusoid(scan: FringeScan) -> FitResult:
     phase = math.atan2(-b, a) % TWO_PI
     # an envelope that changes by < 1e-9 over the scanned window is
     # indistinguishable from no damping
-    decay_time = math.inf if rate * span < 1e-9 else 1.0 / rate
+    decay_time = math.inf if abs(rate) * span < 1e-9 else 1.0 / rate
 
     rms = float(np.sqrt(np.mean((_model(T, offset, a, b, rate, freq) - p) ** 2)))
     if reason == "step_tol" and not (amplitude > 0.0 and rms <= data_sd):

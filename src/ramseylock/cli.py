@@ -125,6 +125,8 @@ def _measure(ideal: FringeScan, cfg: ExperimentConfig, model: NoiseModel | None,
 
 
 def _write_scan(scan_data: FringeScan, out) -> None:
+    if scan_data.p.ndim != 1:
+        raise ValueError("a scan CSV holds one fringe; write the rows of a batch one by one")
     out.write(_SCAN_HEADER + "\n")
     for T, p, sd in zip(scan_data.T, scan_data.p, scan_data.sd):
         out.write(f"{_fmt(T)},{_fmt(p)},{_fmt(sd)}\n")
@@ -219,8 +221,9 @@ def _double_retrieve_parts(cfg, fields, rng, *, s1_keeps_random: bool = False):
 
 
 def _sweep_template(cfg, fields, write_key, rng, frame):
-    """Return callable phi -> scan template; keys are resolved once so a
-    randomized secondary phase stays fixed across the sweep."""
+    """Return callable phi -> scan template, where ``phi`` may be a
+    ``(K, 1)`` array of key phases; keys are resolved once so a randomized
+    secondary phase stays fixed across the sweep."""
     clock = cfg.clock_during_pulses
     if cfg.protocol == "scramble":
         key = _scramble_key(cfg, fields, "scramble", "T1", rng, keep_random=True)
@@ -314,11 +317,10 @@ def run(
         make = _sweep_template(cfg, fields, write_key, rng, frame)
         phases = np.linspace(0.0, TWO_PI, cfg.sweep_phis, endpoint=False)
         out.write(_FIT_HEADER + "\n")
-        fits = []
-        for phi in phases:
-            measured = _measure(scan(make(float(phi)), grid), cfg, model, rng)
-            fit = fit_damped_sinusoid(measured)
-            fits.append(fit)
+        # one scan on the key-phase axis; rows are read out in phase order
+        measured = _measure(scan(make(phases[:, None]), grid), cfg, model, rng)
+        fits = [fit_damped_sinusoid(row) for row in measured.rows()]
+        for phi, fit in zip(phases, fits):
             _write_fit_row(out, float(phi), fit)
         converged = [f for f in fits if f.converged]
         if len(converged) >= 2:

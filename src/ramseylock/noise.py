@@ -81,17 +81,29 @@ def sample_relative_phase(linewidth: float, elapsed: float, rng: np.random.Gener
     return sample_phase_increment(linewidth, elapsed, rng) % TWO_PI
 
 
-def _readout(p, model: NoiseModel, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Mean and sd of ``model.repeats`` binomial shots at each ``p``, drawn
-    as one ``(points, repeats)`` array of counts."""
+def _check_probabilities(p) -> np.ndarray:
+    """``p`` as a float array; raises ``ValueError`` naming the first value
+    outside [0, 1] (or NaN)."""
     p = np.asarray(p, dtype=float)
     ok = (p >= 0.0) & (p <= 1.0)
     if not ok.all():
-        raise ValueError(f"p_true must lie in [0, 1], got {p[np.argmin(ok)]}")
-    counts = rng.binomial(model.atom_count, p[:, None], size=(p.size, model.repeats))
+        raise ValueError(f"p_true must lie in [0, 1], got {p.flat[np.argmin(ok)]}")
+    return p
+
+
+def _counts(p: np.ndarray, model: NoiseModel, rng: np.random.Generator) -> np.ndarray:
+    """Binomial counts of ``model.repeats`` shots at each checked ``p``, of
+    shape ``p.shape + (repeats,)``, drawn in C order: point by point with
+    repeats inner, row after row for a batch."""
+    return rng.binomial(model.atom_count, p[..., None], size=(*p.shape, model.repeats))
+
+
+def _shot_stats(counts: np.ndarray, model: NoiseModel) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and sample sd (zeros for one repeat) of the excitation fractions
+    over the last, repeats axis."""
     fractions = counts / float(model.atom_count)
-    sd = fractions.std(axis=1, ddof=1) if model.repeats > 1 else np.zeros(p.size)
-    return fractions.mean(axis=1), sd
+    sd = fractions.std(axis=-1, ddof=1) if model.repeats > 1 else np.zeros(fractions.shape[:-1])
+    return fractions.mean(axis=-1), sd
 
 
 def measure_scan(ideal: FringeScan, model: NoiseModel, rng: np.random.Generator) -> FringeScan:
@@ -103,10 +115,11 @@ def measure_scan(ideal: FringeScan, model: NoiseModel, rng: np.random.Generator)
     repeat); ``T`` and ``label`` are kept.  The counts are one
     ``(points, repeats)`` draw, which reads the generator stream point by
     point with repeats inner: the same variates, in the same order, as one
-    per-point draw after another.  A ``p`` outside [0, 1] (or NaN) raises
-    ``ValueError`` before anything is drawn.
+    per-point draw after another.  A ``(K, N)`` batch is read row after
+    row, as K ``measure_scan`` calls in key order would.  A ``p`` outside
+    [0, 1] (or NaN) raises ``ValueError`` before anything is drawn.
     """
-    mean, sd = _readout(ideal.p, model, rng)
+    mean, sd = _shot_stats(_counts(_check_probabilities(ideal.p), model, rng), model)
     return FringeScan(ideal.T, mean, sd, label=ideal.label)
 
 
@@ -115,7 +128,7 @@ def simulate_measurement(
 ) -> tuple[float, float]:
     """Projective readout of one data point: the one-point case of
     :func:`measure_scan`, returning ``(mean, sd)``."""
-    mean, sd = _readout([p_true], model, rng)
+    mean, sd = _shot_stats(_counts(_check_probabilities([p_true]), model, rng), model)
     return float(mean[0]), float(sd[0])
 
 
@@ -154,11 +167,14 @@ def monte_carlo_scramble(
     """Ensemble of scrambled scans with a freshly diffused phase per trial.
 
     Each trial draws its key phase via :func:`sample_relative_phase` over
-    ``model.run_interval`` (added to the key's declared phase, if any),
-    evaluates the scrambled fringe on the grid, and applies projective
-    readout noise per point.  Trials use independent child streams spawned
-    from the model seed, so results do not depend on execution order and
-    identical seeds reproduce the ensemble bit for bit.
+    ``model.run_interval`` (added to the key's declared phase, if any) and
+    applies projective readout noise per point.  Trials use independent
+    child streams spawned from the model seed, so results do not depend on
+    execution order and identical seeds reproduce the ensemble bit for bit.
+    Every trial's phase is drawn first; one scan on the key-phase axis then
+    evaluates all trials' scrambled fringes, and each trial's row is read
+    out from that trial's stream, so each stream gives the same draws in
+    the same order as a scan and readout per trial.
 
     The pooled scan holds, per grid point, the mean and standard deviation
     over trials of the measured means; the scatter is largest where the
@@ -168,22 +184,25 @@ def monte_carlo_scramble(
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     base_phase = scramble_key.phi_S if scramble_key.has_phase else 0.0
-    streams = np.random.SeedSequence(model.seed).spawn(trials)
+    rngs = [np.random.default_rng(c) for c in np.random.SeedSequence(model.seed).spawn(trials)]
     grid = np.asarray(list(T_grid), dtype=float)
 
-    scans = []
-    for child in streams:
-        rng = np.random.default_rng(child)
-        phase = (base_phase + sample_relative_phase(model.linewidth, model.run_interval, rng)) % TWO_PI
-        keyed = ScrambleKey(scramble_key.field, scramble_key.tau, phase, scramble_key.T1)
-        ideal = scan(build_scrambled(write_key, keyed, 0.0, frame=frame, scanned=True), grid)
-        scans.append(measure_scan(ideal, model, rng))
+    phases = np.array(
+        [(base_phase + sample_relative_phase(model.linewidth, model.run_interval, rng)) % TWO_PI
+         for rng in rngs]
+    )
+    keyed = ScrambleKey(scramble_key.field, scramble_key.tau, phases[:, None], scramble_key.T1)
+    ideal = _check_probabilities(
+        scan(build_scrambled(write_key, keyed, 0.0, frame=frame, scanned=True), grid).p
+    )
+    counts = np.stack([_counts(row, model, rng) for row, rng in zip(ideal, rngs)])
+    means, sds = _shot_stats(counts, model)
+    measured = FringeScan(grid, means, sds)
 
-    stacked = np.vstack([s.p for s in scans])
     pooled = FringeScan(
         grid,
-        stacked.mean(axis=0),
-        stacked.std(axis=0, ddof=1) if trials > 1 else np.zeros_like(grid),
+        means.mean(axis=0),
+        means.std(axis=0, ddof=1) if trials > 1 else np.zeros_like(grid),
         label="pooled",
     )
-    return MonteCarloResult(scans=tuple(scans), pooled=pooled)
+    return MonteCarloResult(scans=measured.rows(), pooled=pooled)

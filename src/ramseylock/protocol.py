@@ -82,14 +82,16 @@ class ScrambleKey:
 
     ``phi_S`` is the field's phase offset relative to the recording field,
     reduced to [0, 2*pi); ``None`` marks a withheld key whose phase must be
-    treated as random.  ``T1`` is the wait between the preceding pulse and
-    this scramble pulse (recording pulse for the first scrambler, previous
-    scramble pulse in stacked schemes).
+    treated as random.  An array of phases builds sequences on the scan
+    engine's key-phase axis (``(K, 1)`` for K keys, ``(N,)`` for one per
+    grid point; see :mod:`~ramseylock.sequence`).  ``T1`` is the wait
+    between the preceding pulse and this scramble pulse (recording pulse
+    for the first scrambler, previous scramble pulse in stacked schemes).
     """
 
     field: FieldParams
     tau: float
-    phi_S: float | None
+    phi_S: float | np.ndarray | None
     T1: float
 
     def __post_init__(self):
@@ -98,9 +100,15 @@ class ScrambleKey:
         if self.T1 < 0.0 or not math.isfinite(self.T1):
             raise InvalidDurationError(f"T1 must be >= 0, got {self.T1}")
         if self.phi_S is not None:
-            if not math.isfinite(self.phi_S):
+            phi = np.asarray(self.phi_S, dtype=float)
+            if not np.all(np.isfinite(phi)):
                 raise ValueError("phi_S must be finite or None")
-            object.__setattr__(self, "phi_S", float(self.phi_S) % TWO_PI)
+            if phi.ndim == 0:
+                phi = float(phi) % TWO_PI
+            else:
+                phi = phi % TWO_PI
+                phi.setflags(write=False)
+            object.__setattr__(self, "phi_S", phi)
 
     @property
     def has_phase(self) -> bool:
@@ -413,8 +421,9 @@ def secret_readout(
     recorded fringe.  If the phase is withheld (``phi_S is None``) the
     scramble pulse still happened, but with a phase unknown to the reader:
     a fresh uniform phase is drawn (one per readout by default, or one per
-    grid point with ``fresh_phase_per_point`` to model shot-by-shot drift)
-    and the resulting ambiguous scan is returned.
+    grid point with ``fresh_phase_per_point`` to model shot-by-shot drift,
+    scanned as one ``(N,)`` key-phase array) and the resulting ambiguous
+    scan is returned.
     """
     grid = list(T_grid)
     if len(grid) == 0:
@@ -425,22 +434,8 @@ def secret_readout(
         return scan(template, grid)
     if rng is None:
         raise ValueError("blind readout needs a random generator for the unknown key phase")
-    if fresh_phase_per_point:
-        T_arr = np.asarray(grid, dtype=float)
-        pieces = [
-            scan(
-                build_scrambled(
-                    write_key,
-                    replace(scramble_key, phi_S=float(rng.uniform(0.0, TWO_PI))),
-                    0.0,
-                    frame=frame,
-                    scanned=True,
-                ),
-                [T],
-            ).p[0]
-            for T in T_arr
-        ]
-        return FringeScan(T_arr, np.asarray(pieces), np.zeros_like(T_arr))
-    blind = replace(scramble_key, phi_S=float(rng.uniform(0.0, TWO_PI)))
+    # one draw of N phases reads the stream as N scalar draws would
+    size = len(grid) if fresh_phase_per_point else None
+    blind = replace(scramble_key, phi_S=rng.uniform(0.0, TWO_PI, size=size))
     template = build_scrambled(write_key, blind, 0.0, frame=frame, scanned=True)
     return scan(template, grid)

@@ -23,11 +23,19 @@ The events before the scanned wait do not depend on ``T`` and are evolved
 once, on scalars.  The scanned wait's duration is the grid array, so the
 clock, the later pulse phases and the state become arrays of the grid's
 shape, and every later event costs one numpy operation over the grid.
+
+Key-phase axis: a pulse's ``phase_offset`` may also be an array, which
+broadcasts against the grid the same way.  Shape ``(K, 1)`` adds a leading
+axis of K key phases, so one scan evaluates the ``(K, N)`` grid of key
+phases x delays and returns a batch of K fringes; shape ``(N,)`` gives one
+phase per grid point.  Events before the first array-valued quantity
+(phase or delay) still run once on scalars.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, replace
 from typing import Iterator, NamedTuple, Sequence as SequenceType, Union
 
@@ -46,6 +54,10 @@ from .spinor import (
     pulse_unitary,
 )
 
+#: A timeline clock value or phase: a float, or an array over a scan grid
+#: and/or a key-phase axis.
+Clock = Union[float, np.ndarray]
+
 
 @dataclass(frozen=True)
 class PulseSpec:
@@ -53,17 +65,26 @@ class PulseSpec:
 
     ``phase_offset`` is the per-field constant added on top of the
     engine-accumulated ``rate * t`` phase (zero for the recording field by
-    convention; the key phase for scrambling fields).
+    convention; the key phase for scrambling fields).  It may be an array
+    of key phases, stored as a read-only copy: ``(K, 1)`` puts a key axis in
+    front of a scan grid, ``(N,)`` gives one phase per grid point.
     """
 
     field: FieldParams
     tau: float
-    phase_offset: float = 0.0
+    phase_offset: Clock = 0.0
 
     def __post_init__(self):
         if not (self.tau > 0.0) or not math.isfinite(self.tau):
             raise InvalidDurationError(f"pulse tau must be > 0, got {self.tau}")
-        if not math.isfinite(self.phase_offset):
+        if np.ndim(self.phase_offset) == 0:
+            finite = math.isfinite(self.phase_offset)
+        else:
+            offset = np.array(self.phase_offset, dtype=float)
+            offset.setflags(write=False)
+            object.__setattr__(self, "phase_offset", offset)
+            finite = np.all(np.isfinite(offset))
+        if not finite:
             raise InvalidDurationError("pulse phase offset must be finite")
         if not math.isfinite(self.field.rabi * self.tau):
             raise InvalidDurationError("pulse area must be finite")
@@ -86,9 +107,6 @@ class Wait:
 
 
 Event = Union[Wait, PulseSpec]
-
-#: A timeline clock value or phase: a float, or an array over a scan grid.
-Clock = Union[float, np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -205,7 +223,14 @@ def evolve(seq: Sequence, initial: SpinState = GROUND, start_time: float = 0.0) 
 
 @dataclass(frozen=True)
 class FringeScan:
-    """A sampled excitation-probability curve ``p(T)`` with per-point sd."""
+    """A sampled excitation-probability curve ``p(T)`` with per-point sd.
+
+    ``p`` and ``sd`` have the shape of ``T``, or ``(K, N)`` over an
+    N-point ``T`` for a batch of K fringes on one grid (one per key phase
+    of a key-axis scan).  A batch is validated once; ``scan_data[k]`` and
+    :meth:`rows` return its fringes as 1-D scans that share its read-only
+    arrays and are not validated again.
+    """
 
     T: np.ndarray
     p: np.ndarray
@@ -218,8 +243,8 @@ class FringeScan:
         sd = np.asarray(self.sd, dtype=float)
         if T.ndim != 1 or T.size == 0:
             raise ValueError("scan needs at least one point")
-        if p.shape != T.shape or sd.shape != T.shape:
-            raise ValueError("T, p and sd must have identical shapes")
+        if p.ndim not in (1, 2) or p.shape[-1] != T.size or sd.shape != p.shape:
+            raise ValueError("p and sd must have the shape of T, or (K, len(T)) for a batch")
         for name, arr in (("T", T), ("p", p), ("sd", sd)):
             if not np.all(np.isfinite(arr)):
                 raise ValueError(f"{name} values must be finite")
@@ -236,6 +261,21 @@ class FringeScan:
 
     def __len__(self) -> int:
         return int(self.T.size)
+
+    def __getitem__(self, k: int) -> "FringeScan":
+        """Fringe ``k`` of a batch, as a 1-D scan viewing the batch's arrays."""
+        if self.p.ndim != 2:
+            raise TypeError("only a (K, N) batch of fringes has rows")
+        k = operator.index(k)
+        row = object.__new__(FringeScan)
+        for name, value in (("T", self.T), ("p", self.p[k]), ("sd", self.sd[k])):
+            object.__setattr__(row, name, value)
+        object.__setattr__(row, "label", self.label)
+        return row
+
+    def rows(self) -> tuple["FringeScan", ...]:
+        """Every fringe of a batch, in key order."""
+        return tuple(self[k] for k in range(len(self.p)))
 
 
 def _scan_mark(template: Sequence) -> int:
@@ -262,6 +302,11 @@ def scan(template: Sequence, grid: SequenceType[float]) -> FringeScan:
     everything after it run once over the whole grid as numpy arrays.  The
     result equals evolving ``set_scan_value(template, T)`` point by point,
     to round-off.  Points are noiseless (``sd = 0``).
+
+    Pulse phase offsets that are arrays broadcast against the grid: with
+    ``(K, 1)`` offsets the result is a ``(K, N)`` batch, one fringe per key
+    phase, equal to K separate scans to round-off.  Offsets that do not
+    broadcast to ``(N,)`` or ``(K, N)`` raise ``SequenceError``.
     """
     T = np.array(grid, dtype=float)  # a copy: FringeScan freezes its arrays
     if T.size == 0:
@@ -273,5 +318,18 @@ def scan(template: Sequence, grid: SequenceType[float]) -> FringeScan:
     _scan_mark(template)
     if not np.all(np.isfinite(T)):
         raise InvalidDurationError("scan grid values must be finite")
-    p = np.broadcast_to(excitation_probability(_run(template, GROUND, 0.0, T)), T.shape)
-    return FringeScan(T, np.clip(p, 0.0, 1.0), np.zeros_like(T))
+    offsets = [e.phase_offset for e in template.pulses]
+    keyed = [o.shape for o in offsets if isinstance(o, np.ndarray)]
+    shape = T.shape
+    if keyed:
+        try:
+            shape = np.broadcast_shapes(T.shape, *keyed)
+        except ValueError:
+            shape = ()
+        if len(shape) not in (1, 2) or shape[-1] != T.size:
+            raise SequenceError(
+                f"pulse phase offsets of shapes {keyed} do not broadcast against "
+                f"a {T.size}-point grid to (N,) or (K, N)"
+            )
+    p = np.broadcast_to(excitation_probability(_run(template, GROUND, 0.0, T)), shape)
+    return FringeScan(T, np.clip(p, 0.0, 1.0), np.zeros(shape))

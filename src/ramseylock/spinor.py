@@ -72,16 +72,11 @@ class FieldParams:
 
     @property
     def effective_rabi(self) -> float:
-        """sqrt(rabi^2 + detuning^2), the generalized rotation rate."""
+        """sqrt(rabi^2 + detuning^2), the generalized rotation rate in rad/s.
+
+        Always at least ``rabi``, with equality iff the field is resonant.
+        """
         return math.hypot(self.rabi, self.detuning)
-
-
-def effective_rabi(field: FieldParams) -> float:
-    """Return the effective (generalized) Rabi frequency of ``field`` in rad/s.
-
-    Always at least ``|rabi|``, with equality iff the field is resonant.
-    """
-    return field.effective_rabi
 
 
 @dataclass(frozen=True)

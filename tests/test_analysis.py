@@ -58,6 +58,19 @@ class TestFitDampedSinusoid:
         fit = fit_damped_sinusoid(synthetic(T, 0.4, 110.0, 0.3, 0.5, math.inf))
         assert math.isinf(fit.decay_time)
 
+    def test_growing_envelope_reports_negative_decay(self):
+        # 0.5 + 0.2 exp(50 T) cos(2 pi 110 T): the model rebuilt from the
+        # reported parameters must reproduce the data
+        T = np.linspace(0.0, 20e-3, 201)
+        data = synthetic(T, 0.2, 110.0, 0.0, 0.5, -1.0 / 50.0)
+        fit = fit_damped_sinusoid(data)
+        assert fit.converged
+        assert fit.decay_time == pytest.approx(-1.0 / 50.0, rel=1e-6)
+        model = fit.offset + fit.amplitude * np.exp(-T / fit.decay_time) * np.cos(
+            TWO_PI * fit.frequency * T + fit.phase
+        )
+        assert np.max(np.abs(model - data.p)) <= 1e-9
+
     def test_consistency_over_random_parameter_draws(self):
         # 100 in-family parameter sets: below Nyquist, at least 1.5 periods
         # sampled; every parameter must come back to 1e-6 relative

@@ -14,9 +14,10 @@ from ramseylock import (
     FringeScan,
     fit_damped_sinusoid,
     parse_config,
+    scan,
     serialize_config,
 )
-from ramseylock import analysis
+from ramseylock import analysis, cli
 from ramseylock.cli import main, run
 from ramseylock.config import (
     ExperimentConfig,
@@ -184,6 +185,20 @@ class TestRun:
             np.diff(sorted(phases) + [min(phases) + TWO_PI])
         )
         assert spread == pytest.approx(0.704 * math.pi, abs=0.15)
+
+    @pytest.mark.parametrize("protocol", ["scramble", "retrieve"])
+    def test_sweep_is_one_scan_on_the_key_axis(self, table1_path, capsys, monkeypatch, protocol):
+        shapes = []
+
+        def traced(template, grid):
+            result = scan(template, grid)
+            shapes.append(result.p.shape)
+            return result
+
+        monkeypatch.setattr(cli, "scan", traced)
+        assert main([table1_path, "--protocol", protocol, "--sweep-phis", "5", "--seed", "4"]) == 0
+        assert shapes == [(5, 201)]
+        assert len(capsys.readouterr().out.strip().split("\n")) == 6
 
     def test_attack_scan_depends_on_seed(self, table1_path, capsys):
         assert main([table1_path, "--protocol", "attack", "--seed", "1"]) == 0

@@ -1,6 +1,7 @@
 """Tests for phase diffusion, projective readout and contrast decay."""
 
 import math
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ramseylock import noise
 from ramseylock import (
     FringeScan,
     InvalidDurationError,
@@ -229,6 +231,37 @@ class TestMonteCarloScramble:
         assert 0.10 <= float(np.mean(sd)) <= 0.25
         assert float(np.max(sd)) / float(np.min(sd)) < 1.6
         assert float(np.min(sd)) > 20.0 * math.sqrt(0.25 / (5e4 * 5))
+
+    @pytest.mark.parametrize("phi_S", [None, 1.0])
+    def test_matches_one_scan_and_readout_per_trial(
+        self, write_key, scramble_key, readout_grid, phi_S, monkeypatch
+    ):
+        # the oracle: each trial draws its phase, scans and reads out on its
+        # own child stream, one trial after another
+        key = ScrambleKey(scramble_key.field, scramble_key.tau, phi_S, scramble_key.T1)
+        model = NoiseModel(linewidth=0.05, atom_count=50_000, repeats=5, seed=1707)
+        base = 0.0 if phi_S is None else phi_S
+        ideal, measured = [], []
+        for child in np.random.SeedSequence(model.seed).spawn(6):
+            rng = np.random.default_rng(child)
+            drift = sample_relative_phase(model.linewidth, model.run_interval, rng)
+            keyed = ScrambleKey(key.field, key.tau, (base + drift) % TWO_PI, key.T1)
+            sc = scan(build_scrambled(write_key, keyed, 0.0, scanned=True), readout_grid)
+            ideal.append(sc.p)
+            measured.append(measure_scan(sc, model, rng))
+
+        batches = []
+        monkeypatch.setattr(noise, "scan", lambda *a: batches.append(scan(*a)) or batches[-1])
+        result = monte_carlo_scramble(write_key, key, readout_grid, 6, model)
+        assert len(batches) == 1
+        assert np.max(np.abs(batches[0].p - np.array(ideal))) <= 1e-12
+        assert len(result.scans) == 6
+        for got, want in zip(result.scans, measured):
+            assert np.array_equal(got.T, readout_grid)
+            assert np.array_equal(got.p, want.p) and np.array_equal(got.sd, want.sd)
+        stacked = np.vstack([m.p for m in measured])
+        assert np.array_equal(result.pooled.p, stacked.mean(axis=0))
+        assert np.array_equal(result.pooled.sd, stacked.std(axis=0, ddof=1))
 
     def test_trial_count_validated(self, write_key, scramble_key):
         with pytest.raises(ValueError):

@@ -445,3 +445,26 @@ class TestSecretReadout:
     def test_empty_grid_rejected(self, write_key, scramble_key):
         with pytest.raises(SequenceError):
             secret_readout(write_key, scramble_key, [])
+
+    @pytest.mark.parametrize("seed", [0, 5, 2017])
+    def test_per_point_mode_matches_one_scan_per_point(self, write_key, scramble_key, seed):
+        # the oracle: a fresh scalar phase and a one-point scan per grid point
+        blind = replace(scramble_key, phi_S=None)
+        grid = np.arange(0.0, 20.0001e-3, 1e-4)
+        rng_loop, rng_axis = np.random.default_rng(seed), np.random.default_rng(seed)
+        expected = [
+            scan(
+                build_scrambled(
+                    write_key,
+                    replace(blind, phi_S=float(rng_loop.uniform(0.0, TWO_PI))),
+                    0.0,
+                    scanned=True,
+                ),
+                [T],
+            ).p[0]
+            for T in grid
+        ]
+        got = secret_readout(write_key, blind, grid, rng_axis, fresh_phase_per_point=True)
+        assert got.p.shape == grid.shape and np.array_equal(got.T, grid)
+        assert np.max(np.abs(got.p - np.array(expected))) <= 1e-12
+        assert rng_axis.random() == rng_loop.random()

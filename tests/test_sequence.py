@@ -1,6 +1,8 @@
 """Tests for timeline compilation, evolution and scanning."""
 
+import io
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -232,16 +234,20 @@ class TestScan:
         assert waits[0].duration == 4e-3
 
 
-def _builder_templates(write_key, scramble_key, frame, clock):
+def _builder_templates(
+    write_key, scramble_key, frame, clock, write_phase=0.0, phi=1.3, phi_1=0.7, phi_2=2.9
+):
+    """One template per builder; any phase may be an array of key phases."""
+    write_key = replace(write_key, phase=write_phase)
     fast = FieldParams(TWO_PI * 5000.0, TWO_PI * 100.0, "S")
     tau = 0.8 * math.pi / fast.rabi
     plan_2 = plan_double_retrieval(
         fast.detuning, fast.detuning, tau, min_T3=1e-3, min_T2_plus_T4=1e-3,
         clock_during_pulses=clock,
     )
-    key_1 = ScrambleKey(fast, tau, 0.7, 5e-3)
-    key_2 = ScrambleKey(fast, tau, 2.9, plan_2.T2)
-    keyed = ScrambleKey(scramble_key.field, scramble_key.tau, 1.3, scramble_key.T1)
+    key_1 = ScrambleKey(fast, tau, phi_1, 5e-3)
+    key_2 = ScrambleKey(fast, tau, phi_2, plan_2.T2)
+    keyed = ScrambleKey(scramble_key.field, scramble_key.tau, phi, scramble_key.T1)
     plan = plan_retrieval(keyed.field.detuning, 1e-3)
     opts = dict(frame=frame, scanned=True)
     clocked = dict(opts, clock_during_pulses=clock)  # the stacked plan carries its own clock
@@ -327,3 +333,145 @@ class TestFringeScan:
         s = FringeScan(np.array([0.0, 1.0]), np.array([0.1, 0.2]), np.zeros(2))
         with pytest.raises(ValueError):
             s.p[0] = 0.9
+
+
+def _batch(**arrays):
+    base = {"T": np.array([0.0, 1.0, 2.0]), "p": np.full((2, 3), 0.5), "sd": np.zeros((2, 3))}
+    base.update(arrays)
+    return FringeScan(base["T"], base["p"], base["sd"], label="b")
+
+
+class TestFringeScanBatch:
+    @pytest.mark.parametrize("field", ["p", "sd"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("at", [(0, 0), (1, 2), (1, 0)])
+    def test_rejects_non_finite_entry_anywhere(self, field, bad, at):
+        arr = np.full((2, 3), 0.5) if field == "p" else np.zeros((2, 3))
+        arr[at] = bad
+        with pytest.raises(ValueError, match="finite"):
+            _batch(**{field: arr})
+
+    @pytest.mark.parametrize(
+        "p, sd",
+        [
+            (np.full((2, 4), 0.5), np.zeros((2, 4))),  # wrong grid length
+            (np.full((2, 3), 0.5), np.zeros((3, 3))),  # sd shape differs
+            (np.full((2, 2, 3), 0.5), np.zeros((2, 2, 3))),  # three axes
+        ],
+    )
+    def test_rejects_shapes_off_the_grid(self, p, sd):
+        with pytest.raises(ValueError, match="shape"):
+            _batch(p=p, sd=sd)
+
+    def test_rejects_out_of_range_entry(self):
+        p = np.full((2, 3), 0.5)
+        p[1, 1] = 1.5
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            _batch(p=p)
+
+    def test_rows_view_the_batch_read_only(self):
+        p = np.array([[0.1, 0.2, 0.3], [0.4, 0.5, 0.6]])
+        sd = np.array([[0.0, 0.1, 0.0], [0.2, 0.0, 0.3]])
+        batch = _batch(p=p, sd=sd)
+        rows = batch.rows()
+        assert len(rows) == 2
+        for k, row in enumerate(rows):
+            assert np.array_equal(row.p, p[k]) and np.array_equal(row.sd, sd[k])
+            assert row.T is batch.T and row.label == "b"
+            assert np.shares_memory(row.p, batch.p)
+            for arr in (row.T, row.p, row.sd):
+                with pytest.raises(ValueError):
+                    arr[0] = 0.9
+        assert np.array_equal(batch[-1].p, p[1])
+
+    def test_one_fringe_has_no_rows(self):
+        with pytest.raises(TypeError):
+            FringeScan(np.array([0.0, 1.0]), np.array([0.1, 0.2]), np.zeros(2))[0]
+
+    def test_fit_and_csv_writer_reject_a_batch(self):
+        from ramseylock.cli import _write_scan
+
+        batch = _batch(p=np.tile(np.linspace(0.1, 0.9, 10), (2, 1)), T=np.arange(10.0),
+                       sd=np.zeros((2, 10)))
+        with pytest.raises(ValueError, match="one fringe"):
+            fit_damped_sinusoid(batch)
+        with pytest.raises(ValueError, match="one fringe"):
+            _write_scan(batch, io.StringIO())
+        fit_damped_sinusoid(batch[0])
+
+
+#: The key each builder's key-phase axis runs along (a _builder_templates
+#: argument); the stacked builders may key either scrambler.
+_KEY_ARGS = {
+    "write_read": ("write_phase",),
+    "scrambled": ("phi",),
+    "retrieved": ("phi",),
+    "double_scrambled": ("phi_1", "phi_2"),
+    "double_retrieved": ("phi_1", "phi_2"),
+}
+
+
+class TestKeyPhaseAxis:
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_equals_one_scan_per_key_phase(self, data, write_key, scramble_key):
+        builder = data.draw(st.sampled_from(_BUILDERS))
+        arg = data.draw(st.sampled_from(_KEY_ARGS[builder]))
+        frame = data.draw(st.sampled_from([ROTATING, LAB]))
+        clock = data.draw(st.booleans())
+        phases = np.array(
+            data.draw(st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=6))
+        )
+        grid = sorted(
+            data.draw(st.lists(st.floats(0.0, 20e-3), min_size=1, max_size=30, unique=True))
+        )
+
+        def template(phase):
+            keyed = _builder_templates(write_key, scramble_key, frame, clock, **{arg: phase})
+            return keyed[builder]
+
+        batch = scan(template(phases[:, None]), grid)
+        assert batch.p.shape == batch.sd.shape == (phases.size, len(grid))
+        for row, phase in zip(batch.rows(), phases):
+            assert np.max(np.abs(row.p - scan(template(float(phase)), grid).p)) <= ENGINE_TOL
+
+    def test_one_phase_per_grid_point(self, write_key, scramble_key, readout_grid):
+        def template(phase):
+            keyed = _builder_templates(write_key, scramble_key, ROTATING, False, phi=phase)
+            return keyed["scrambled"]
+
+        phases = np.linspace(0.0, TWO_PI, readout_grid.size)
+        got = scan(template(phases), readout_grid)
+        assert got.p.shape == readout_grid.shape
+        for T, phase, p in zip(readout_grid, phases, got.p):
+            assert abs(p - scan(template(float(phase)), [T]).p[0]) <= ENGINE_TOL
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_pulse_rejects_non_finite_phase_entry(self, write_field, bad):
+        phases = np.array([[0.1], [bad], [0.3]])
+        with pytest.raises(InvalidDurationError, match="finite"):
+            PulseSpec(write_field, 1e-4, phases)
+
+    def test_pulse_keeps_a_read_only_copy(self, write_field):
+        phases = np.array([0.1, 0.2])
+        pulse = PulseSpec(write_field, 1e-4, phases)
+        phases[0] = 5.0
+        assert pulse.phase_offset[0] == 0.1
+        assert not pulse.phase_offset.flags.writeable
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 1, 1), (2, 3)])
+    def test_phases_that_do_not_broadcast_against_the_grid(self, write_key, scramble_key, shape):
+        template = _builder_templates(
+            write_key, scramble_key, ROTATING, False, phi=np.zeros(shape)
+        )["scrambled"]
+        with pytest.raises(SequenceError, match="broadcast"):
+            scan(template, np.linspace(0.0, 1e-3, 5))
+
+    def test_key_phases_against_a_one_point_grid(self, write_key, scramble_key):
+        def template(phases):
+            return _builder_templates(write_key, scramble_key, ROTATING, False, phi=phases)
+
+        phases = np.array([0.1, 0.2, 0.3])
+        with pytest.raises(SequenceError):
+            scan(template(phases)["scrambled"], [1e-3])
+        assert scan(template(phases[:, None])["scrambled"], [1e-3]).p.shape == (3, 1)

@@ -18,7 +18,6 @@ from ramseylock import (
     Unitary2,
     apply_unitary,
     closed_form_ramsey,
-    effective_rabi,
     excitation_probability,
     free_unitary,
     pulse_unitary,
@@ -35,16 +34,16 @@ def assert_matrix_close(u: Unitary2, expected, tol=1e-12):
 class TestEffectiveRabi:
     def test_resonant_is_identity(self):
         f = FieldParams(TWO_PI * 565.0, 0.0)
-        assert effective_rabi(f) == TWO_PI * 565.0
+        assert f.effective_rabi == TWO_PI * 565.0
 
     def test_write_field_value(self):
         f = FieldParams(TWO_PI * 565.0, TWO_PI * 110.0)
-        assert effective_rabi(f) == pytest.approx(TWO_PI * math.hypot(565.0, 110.0), rel=1e-15)
-        assert effective_rabi(f) / TWO_PI == pytest.approx(575.61, abs=5e-3)
+        assert f.effective_rabi == pytest.approx(TWO_PI * math.hypot(565.0, 110.0), rel=1e-15)
+        assert f.effective_rabi / TWO_PI == pytest.approx(575.61, abs=5e-3)
 
     def test_scramble_field_value(self):
         f = FieldParams(TWO_PI * 169.0, TWO_PI * 100.0)
-        assert effective_rabi(f) / TWO_PI == pytest.approx(196.37, abs=5e-3)
+        assert f.effective_rabi / TWO_PI == pytest.approx(196.37, abs=5e-3)
 
     def test_nonpositive_rabi_rejected(self):
         with pytest.raises(InvalidFieldError):
