@@ -20,7 +20,7 @@ from dataclasses import replace
 import numpy as np
 
 from .analysis import FitResult, fit_damped_sinusoid, phase_spread
-from .config import ExperimentConfig, GridSpec, parse_config, parse_duration
+from .config import PROTOCOLS, ExperimentConfig, GridSpec, parse_config, parse_duration
 from .errors import ConfigError, FitError, PlannerError, RamseyLockError
 from .noise import NoiseModel, apply_contrast_decay, measure_scan
 from .protocol import (
@@ -35,7 +35,7 @@ from .protocol import (
     plan_retrieval,
     secret_readout,
 )
-from .sequence import FringeScan, scan
+from .sequence import FringeScan, Sequence, scan
 from .spinor import TWO_PI, FieldParams, FrameConvention
 
 _SCAN_HEADER = "T_s,P_e,sd"
@@ -76,14 +76,18 @@ def _write_key(cfg: ExperimentConfig, fields) -> WriteKey:
     return WriteKey(fields[p.field], tau=p.tau_s, phase=phase)
 
 
-def _scramble_key(cfg, fields, name: str, t1_name: str, rng, *, keep_random: bool) -> ScrambleKey:
+def _scramble_key(cfg, fields, name: str, wait: str | float, rng, phi=None) -> ScrambleKey:
+    """Key of pulse ``name`` after ``wait``: an interval name or a planned
+    wait in seconds.  ``phi`` replaces the pulse's phase; without it a
+    ``random`` phase is drawn from ``rng``."""
     p = _pulse_def(cfg, name)
-    if t1_name not in cfg.intervals:
-        raise ConfigError(f"protocol {cfg.protocol!r} needs interval {t1_name}=")
-    phase = p.phase_rad
-    if phase is None and not keep_random:
-        phase = float(rng.uniform(0.0, TWO_PI))
-    return ScrambleKey(fields[p.field], p.tau_s, phase, cfg.intervals[t1_name])
+    if isinstance(wait, str):
+        if wait not in cfg.intervals:
+            raise ConfigError(f"protocol {cfg.protocol!r} needs interval {wait}=")
+        wait = cfg.intervals[wait]
+    if phi is None:
+        phi = p.phase_rad if p.phase_rad is not None else float(rng.uniform(0.0, TWO_PI))
+    return ScrambleKey(fields[p.field], p.tau_s, phi, wait)
 
 
 def _grid_values(cfg: ExperimentConfig, fields) -> np.ndarray:
@@ -100,24 +104,15 @@ def _grid_values(cfg: ExperimentConfig, fields) -> np.ndarray:
     return grid[grid <= spec.stop + 1e-12 * max(1.0, abs(spec.stop))]
 
 
-def _noise_model(cfg: ExperimentConfig, seed_override: int | None) -> NoiseModel | None:
+def _noise_model(cfg: ExperimentConfig) -> NoiseModel | None:
+    """Readout model of the ``noise`` block; ``None`` without one."""
     n = cfg.noise
-    if n is None and seed_override is None:
-        return None
-    if n is None:
-        return NoiseModel(seed=seed_override)
-    return NoiseModel(
-        linewidth=_angular(n.linewidth_hz),
-        atom_count=n.atoms,
-        repeats=n.repeats,
-        contrast_time_write=n.contrast_wri_s if n.contrast_wri_s is not None else math.inf,
-        seed=n.seed if seed_override is None else seed_override,
-    )
+    return None if n is None else NoiseModel(atom_count=n.atoms, repeats=n.repeats)
 
 
 def _measure(ideal: FringeScan, cfg: ExperimentConfig, model: NoiseModel | None, rng) -> FringeScan:
     """Apply contrast decay and projective readout when noise is configured."""
-    if cfg.noise is None or model is None:
+    if model is None:
         return ideal
     if cfg.noise.contrast_wri_s is not None:
         ideal = apply_contrast_decay(ideal, cfg.noise.contrast_wri_s)
@@ -200,80 +195,49 @@ def _read_scan_csv(stream) -> FringeScan:
         raise FitError(f"scan CSV: {exc}") from exc
 
 
-def _double_retrieve_parts(cfg, fields, rng, *, s1_keeps_random: bool = False):
-    """Resolve both scramble keys and the timing plan once per run."""
-    s1 = _scramble_key(cfg, fields, "scramble1", "T1", rng, keep_random=s1_keeps_random)
-    s2_def = _pulse_def(cfg, "scramble2")
-    plan = plan_double_retrieval(
-        s1.field.detuning,
-        fields[s2_def.field].detuning,
-        s2_def.tau_s,
-        min_T3=cfg.intervals.get("T3", 0.0),
-        min_T2_plus_T4=cfg.intervals.get("T2", 0.0) + cfg.intervals.get("T4", 0.0),
-        clock_during_pulses=cfg.clock_during_pulses,
-        T2=cfg.intervals.get("T2"),
-    )
-    phase2 = s2_def.phase_rad
-    if phase2 is None:
-        phase2 = float(rng.uniform(0.0, TWO_PI))
-    s2 = ScrambleKey(fields[s2_def.field], s2_def.tau_s, phase2, plan.T2)
-    return s1, s2, plan
+#: The protocols a key-phase sweep runs on, each with its first scramble
+#: pulse: the key whose phase a sweep replaces.
+_FIRST_SCRAMBLE = {
+    "scramble": "scramble",
+    "retrieve": "scramble",
+    "double-scramble": "scramble1",
+    "double-retrieve": "scramble1",
+}
 
 
-def _sweep_template(cfg, fields, write_key, rng, frame):
-    """Return callable phi -> scan template, where ``phi`` may be a
-    ``(K, 1)`` array of key phases; keys are resolved once so a randomized
-    secondary phase stays fixed across the sweep."""
-    clock = cfg.clock_during_pulses
-    if cfg.protocol == "scramble":
-        key = _scramble_key(cfg, fields, "scramble", "T1", rng, keep_random=True)
-        return lambda phi: build_scrambled(
-            write_key, replace(key, phi_S=phi), 0.0,
-            frame=frame, clock_during_pulses=clock, scanned=True,
-        )
-    if cfg.protocol == "retrieve":
-        key = _scramble_key(cfg, fields, "scramble", "T1", rng, keep_random=True)
-        plan = plan_retrieval(key.field.detuning, cfg.intervals.get("T2", 0.0))
-        return lambda phi: build_retrieved(
-            write_key, replace(key, phi_S=phi), plan, 0.0,
-            frame=frame, clock_during_pulses=clock, scanned=True,
-        )
-    if cfg.protocol == "double-scramble":
-        s1 = _scramble_key(cfg, fields, "scramble1", "T1", rng, keep_random=True)
-        s2 = _scramble_key(cfg, fields, "scramble2", "T2", rng, keep_random=False)
-        return lambda phi: build_double_scrambled(
-            write_key, replace(s1, phi_S=phi), s2, 0.0,
-            frame=frame, clock_during_pulses=clock, scanned=True,
-        )
-    if cfg.protocol == "double-retrieve":
-        s1, s2, plan = _double_retrieve_parts(cfg, fields, rng, s1_keeps_random=True)
-        return lambda phi: build_double_retrieved(
-            write_key, replace(s1, phi_S=phi), s2, plan, 0.0, frame=frame, scanned=True,
-        )
-    raise ConfigError(f"protocol {cfg.protocol!r} does not support a key-phase sweep")
+def _template(cfg, fields, write_key, rng, frame, phi=None) -> Sequence:
+    """The configured protocol's scan template.
 
-
-def _single_template(cfg, fields, write_key, rng, frame):
-    clock = cfg.clock_during_pulses
+    ``phi`` (a float or a ``(K, 1)`` array of key phases) replaces the first
+    scramble key's phase; without it a ``random`` phase is drawn from
+    ``rng``.  Keys resolve in timeline order (scramble-1, the timing plan,
+    scramble-2), which fixes the order of the draws.
+    """
+    opts = dict(frame=frame, scanned=True)
     if cfg.protocol == "ramsey":
-        return build_write_read(write_key, 0.0, frame=frame, clock_during_pulses=clock, scanned=True)
-    if cfg.protocol == "scramble":
-        key = _scramble_key(cfg, fields, "scramble", "T1", rng, keep_random=False)
-        return build_scrambled(write_key, key, 0.0, frame=frame, clock_during_pulses=clock, scanned=True)
-    if cfg.protocol == "retrieve":
-        key = _scramble_key(cfg, fields, "scramble", "T1", rng, keep_random=False)
-        plan = plan_retrieval(key.field.detuning, cfg.intervals.get("T2", 0.0))
-        return build_retrieved(write_key, key, plan, 0.0, frame=frame,
-                               clock_during_pulses=clock, scanned=True)
-    if cfg.protocol == "double-scramble":
-        s1 = _scramble_key(cfg, fields, "scramble1", "T1", rng, keep_random=False)
-        s2 = _scramble_key(cfg, fields, "scramble2", "T2", rng, keep_random=False)
-        return build_double_scrambled(write_key, s1, s2, 0.0, frame=frame,
-                                      clock_during_pulses=clock, scanned=True)
+        return build_write_read(write_key, 0.0, clock_during_pulses=cfg.clock_during_pulses, **opts)
+    s1 = _scramble_key(cfg, fields, _FIRST_SCRAMBLE[cfg.protocol], "T1", rng, phi)
     if cfg.protocol == "double-retrieve":
-        s1, s2, plan = _double_retrieve_parts(cfg, fields, rng)
-        return build_double_retrieved(write_key, s1, s2, plan, 0.0, frame=frame, scanned=True)
-    raise ConfigError(f"unhandled protocol {cfg.protocol!r}")
+        s2_def = _pulse_def(cfg, "scramble2")
+        plan = plan_double_retrieval(
+            s1.field.detuning,
+            fields[s2_def.field].detuning,
+            s2_def.tau_s,
+            min_T3=cfg.intervals.get("T3", 0.0),
+            min_T2_plus_T4=cfg.intervals.get("T2", 0.0) + cfg.intervals.get("T4", 0.0),
+            clock_during_pulses=cfg.clock_during_pulses,
+            T2=cfg.intervals.get("T2"),
+        )
+        s2 = _scramble_key(cfg, fields, "scramble2", plan.T2, rng)
+        return build_double_retrieved(write_key, s1, s2, plan, 0.0, **opts)
+    opts["clock_during_pulses"] = cfg.clock_during_pulses
+    if cfg.protocol == "scramble":
+        return build_scrambled(write_key, s1, 0.0, **opts)
+    if cfg.protocol == "retrieve":
+        plan = plan_retrieval(s1.field.detuning, cfg.intervals.get("T2", 0.0))
+        return build_retrieved(write_key, s1, plan, 0.0, **opts)
+    s2 = _scramble_key(cfg, fields, "scramble2", "T2", rng)
+    return build_double_scrambled(write_key, s1, s2, 0.0, **opts)
 
 
 def run(
@@ -287,8 +251,11 @@ def run(
 
     ``seed`` overrides the noise-block seed (and seeds random key phases
     for otherwise noiseless runs).  ``input_stream`` supplies the scan CSV
-    for the ``fit`` protocol.
+    for the ``fit`` protocol.  A key-phase sweep of a protocol without a
+    scramble key raises ``ConfigError``.
     """
+    if cfg.sweep_phis and cfg.protocol not in _FIRST_SCRAMBLE:
+        raise ConfigError(f"protocol {cfg.protocol!r} does not support a key-phase sweep")
     if cfg.protocol == "fit":
         stream = input_stream if input_stream is not None else sys.stdin
         fit = fit_damped_sinusoid(_read_scan_csv(stream))
@@ -301,24 +268,26 @@ def run(
 
     fields = _build_fields(cfg)
     frame = _frame(cfg)
-    model = _noise_model(cfg, seed)
-    rng = np.random.default_rng(model.seed if model is not None else 0)
+    model = _noise_model(cfg)
+    if seed is None:
+        seed = cfg.noise.seed if cfg.noise is not None else 0
+    rng = np.random.default_rng(seed)
     write_key = _write_key(cfg, fields)
     grid = _grid_values(cfg, fields)
 
     if cfg.protocol == "attack":
-        key = _scramble_key(cfg, fields, "scramble", "T1", rng, keep_random=True)
-        key = replace(key, phi_S=None)
+        # the reader does not hold the key phase: secret_readout draws one
+        key = replace(_scramble_key(cfg, fields, "scramble", "T1", rng, phi=0.0), phi_S=None)
         ideal = secret_readout(write_key, key, grid, rng, frame=frame)
         _write_scan(_measure(ideal, cfg, model, rng), out)
         return 0
 
     if cfg.sweep_phis:
-        make = _sweep_template(cfg, fields, write_key, rng, frame)
         phases = np.linspace(0.0, TWO_PI, cfg.sweep_phis, endpoint=False)
+        template = _template(cfg, fields, write_key, rng, frame, phi=phases[:, None])
         out.write(_FIT_HEADER + "\n")
         # one scan on the key-phase axis; rows are read out in phase order
-        measured = _measure(scan(make(phases[:, None]), grid), cfg, model, rng)
+        measured = _measure(scan(template, grid), cfg, model, rng)
         fits = [fit_damped_sinusoid(row) for row in measured.rows()]
         for phi, fit in zip(phases, fits):
             _write_fit_row(out, float(phi), fit)
@@ -330,7 +299,7 @@ def run(
                 _report_unconverged(f"fit at phi_S={float(phi):.6f}", fit)
         return 0 if len(converged) == len(fits) else 4
 
-    template = _single_template(cfg, fields, write_key, rng, frame)
+    template = _template(cfg, fields, write_key, rng, frame)
     _write_scan(_measure(scan(template, grid), cfg, model, rng), out)
     return 0
 
@@ -341,9 +310,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
         description="Simulate write/scramble/retrieve pulse protocols and emit CSV.",
     )
     parser.add_argument("config", help="experiment description file")
-    parser.add_argument("--protocol", choices=("ramsey", "scramble", "retrieve", "double-scramble",
-                                               "double-retrieve", "attack", "fit"),
-                        help="override the config's protocol")
+    parser.add_argument("--protocol", choices=PROTOCOLS, help="override the config's protocol")
     parser.add_argument("--grid", help="override the scan grid, start:stop:step (s, ms, us)")
     parser.add_argument("--seed", type=int, help="override the random seed")
     parser.add_argument("--sweep-phis", type=int, dest="sweep_phis",

@@ -14,7 +14,7 @@ Statements::
     protocol ramsey|scramble|retrieve|double-scramble|double-retrieve|attack|fit
     interval T1=<f> [T2=<f> T3=<f> T4=<f>]
     grid <start>:<stop>:<step>
-    noise [linewidth_hz=<f>] [atoms=<i>] [repeats=<i>] [seed=<i>] [contrast_wri_s=<f>]
+    noise [atoms=<i>] [repeats=<i>] [seed=<i>] [contrast_wri_s=<f>]
     sweep phis=<i>
 
 ``parse_config`` and ``serialize_config`` round-trip exactly: floats are
@@ -38,6 +38,12 @@ PROTOCOLS = (
 )
 
 _INTERVAL_NAMES = ("T1", "T2", "T3", "T4")
+
+#: Noise keys that no command-line protocol would apply, with the reason.
+_UNAPPLIED_NOISE_KEYS = {
+    "contrast_sri_s": "no readout applies a scrambling-interferometer contrast time",
+    "linewidth_hz": "no command-line protocol diffuses the key phase",
+}
 
 
 @dataclass(frozen=True)
@@ -64,7 +70,6 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class NoiseSpec:
-    linewidth_hz: float = 0.0
     atoms: int = 50_000
     repeats: int = 5
     seed: int = 0
@@ -223,20 +228,14 @@ def parse_config(text: str) -> ExperimentConfig:
             cfg.grid = GridSpec(start, stop, step)
         elif keyword == "noise":
             pairs = _keyvals(args, lineno)
-            if "contrast_sri_s" in pairs:
-                raise ConfigError(
-                    "contrast_sri_s is not supported: no readout applies a "
-                    "scrambling-interferometer contrast time",
-                    lineno,
-                )
-            known = {"linewidth_hz", "atoms", "repeats", "seed", "contrast_wri_s"}
+            for key, reason in _UNAPPLIED_NOISE_KEYS.items():
+                if key in pairs:
+                    raise ConfigError(f"{key} is not supported: {reason}", lineno)
+            known = {"atoms", "repeats", "seed", "contrast_wri_s"}
             unknown = set(pairs) - known
             if unknown:
                 raise ConfigError(f"unknown noise keys {sorted(unknown)}", lineno)
             cfg.noise = NoiseSpec(
-                linewidth_hz=_parse_float(pairs["linewidth_hz"], "linewidth_hz", lineno)
-                if "linewidth_hz" in pairs
-                else 0.0,
                 atoms=_parse_int(pairs["atoms"], "atoms", lineno) if "atoms" in pairs else 50_000,
                 repeats=_parse_int(pairs["repeats"], "repeats", lineno) if "repeats" in pairs else 5,
                 seed=_parse_int(pairs["seed"], "seed", lineno) if "seed" in pairs else 0,
@@ -286,12 +285,7 @@ def serialize_config(cfg: ExperimentConfig) -> str:
         lines.append(f"grid {cfg.grid.start!r}:{cfg.grid.stop!r}:{cfg.grid.step!r}")
     if cfg.noise is not None:
         n = cfg.noise
-        parts = [
-            f"linewidth_hz={n.linewidth_hz!r}",
-            f"atoms={n.atoms}",
-            f"repeats={n.repeats}",
-            f"seed={n.seed}",
-        ]
+        parts = [f"atoms={n.atoms}", f"repeats={n.repeats}", f"seed={n.seed}"]
         if n.contrast_wri_s is not None:
             parts.append(f"contrast_wri_s={n.contrast_wri_s!r}")
         lines.append("noise " + " ".join(parts))

@@ -20,10 +20,6 @@ from .protocol import ScrambleKey, WriteKey, build_scrambled
 from .sequence import FringeScan, scan
 from .spinor import ROTATING, TWO_PI, FrameConvention
 
-#: Lower-bound 1/e contrast time implied by the observed coherence of the
-#: recording interferometer: >30 cycles at its 565 Hz Rabi frequency.
-DEFAULT_CONTRAST_WRITE = 30.0 / 565.0
-
 
 @dataclass(frozen=True)
 class NoiseModel:
@@ -31,14 +27,12 @@ class NoiseModel:
 
     ``linewidth`` is the phase-diffusion rate in rad/s (angular linewidth);
     ``run_interval`` the wall-clock seconds between shots over which the
-    key phase diffuses; ``contrast_time_write`` the recording
-    interferometer's 1/e fringe-contrast time.
+    key phase diffuses.
     """
 
     linewidth: float = 0.0
     atom_count: int = 50_000
     repeats: int = 5
-    contrast_time_write: float = DEFAULT_CONTRAST_WRITE
     run_interval: float = 47.0
     seed: int = 0
 
@@ -49,8 +43,6 @@ class NoiseModel:
             raise ValueError(f"atom_count must be >= 1, got {self.atom_count}")
         if self.repeats < 1:
             raise ValueError(f"repeats must be >= 1, got {self.repeats}")
-        if self.contrast_time_write <= 0.0:
-            raise ValueError("contrast time must be > 0 (inf allowed)")
         if self.run_interval < 0.0:
             raise ValueError(f"run_interval must be >= 0, got {self.run_interval}")
 

@@ -15,8 +15,8 @@ it on, every pulse also advances the clock by its own duration.  Both
 conventions are first-class: single scramble/retrieve pairs are timed on
 intervals alone, while the stacked-retrieval sum constraint carries a
 pulse-duration term that presupposes the wall-clock convention.  This rule
-lives in one timeline walker that :func:`evolve`, :func:`scan`,
-:func:`compile_timeline` and :meth:`Sequence.end_time` all use.
+lives in one timeline walker that :func:`evolve`, :func:`scan` and
+:meth:`Sequence.end_time` all use.
 
 Scanning: a fringe ``p(T)`` is evaluated in one pass over the whole grid.
 The events before the scanned wait do not depend on ``T`` and are evolved
@@ -170,30 +170,6 @@ def _walk(
             if seq.clock_during_pulses:
                 t = t + e.tau
         yield _Step(e, start, t, arg)
-
-
-class TimelineEntry(NamedTuple):
-    """One compiled pulse: spec, timeline start time, full phase argument."""
-
-    pulse: PulseSpec
-    start_time: float
-    phase: float
-
-
-def compile_timeline(seq: Sequence, start_time: float = 0.0) -> list[TimelineEntry]:
-    """Resolve pulse start times and phase arguments.
-
-    For a pulse of field ``j`` starting at timeline time ``t`` the phase
-    argument is ``rate_j * t + phase_offset`` with ``rate_j`` the field's
-    phase rate in the sequence frame (the detuning in rotating mode).  The
-    returned phases are not reduced modulo 2*pi; reduction happens inside
-    the trigonometric evaluation of the pulse unitary.
-    """
-    return [
-        TimelineEntry(step.event, step.start, step.arg)
-        for step in _walk(seq, start_time)
-        if isinstance(step.event, PulseSpec)
-    ]
 
 
 def _run(

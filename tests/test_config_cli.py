@@ -121,7 +121,6 @@ def configs(draw):
     noise = None
     if draw(st.booleans()):
         noise = NoiseSpec(
-            linewidth_hz=draw(st.floats(min_value=0.0, max_value=1e6, allow_nan=False)),
             atoms=draw(st.integers(min_value=1, max_value=10**7)),
             repeats=draw(st.integers(min_value=1, max_value=50)),
             seed=draw(st.integers(min_value=0, max_value=2**63 - 1)),
@@ -310,14 +309,28 @@ class TestExitCodes:
         assert main([str(path)]) == 2
         assert "config error" in capsys.readouterr().err
 
-    def test_unapplied_scramble_contrast_key_is_2_and_names_the_line(self, tmp_path, capsys):
-        text = table1_text() + "noise seed=1 contrast_sri_s=0.5\n"
-        path = tmp_path / "sri.cfg"
+    @pytest.mark.parametrize("key", ["contrast_sri_s", "linewidth_hz"])
+    def test_unapplied_noise_key_is_2_and_names_the_line(self, tmp_path, capsys, key):
+        text = table1_text() + f"noise seed=1 {key}=0.5\n"
+        path = tmp_path / "unapplied.cfg"
         path.write_text(text)
         assert main([str(path)]) == 2
         err = capsys.readouterr().err
         assert f"line {len(text.splitlines())}" in err
-        assert "contrast_sri_s" in err
+        assert key in err
+
+    @pytest.mark.parametrize("protocol", ["ramsey", "attack", "fit"])
+    def test_sweep_of_a_protocol_without_a_scramble_key_is_2(self, table1_path, tmp_path,
+                                                             capsys, protocol):
+        T = np.linspace(0.0, 20e-3, 201)
+        p = 0.5 + 0.4 * np.cos(TWO_PI * 110.0 * T)
+        data = tmp_path / "scan.csv"
+        data.write_text("".join(f"{float(t)!r},{float(v)!r}\n" for t, v in zip(T, p)))
+        argv = [table1_path, "--protocol", protocol, "--sweep-phis", "4", "--input", str(data)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"protocol {protocol!r} does not support a key-phase sweep" in captured.err
 
     def test_missing_file_is_2(self, capsys):
         assert main(["/does/not/exist.cfg"]) == 2

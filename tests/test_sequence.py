@@ -27,7 +27,6 @@ from ramseylock import (
     build_retrieved,
     build_scrambled,
     build_write_read,
-    compile_timeline,
     evolve,
     excitation_probability,
     fit_damped_sinusoid,
@@ -37,6 +36,7 @@ from ramseylock import (
     scan,
     set_scan_value,
 )
+from ramseylock.sequence import _walk
 
 TWO_PI = 2.0 * math.pi
 LAB = FrameConvention("lab", TWO_PI * 1e4)
@@ -77,15 +77,21 @@ class TestValidation:
             )
 
 
+def pulse_steps(seq: Sequence, start_time: float = 0.0) -> list:
+    """The timeline walker's steps for the pulses of ``seq``: each pulse's
+    start time and phase argument."""
+    return [step for step in _walk(seq, start_time) if isinstance(step.event, PulseSpec)]
+
+
 class TestCompileTimeline:
     def test_two_pulse_phase_advances_by_detuning_times_interval(self, write_field):
         T = 7e-3
         seq = Sequence((PulseSpec(write_field, 0.44e-3), Wait(T), PulseSpec(write_field, 0.44e-3)))
-        entries = compile_timeline(seq)
-        assert entries[0].start_time == 0.0
-        assert entries[0].phase == 0.0
-        assert entries[1].start_time == T
-        assert entries[1].phase == pytest.approx(write_field.detuning * T, rel=1e-15)
+        steps = pulse_steps(seq)
+        assert steps[0].start == 0.0
+        assert steps[0].arg == 0.0
+        assert steps[1].start == T
+        assert steps[1].arg == pytest.approx(write_field.detuning * T, rel=1e-15)
 
     def test_retrieve_pulse_phase_for_matched_waits(self, write_field, scramble_field):
         # scramble at T1, retrieve at T1 + T2 with T1 = T2 = 5 ms and a
@@ -102,26 +108,26 @@ class TestCompileTimeline:
                 PulseSpec(write_field, 0.44e-3),
             )
         )
-        entries = compile_timeline(seq)
-        assert entries[2].phase == pytest.approx(TWO_PI * 100.0 * 0.010 + phi_s, rel=1e-12)
-        assert entries[2].phase == pytest.approx(TWO_PI + phi_s, rel=1e-12)
+        steps = pulse_steps(seq)
+        assert steps[2].arg == pytest.approx(TWO_PI * 100.0 * 0.010 + phi_s, rel=1e-12)
+        assert steps[2].arg == pytest.approx(TWO_PI + phi_s, rel=1e-12)
 
     def test_single_pulse_keeps_its_offset(self, write_field):
         seq = Sequence((PulseSpec(write_field, 1e-4, 0.777),))
-        assert compile_timeline(seq)[0].phase == 0.777
+        assert pulse_steps(seq)[0].arg == 0.777
 
     def test_clock_during_pulses_shifts_start_times(self, write_field):
         tau = 0.44e-3
         events = (PulseSpec(write_field, tau), Wait(5e-3), PulseSpec(write_field, tau))
-        off = compile_timeline(Sequence(events))
-        on = compile_timeline(Sequence(events, clock_during_pulses=True))
-        assert off[1].start_time == 5e-3
-        assert on[1].start_time == pytest.approx(tau + 5e-3, rel=1e-15)
+        off = pulse_steps(Sequence(events))
+        on = pulse_steps(Sequence(events, clock_during_pulses=True))
+        assert off[1].start == 5e-3
+        assert on[1].start == pytest.approx(tau + 5e-3, rel=1e-15)
 
     def test_start_time_offsets_phases(self, write_field):
         seq = Sequence((PulseSpec(write_field, 1e-4),))
-        entry = compile_timeline(seq, start_time=3e-3)[0]
-        assert entry.phase == pytest.approx(write_field.detuning * 3e-3, rel=1e-15)
+        step = pulse_steps(seq, start_time=3e-3)[0]
+        assert step.arg == pytest.approx(write_field.detuning * 3e-3, rel=1e-15)
 
 
 class TestEvolve:
