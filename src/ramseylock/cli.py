@@ -19,7 +19,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .analysis import FitResult, fit_damped_sinusoid, phase_spread
+from .analysis import FitResult, fit_damped_sinusoid, fit_many, phase_spread
 from .config import PROTOCOLS, ExperimentConfig, GridSpec, parse_config, parse_duration
 from .errors import ConfigError, FitError, PlannerError, RamseyLockError
 from .noise import NoiseModel, apply_contrast_decay, measure_scan
@@ -278,7 +278,8 @@ def run(
     if cfg.protocol == "attack":
         # the reader does not hold the key phase: secret_readout draws one
         key = replace(_scramble_key(cfg, fields, "scramble", "T1", rng, phi=0.0), phi_S=None)
-        ideal = secret_readout(write_key, key, grid, rng, frame=frame)
+        ideal = secret_readout(write_key, key, grid, rng, frame=frame,
+                               clock_during_pulses=cfg.clock_during_pulses)
         _write_scan(_measure(ideal, cfg, model, rng), out)
         return 0
 
@@ -287,8 +288,8 @@ def run(
         template = _template(cfg, fields, write_key, rng, frame, phi=phases[:, None])
         out.write(_FIT_HEADER + "\n")
         # one scan on the key-phase axis; rows are read out in phase order
-        measured = _measure(scan(template, grid), cfg, model, rng)
-        fits = [fit_damped_sinusoid(row) for row in measured.rows()]
+        # and fitted in one call
+        fits = fit_many(_measure(scan(template, grid), cfg, model, rng))
         for phi, fit in zip(phases, fits):
             _write_fit_row(out, float(phi), fit)
         converged = [f for f in fits if f.converged]

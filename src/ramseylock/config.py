@@ -17,6 +17,8 @@ Statements::
     noise [atoms=<i>] [repeats=<i>] [seed=<i>] [contrast_wri_s=<f>]
     sweep phis=<i>
 
+The counts ``atoms``, ``repeats`` and ``phis`` must be at least 1.
+
 ``parse_config`` and ``serialize_config`` round-trip exactly: floats are
 emitted with ``repr`` so every finite double survives unchanged.
 """
@@ -235,9 +237,14 @@ def parse_config(text: str) -> ExperimentConfig:
             unknown = set(pairs) - known
             if unknown:
                 raise ConfigError(f"unknown noise keys {sorted(unknown)}", lineno)
+            counts = {}
+            for key in ("atoms", "repeats"):
+                if key in pairs:
+                    counts[key] = _parse_int(pairs[key], key, lineno)
+                    if counts[key] < 1:
+                        raise ConfigError(f"noise {key} must be >= 1", lineno)
             cfg.noise = NoiseSpec(
-                atoms=_parse_int(pairs["atoms"], "atoms", lineno) if "atoms" in pairs else 50_000,
-                repeats=_parse_int(pairs["repeats"], "repeats", lineno) if "repeats" in pairs else 5,
+                **counts,
                 seed=_parse_int(pairs["seed"], "seed", lineno) if "seed" in pairs else 0,
                 contrast_wri_s=_parse_float(pairs["contrast_wri_s"], "contrast_wri_s", lineno)
                 if "contrast_wri_s" in pairs

@@ -412,6 +412,7 @@ def secret_readout(
     rng: np.random.Generator | None = None,
     *,
     frame: FrameConvention = ROTATING,
+    clock_during_pulses: bool = False,
     fresh_phase_per_point: bool = False,
 ) -> FringeScan:
     """Read the memory with or without the scrambler's cooperation.
@@ -423,19 +424,22 @@ def secret_readout(
     a fresh uniform phase is drawn (one per readout by default, or one per
     grid point with ``fresh_phase_per_point`` to model shot-by-shot drift,
     scanned as one ``(N,)`` key-phase array) and the resulting ambiguous
-    scan is returned.
+    scan is returned.  ``frame`` and ``clock_during_pulses`` set the
+    timeline conventions of both sequences.
     """
     grid = list(T_grid)
     if len(grid) == 0:
         raise SequenceError("readout grid must not be empty")
     if scramble_key.has_phase:
         plan = plan_retrieval(scramble_key.field.detuning, 0.0)
-        template = build_retrieved(write_key, scramble_key, plan, 0.0, frame=frame, scanned=True)
+        template = build_retrieved(write_key, scramble_key, plan, 0.0, frame=frame,
+                                   clock_during_pulses=clock_during_pulses, scanned=True)
         return scan(template, grid)
     if rng is None:
         raise ValueError("blind readout needs a random generator for the unknown key phase")
     # one draw of N phases reads the stream as N scalar draws would
     size = len(grid) if fresh_phase_per_point else None
     blind = replace(scramble_key, phi_S=rng.uniform(0.0, TWO_PI, size=size))
-    template = build_scrambled(write_key, blind, 0.0, frame=frame, scanned=True)
+    template = build_scrambled(write_key, blind, 0.0, frame=frame,
+                               clock_during_pulses=clock_during_pulses, scanned=True)
     return scan(template, grid)

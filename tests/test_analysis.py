@@ -127,13 +127,18 @@ class TestFitDampedSinusoid:
 def _grid_seed(T, p, weights):
     """The frequency seed before the periodogram: the undamped-model SSR on
     512 frequencies over [0, Nyquist], then 65 frequencies one bin either
-    side of the best.  Kept here as the oracle for the periodogram seed."""
+    side of the best, clipped at 0, for each row.  Kept here as the oracle
+    for the periodogram seed."""
     nyquist = 0.5 / float(np.min(np.diff(T)))
-    freqs = np.linspace(0.0, nyquist, 512)
-    best = float(freqs[int(np.argmin(analysis._grid_ssr(T, p, weights, freqs)))])
     bin_width = nyquist / 511
-    fine = np.linspace(max(0.0, best - bin_width), best + bin_width, 65)
-    return float(fine[int(np.argmin(analysis._grid_ssr(T, p, weights, fine)))])
+    coarse = analysis._grid_ssr(T, p, weights, np.zeros(len(p)), bin_width, 512)
+    best = np.linspace(0.0, nyquist, 512)[np.argmin(coarse, axis=-1)]
+    seeds = []
+    for k, b in enumerate(best):
+        fine = np.linspace(max(0.0, b - bin_width), b + bin_width, 65)
+        ssr = analysis._grid_ssr(T, p[k:k + 1], weights[k:k + 1], fine[:1], fine[1] - fine[0], 65)
+        seeds.append(fine[np.argmin(ssr)])
+    return np.array(seeds)
 
 
 def _reference_fit(sc):
@@ -149,8 +154,8 @@ def _with_final_ssr(fit_call, sc):
 
     def spy(T, p, weights, params):
         out = gauss_newton(T, p, weights, params)
-        r = (analysis._model(T, *out[0]) - p) * weights
-        ssr.append(float(r @ r))
+        r = (analysis._model(T, out[0]) - p) * weights
+        ssr.extend(np.sum(r * r, axis=-1))
         return out
 
     with mock.patch.object(analysis, "_gauss_newton", spy):
@@ -168,8 +173,10 @@ class TestPeriodogramSeed:
         p = rng.uniform(0.0, 1.0, T.size)
         weights = rng.uniform(0.1, 10.0, T.size)
         size = 8 * T.size
-        fft_ssr = analysis._periodogram_ssr(p, weights, size)
-        direct = analysis._grid_ssr(T, p, weights, np.arange(fft_ssr.size) / (size * 1e-4))
+        fft_ssr = analysis._periodogram_ssr(p[None], weights[None], size)[0]
+        direct = analysis._grid_ssr(
+            T, p[None], weights[None], np.zeros(1), 1.0 / (size * 1e-4), fft_ssr.size
+        )[0]
         assert np.max(np.abs(fft_ssr - direct)) <= 1e-12 * np.sum(weights**2 * p**2)
 
     @settings(max_examples=100, deadline=None)
@@ -250,9 +257,9 @@ class TestPeriodogramSeed:
         sizes = []
         direct = analysis._grid_ssr
 
-        def spy(T, p, weights, freqs):
-            sizes.append(freqs.size)
-            return direct(T, p, weights, freqs)
+        def spy(T, p, weights, start, step, count):
+            sizes.append(count)
+            return direct(T, p, weights, start, step, count)
 
         with mock.patch.object(analysis, "_grid_ssr", spy):
             fit = fit_damped_sinusoid(sc)
@@ -302,6 +309,119 @@ class TestFitDiagnostics:
     def test_reason_must_match_converged(self, converged, reason):
         with pytest.raises(ValueError):
             FitResult(0.5, 110.0, 0.0, 0.5, math.inf, 0.0, converged, 0.3, 3, reason)
+
+
+def _assert_same_fit(batched, alone):
+    """Reason, iteration count and flag equal; every number to 1e-12."""
+    assert (batched.reason, batched.iterations, batched.converged) == (
+        alone.reason, alone.iterations, alone.converged
+    )
+    for name in ("amplitude", "frequency", "phase", "offset", "decay_time", "rms_residual",
+                 "residual_threshold"):
+        assert getattr(batched, name) == pytest.approx(getattr(alone, name), rel=1e-12, abs=0.0)
+
+
+def _fits_alone(T, P, SD):
+    return [analysis.fit_many(FringeScan(T, P[k:k + 1], SD[k:k + 1]))[0] for k in range(len(P))]
+
+
+#: Row kinds of a mixed batch: an exact damped fringe, noisy fringes read
+#: out with and without per-point sd (weighted and unweighted fits), pure
+#: noise with sd (fits that stop on ``residual`` or ``halving_exhausted``)
+#: and a constant row (``zero_variance``).
+_KINDS = ("exact", "weighted", "unweighted", "noise", "constant")
+
+
+def _mixed_row(kind, T, rng):
+    if kind == "constant":
+        # a dyadic level, so that its mean and hence its spread are exact
+        return np.full(T.size, 0.125 * rng.integers(0, 9)), np.zeros(T.size)
+    if kind == "noise":
+        return rng.uniform(0.0, 1.0, T.size), rng.uniform(1e-4, 1.0, T.size)
+    span = T[-1] - T[0]
+    cycles = rng.uniform(2.0, max(2.0, 0.4 * T.size))
+    amplitude = rng.uniform(0.1, 0.4)
+    p = 0.5 + amplitude * np.exp(-rng.uniform(0.0, 3.0) * T / span) * np.cos(
+        TWO_PI * cycles / span * T + rng.uniform(0.0, TWO_PI)
+    )
+    if kind == "exact":
+        return p, np.zeros(T.size)
+    sd = amplitude * 1e-2 * 10.0 ** -rng.uniform(0.0, 1.0, T.size)
+    p = np.clip(p + sd * rng.standard_normal(T.size), 0.0, 1.0)
+    return p, sd if kind == "weighted" else np.zeros(T.size)
+
+
+class TestFitMany:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        kinds=st.lists(st.sampled_from(_KINDS), min_size=1, max_size=6),
+        points=st.integers(8, 160),
+        max_iterations=st.sampled_from([analysis.MAX_ITERATIONS, 5, 2]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_each_row_fits_as_it_does_alone(self, kinds, points, max_iterations, seed):
+        # a short iteration cap forces some rows to max_iter while others
+        # stop earlier; no row's outcome may depend on the others.  On noise
+        # rows a rejected trial step can overflow the envelope.
+        rng = np.random.default_rng(seed)
+        T = 1e-4 * np.arange(points)
+        P, SD = (np.array(a) for a in zip(*(_mixed_row(kind, T, rng) for kind in kinds)))
+        cap = mock.patch.object(analysis, "MAX_ITERATIONS", max_iterations)
+        with cap, np.errstate(over="ignore"):
+            batched = analysis.fit_many(FringeScan(T, P, SD))
+            alone = _fits_alone(T, P, SD)
+        assert len(batched) == len(kinds)
+        for b, a in zip(batched, alone):
+            _assert_same_fit(b, a)
+
+    def test_every_stop_reason_in_one_batch(self):
+        T = np.arange(16) * 1e-3
+        rng = np.random.default_rng(6)
+        noise, noise_sd = rng.uniform(0, 1, 16), rng.uniform(1e-4, 1, 16)
+        coin = np.array([1, 0, 1, 0, 1, 1, 1, 0, 0, 0, 1, 0, 0, 1, 1, 0], dtype=float)
+        clean = 0.5 + 0.3 * np.cos(TWO_PI * 110.0 * T + 0.4)
+        P = np.array([coin, noise, np.full(16, 0.5), clean])
+        SD = np.array([np.zeros(16), noise_sd, np.zeros(16), np.zeros(16)])
+        batched = analysis.fit_many(FringeScan(T, P, SD))
+        assert [f.reason for f in batched] == [
+            "halving_exhausted", "residual", "zero_variance", "step_tol"
+        ]
+        for b, a in zip(batched, _fits_alone(T, P, SD)):
+            _assert_same_fit(b, a)
+
+    def test_max_iter_row_beside_a_constant_row(self, monkeypatch):
+        monkeypatch.setattr(analysis, "MAX_ITERATIONS", 2)
+        T = np.linspace(0.0, 20e-3, 201)
+        P = np.array([synthetic(T, 0.5, 110.0, 1.0, 0.5, 30e-3).p, np.full(201, 0.2)])
+        batched = analysis.fit_many(FringeScan(T, P, np.zeros_like(P)))
+        assert [(f.reason, f.iterations) for f in batched] == [
+            ("max_iter", 2), ("zero_variance", 0)
+        ]
+
+    def test_a_singular_row_leaves_the_others_alone(self):
+        # an envelope that overflows has no finite residual, hence no step
+        T = np.linspace(0.0, 20e-3, 201)
+        p = synthetic(T, 0.4, 110.0, 0.3, 0.5, math.inf).p
+        P = np.array([p, p])
+        start = np.array([[0.5, 0.4, 0.0, 0.0, 110.0], [0.5, 0.4, 0.0, -1e6, 110.0]])
+        weights = np.ones_like(P)
+        with np.errstate(over="ignore", invalid="ignore"):
+            params, iterations, reasons = analysis._gauss_newton(T, P, weights, start)
+        alone = analysis._gauss_newton(T, P[:1], weights[:1], start[:1])
+        assert list(reasons) == [alone[2][0], "singular"]
+        assert iterations[1] == 1 and np.array_equal(params[1], start[1])
+        assert iterations[0] == alone[1][0] and np.array_equal(params[0], alone[0][0])
+
+    def test_one_dimensional_scan_is_a_batch_of_one(self):
+        T = np.linspace(0.0, 20e-3, 201)
+        sc = synthetic(T, 0.5, 110.0, 1.0, 0.5, 30e-3)
+        assert analysis.fit_many(sc) == [fit_damped_sinusoid(sc)]
+
+    def test_fit_damped_sinusoid_rejects_a_batch(self):
+        T = np.linspace(0.0, 20e-3, 201)
+        p = synthetic(T, 0.5, 110.0, 1.0, 0.5, 30e-3).p
+        with pytest.raises(ValueError, match="fit_many"):
+            fit_damped_sinusoid(FringeScan(T, np.array([p, p]), np.zeros((2, 201))))
 
 
 class TestFringeVisibility:

@@ -319,6 +319,16 @@ class TestExitCodes:
         assert f"line {len(text.splitlines())}" in err
         assert key in err
 
+    @pytest.mark.parametrize("key", ["atoms", "repeats"])
+    def test_noise_count_below_one_is_2_and_names_the_line(self, tmp_path, capsys, key):
+        text = table1_text() + f"noise seed=1 {key}=0\n"
+        path = tmp_path / "count.cfg"
+        path.write_text(text)
+        assert main([str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"line {len(text.splitlines())}" in err
+        assert key in err
+
     @pytest.mark.parametrize("protocol", ["ramsey", "attack", "fit"])
     def test_sweep_of_a_protocol_without_a_scramble_key_is_2(self, table1_path, tmp_path,
                                                              capsys, protocol):
@@ -372,3 +382,13 @@ class TestClockOverride:
         assert main(base + ["--clock-during-pulses", "on"]) == 0
         on = capsys.readouterr().out
         assert off != on
+
+    def test_clock_flag_changes_the_attack_scan(self, table1_path, capsys):
+        # the blind readout's scrambled sequence follows the clock convention
+        base = [table1_path, "--protocol", "attack", "--seed", "3"]
+        assert main(base) == 0
+        off = capsys.readouterr().out
+        assert main(base + ["--clock-during-pulses", "off"]) == 0
+        assert capsys.readouterr().out == off
+        assert main(base + ["--clock-during-pulses", "on"]) == 0
+        assert capsys.readouterr().out != off
