@@ -46,6 +46,11 @@ COARSE_GRID_SIZE = 512
 #: Relative spacing deviation below which a grid counts as uniform.
 UNIFORM_TOLERANCE = 1e-9
 
+#: Spread (max - min) relative to the largest |p| at or below which a row
+#: counts as constant: such a spread is rounding, not a fringe, and a fit
+#: would split the constant arbitrarily between offset and amplitude.
+FLAT_TOLERANCE = 1e-12
+
 #: Gauss-Newton iteration cap and relative-step convergence threshold.
 MAX_ITERATIONS = 200
 STEP_TOLERANCE = 1e-10
@@ -62,7 +67,8 @@ _RATE_SEEDS = (0.0, 0.5, 1.0, 2.0, 4.0, 8.0)
 #: standard deviation, or the amplitude is zero; ``halving_exhausted``: 30
 #: step halvings found no decrease; ``max_iter``: MAX_ITERATIONS steps ran
 #: out; ``singular``: the least-squares step could not be solved;
-#: ``zero_variance``: the data are constant, so no fit was attempted.
+#: ``zero_variance``: the data are constant to FLAT_TOLERANCE, so no fit
+#: was attempted.
 FIT_REASONS = ("step_tol", "residual", "halving_exhausted", "max_iter", "singular", "zero_variance")
 
 
@@ -360,9 +366,10 @@ def fit_many(scan: FringeScan) -> list[FitResult]:
     result is the one it gets when fitted alone.  A row uses its per-point
     standard deviations as inverse weights when every point carries one,
     unweighted least squares otherwise.  Needs at least 8 points on a
-    strictly increasing grid.  A zero-variance row is reported as
-    amplitude 0, ``converged=False`` and reason ``zero_variance`` rather
-    than an error.
+    strictly increasing grid.  A row that is constant to rounding
+    (spread at most ``FLAT_TOLERANCE`` of its largest magnitude) is
+    reported as amplitude 0, ``converged=False`` and reason
+    ``zero_variance`` rather than an error.
 
     Returns
     -------
@@ -380,7 +387,7 @@ def fit_many(scan: FringeScan) -> list[FitResult]:
     sd = np.asarray(scan.sd, dtype=float).reshape(p.shape)
 
     data_sd = np.std(p, axis=-1)
-    live = data_sd > 0.0
+    live = np.ptp(p, axis=-1) > FLAT_TOLERANCE * np.max(np.abs(p), axis=-1)
     fitted = []
     if live.any():
         p_live, sd_live = p[live], sd[live]
@@ -394,8 +401,8 @@ def fit_many(scan: FringeScan) -> list[FitResult]:
     span = float(T[-1] - T[0])
     fits = iter(fitted)
     results = []
-    for row, threshold in zip(p, data_sd.tolist()):
-        if threshold == 0.0:
+    for row, threshold, varies in zip(p, data_sd.tolist(), live):
+        if not varies:
             results.append(FitResult(
                 amplitude=0.0,
                 frequency=0.0,

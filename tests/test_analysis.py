@@ -124,20 +124,44 @@ class TestFitDampedSinusoid:
         assert fit.phase == pytest.approx(0.3, abs=1e-3)
 
 
+def _direct_ssr(T, p, weights, freqs):
+    """Weighted SSR of the undamped linear model ``offset + a*cos + b*sin``
+    of one row at each trial frequency, with the cos/sin sums evaluated
+    directly on ``T`` and each 3x3 normal-equation system solved on its
+    own.  Kept here as the oracle for the fitter's SSR evaluations."""
+    arg = TWO_PI * np.outer(freqs, T)
+    cos_t, sin_t = np.cos(arg), np.sin(arg)
+    w2 = weights * weights
+    gram = np.empty((freqs.size, 3, 3))
+    rhs = np.empty((freqs.size, 3))
+    gram[:, 0, 0] = np.sum(w2)
+    gram[:, 0, 1] = gram[:, 1, 0] = cos_t @ w2
+    gram[:, 0, 2] = gram[:, 2, 0] = sin_t @ w2
+    gram[:, 1, 1] = (cos_t * cos_t) @ w2
+    gram[:, 1, 2] = gram[:, 2, 1] = (cos_t * sin_t) @ w2
+    gram[:, 2, 2] = (sin_t * sin_t) @ w2
+    rhs[:, 0] = np.sum(w2 * p)
+    rhs[:, 1] = cos_t @ (w2 * p)
+    rhs[:, 2] = sin_t @ (w2 * p)
+    # the fitter's ridge, which keeps f = 0 and f = Nyquist solvable
+    gram += (1e-9 * max(float(np.sum(w2)), 1.0)) * np.eye(3)
+    coefs = np.linalg.solve(gram, rhs[..., None])[..., 0]
+    return np.sum(w2 * p * p) - np.einsum("ki,ki->k", coefs, rhs)
+
+
 def _grid_seed(T, p, weights):
     """The frequency seed before the periodogram: the undamped-model SSR on
     512 frequencies over [0, Nyquist], then 65 frequencies one bin either
     side of the best, clipped at 0, for each row.  Kept here as the oracle
     for the periodogram seed."""
     nyquist = 0.5 / float(np.min(np.diff(T)))
+    freqs = np.linspace(0.0, nyquist, 512)
     bin_width = nyquist / 511
-    coarse = analysis._grid_ssr(T, p, weights, np.zeros(len(p)), bin_width, 512)
-    best = np.linspace(0.0, nyquist, 512)[np.argmin(coarse, axis=-1)]
     seeds = []
-    for k, b in enumerate(best):
-        fine = np.linspace(max(0.0, b - bin_width), b + bin_width, 65)
-        ssr = analysis._grid_ssr(T, p[k:k + 1], weights[k:k + 1], fine[:1], fine[1] - fine[0], 65)
-        seeds.append(fine[np.argmin(ssr)])
+    for row, w in zip(p, weights):
+        best = freqs[np.argmin(_direct_ssr(T, row, w, freqs))]
+        fine = np.linspace(max(0.0, best - bin_width), best + bin_width, 65)
+        seeds.append(fine[np.argmin(_direct_ssr(T, row, w, fine))])
     return np.array(seeds)
 
 
@@ -174,10 +198,24 @@ class TestPeriodogramSeed:
         weights = rng.uniform(0.1, 10.0, T.size)
         size = 8 * T.size
         fft_ssr = analysis._periodogram_ssr(p[None], weights[None], size)[0]
-        direct = analysis._grid_ssr(
-            T, p[None], weights[None], np.zeros(1), 1.0 / (size * 1e-4), fft_ssr.size
-        )[0]
+        direct = _direct_ssr(T, p, weights, np.arange(fft_ssr.size) / (size * 1e-4))
         assert np.max(np.abs(fft_ssr - direct)) <= 1e-12 * np.sum(weights**2 * p**2)
+
+    @pytest.mark.parametrize("count", [65, analysis.COARSE_GRID_SIZE])
+    def test_batched_grid_ssr_matches_direct_ssr_on_a_jittered_grid(self, count):
+        # three rows, weighted and not, each scanned from its own start
+        rng = np.random.default_rng(8)
+        T = 0.002 + 1e-4 * np.arange(157) + rng.uniform(-2e-5, 2e-5, 157)
+        p = rng.uniform(0.0, 1.0, (3, T.size))
+        weights = np.vstack([rng.uniform(0.1, 10.0, (2, T.size)), np.ones((1, T.size))])
+        start = np.array([0.0, 37.3, 912.6])
+        step = 5000.0 / count
+        batched = analysis._grid_ssr(T, p, weights, start, step, count)
+        assert batched.shape == (3, count)
+        for k in range(3):
+            direct = _direct_ssr(T, p[k], weights[k], start[k] + step * np.arange(count))
+            scale = np.sum(weights[k] ** 2 * p[k] ** 2)
+            assert np.max(np.abs(batched[k] - direct)) <= 1e-12 * scale
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -281,6 +319,24 @@ class TestFitDiagnostics:
         fit = fit_damped_sinusoid(FringeScan(T, np.full_like(T, 0.5), np.zeros_like(T)))
         assert (fit.converged, fit.reason, fit.iterations) == (False, "zero_variance", 0)
 
+    @pytest.mark.parametrize("level", [0.1, 0.3, 0.7, 1.0 / 3.0])
+    def test_constant_with_an_inexact_mean_is_zero_variance(self, level):
+        # np.std of 106 copies of 0.1 is 1.4e-17, not 0; fitted, the
+        # constant was split between offset and a frequency-0 amplitude
+        T = 1e-4 * np.arange(106)
+        p = np.full(106, level)
+        assert np.std(p) > 0.0
+        fit = fit_damped_sinusoid(FringeScan(T, p, np.zeros_like(T)))
+        assert (fit.converged, fit.reason, fit.iterations) == (False, "zero_variance", 0)
+        assert (fit.amplitude, fit.offset) == (0.0, level)
+
+    def test_a_fringe_above_rounding_is_fitted(self):
+        # a relative spread of 4e-4 is far above rounding and is a fringe
+        T = np.linspace(0.0, 20e-3, 201)
+        fit = fit_damped_sinusoid(synthetic(T, 1e-4, 110.0, 1.0, 0.5, math.inf))
+        assert fit.converged
+        assert fit.frequency == pytest.approx(110.0, rel=1e-6)
+
     def test_residual(self):
         # weighted pure noise: the few points with small sd pin the fit, and
         # its unweighted rms ends above the spread of the data
@@ -334,8 +390,8 @@ _KINDS = ("exact", "weighted", "unweighted", "noise", "constant")
 
 def _mixed_row(kind, T, rng):
     if kind == "constant":
-        # a dyadic level, so that its mean and hence its spread are exact
-        return np.full(T.size, 0.125 * rng.integers(0, 9)), np.zeros(T.size)
+        # any level: the mean of most is inexact, so np.std is not 0
+        return np.full(T.size, rng.uniform(0.0, 1.0)), np.zeros(T.size)
     if kind == "noise":
         return rng.uniform(0.0, 1.0, T.size), rng.uniform(1e-4, 1.0, T.size)
     span = T[-1] - T[0]
