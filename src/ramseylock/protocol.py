@@ -29,7 +29,7 @@ from .errors import (
     PlanMismatchError,
     SequenceError,
 )
-from .sequence import FringeScan, PulseSpec, Sequence, Wait, scan
+from .sequence import FringeScan, PulseSpec, Sequence, Wait, _ValueEq, scan
 from .spinor import ROTATING, TWO_PI, FieldParams, FrameConvention
 
 #: Relative tolerance for plan-versus-key consistency checks.
@@ -40,8 +40,8 @@ _PLAN_RTOL = 1e-9
 MAX_PLAN_INDEX = 10**6
 
 
-@dataclass(frozen=True)
-class WriteKey:
+@dataclass(frozen=True, eq=False)
+class WriteKey(_ValueEq):
     """Recording-pulse key: field, duration, phase and pulse area.
 
     Exactly the information needed to read the memory back: phase offset,
@@ -76,8 +76,8 @@ class WriteKey:
         return PulseSpec(self.field, self.tau, self.phase)
 
 
-@dataclass(frozen=True)
-class ScrambleKey:
+@dataclass(frozen=True, eq=False)
+class ScrambleKey(_ValueEq):
     """Scrambling-pulse key.
 
     ``phi_S`` is the field's phase offset relative to the recording field,

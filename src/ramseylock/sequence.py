@@ -24,6 +24,10 @@ once, on scalars.  The scanned wait's duration is the grid array, so the
 clock, the later pulse phases and the state become arrays of the grid's
 shape, and every later event costs one numpy operation over the grid.
 
+Inputs are checked once: :class:`Wait` checks its duration and
+:func:`scan` its grid, so the walker skips ``free_unitary``'s check, and
+a scan's ``p`` is clipped once and not re-validated by :class:`FringeScan`.
+
 Key-phase axis: a pulse's ``phase_offset`` may also be an array, which
 broadcasts against the grid the same way.  Shape ``(K, 1)`` adds a leading
 axis of K key phases, so one scan evaluates the ``(K, N)`` grid of key
@@ -36,7 +40,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Iterator, NamedTuple, Sequence as SequenceType, Union
 
 import numpy as np
@@ -48,9 +52,9 @@ from .spinor import (
     FieldParams,
     FrameConvention,
     SpinState,
+    _free_unitary,
     apply_unitary,
     excitation_probability,
-    free_unitary,
     pulse_unitary,
 )
 
@@ -59,8 +63,24 @@ from .spinor import (
 Clock = Union[float, np.ndarray]
 
 
-@dataclass(frozen=True)
-class PulseSpec:
+class _ValueEq:
+    """Equality and hashing of a frozen dataclass by its field values, with
+    array fields compared by shape and values (a generated ``__eq__``
+    would raise on them, and arrays are unhashable)."""
+
+    def _key(self) -> tuple:
+        values = (getattr(self, f.name) for f in fields(self))
+        return tuple((v.shape, tuple(v.flat)) if isinstance(v, np.ndarray) else v for v in values)
+
+    def __eq__(self, other):
+        return self._key() == other._key() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+
+@dataclass(frozen=True, eq=False)
+class PulseSpec(_ValueEq):
     """One rectangular pulse: a field, a duration and a constant phase offset.
 
     ``phase_offset`` is the per-field constant added on top of the
@@ -179,7 +199,7 @@ def _run(
     for step in _walk(seq, start_time, scan_value):
         e = step.event
         if isinstance(e, Wait):
-            u = free_unitary(seq.frame, step.arg)
+            u = _free_unitary(seq.frame, step.arg)
         else:
             u = pulse_unitary(e.field, e.tau, step.arg)
         state = apply_unitary(u, state)
@@ -235,6 +255,16 @@ class FringeScan:
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
+    @classmethod
+    def _trusted(cls, T: np.ndarray, p: np.ndarray, sd: np.ndarray, label="") -> "FringeScan":
+        """A scan of float arrays that already meet the invariants: frozen
+        read-only, not checked again."""
+        for arr in (T, p, sd):
+            arr.setflags(write=False)
+        scan_data = object.__new__(cls)
+        vars(scan_data).update(T=T, p=p, sd=sd, label=label)
+        return scan_data
+
     def __len__(self) -> int:
         return int(self.T.size)
 
@@ -243,11 +273,7 @@ class FringeScan:
         if self.p.ndim != 2:
             raise TypeError("only a (K, N) batch of fringes has rows")
         k = operator.index(k)
-        row = object.__new__(FringeScan)
-        for name, value in (("T", self.T), ("p", self.p[k]), ("sd", self.sd[k])):
-            object.__setattr__(row, name, value)
-        object.__setattr__(row, "label", self.label)
-        return row
+        return FringeScan._trusted(self.T, self.p[k], self.sd[k], self.label)
 
     def rows(self) -> tuple["FringeScan", ...]:
         """Every fringe of a batch, in key order."""
@@ -308,4 +334,4 @@ def scan(template: Sequence, grid: SequenceType[float]) -> FringeScan:
                 f"a {T.size}-point grid to (N,) or (K, N)"
             )
     p = np.broadcast_to(excitation_probability(_run(template, GROUND, 0.0, T)), shape)
-    return FringeScan(T, np.clip(p, 0.0, 1.0), np.zeros(shape))
+    return FringeScan._trusted(T, np.clip(p, 0.0, 1.0), np.zeros(shape))

@@ -191,7 +191,9 @@ def pulse_unitary(field: FieldParams, tau: float, phi: float) -> Unitary2:
         starting at timeline time ``t`` this is the accumulated field phase
         ``rate * t`` plus the field's constant phase offset.  An array gives
         one unitary per element: only the off-diagonal phase factors are
-        arrays, the magnitudes and the detuning factor stay scalars.
+        arrays, the magnitudes and the detuning factor stay scalars.  The
+        phase factor costs one complex exponential: ``exp(-i*phi)`` is taken
+        as the conjugate of ``exp(i*phi)``, which is the same to the bit.
 
     Returns
     -------
@@ -217,12 +219,13 @@ def pulse_unitary(field: FieldParams, tau: float, phi: float) -> Unitary2:
     d = field.detuning / w
     o = field.rabi / w
     e = cmath.exp(1j * half_det)
+    z = exp(1j * phi)
     diag = complex(cos_r, -d * sin_r)
     off = -1j * o * sin_r
     return Unitary2(
         e * diag,
-        e * exp(1j * phi) * off,
-        e.conjugate() * exp(-1j * phi) * off,
+        e * z * off,
+        e.conjugate() * z.conjugate() * off,
         e.conjugate() * diag.conjugate(),
     )
 
@@ -235,6 +238,12 @@ def free_unitary(frame: FrameConvention, t: float) -> Unitary2:
     """
     if not np.all(np.isfinite(t) & (t >= 0.0)):
         raise InvalidDurationError(f"free-evolution interval must be finite and >= 0, got {t}")
+    return _free_unitary(frame, t)
+
+
+def _free_unitary(frame: FrameConvention, t: float) -> Unitary2:
+    """:func:`free_unitary` without the check of ``t``, for intervals
+    already checked (wait durations and scan grids)."""
     rate = frame.free_rate
     if rate == 0.0:
         return Unitary2.identity()

@@ -1,9 +1,10 @@
 """Seeded outputs compared byte for byte against files in ``tests/data``.
 
 The files hold the CLI CSV of every seeded single-shot protocol, the
-8-phase key sweep of every sweepable protocol and one small Monte Carlo
-ensemble.  Any change to the readout, the scan engine or the random
-stream order that moves a single bit of seeded output fails here.
+8-phase key sweep of every sweepable protocol, one small Monte Carlo
+ensemble and the noiseless fringes of every sequence builder.  Any change
+to the readout, the scan engine or the random stream order that moves a
+single bit of output fails here.
 
 Rewrite the files (only when a change of output is intended) with::
 
@@ -12,13 +13,30 @@ Rewrite the files (only when a change of output is intended) with::
 
 import io
 import math
+from dataclasses import replace
 from importlib import resources
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ramseylock import FieldParams, NoiseModel, ScrambleKey, WriteKey, monte_carlo_scramble
+from ramseylock import (
+    ROTATING,
+    FieldParams,
+    FrameConvention,
+    NoiseModel,
+    ScrambleKey,
+    WriteKey,
+    build_double_retrieved,
+    build_double_scrambled,
+    build_retrieved,
+    build_scrambled,
+    build_write_read,
+    monte_carlo_scramble,
+    plan_double_retrieval,
+    plan_retrieval,
+    scan,
+)
 from ramseylock.cli import run
 from ramseylock.config import parse_config
 
@@ -65,10 +83,60 @@ def _monte_carlo_csv() -> bytes:
     return ("\n".join(rows) + "\n").encode()
 
 
+def _noiseless_templates(frame, clock):
+    """One scanned template per sequence builder, in one frame and clock convention."""
+    write = WriteKey(FieldParams(TWO_PI * 565.0, TWO_PI * 110.0, "W"), tau=0.44e-3)
+    slow = FieldParams(TWO_PI * 169.0, TWO_PI * 100.0, "S")
+    fast = FieldParams(TWO_PI * 5000.0, TWO_PI * 100.0, "S")
+    key = ScrambleKey(slow, 1.48e-3, 1.0, 5e-3)
+    wide_tau = 0.8 * math.pi / fast.rabi
+    stacked = plan_double_retrieval(
+        fast.detuning, fast.detuning, wide_tau, 1e-3, 1e-3, clock_during_pulses=clock
+    )
+    key_1 = ScrambleKey(fast, wide_tau, 2.0, 5e-3)
+    key_2 = ScrambleKey(fast, wide_tau, 4.0, stacked.T2)
+    kw = dict(frame=frame, clock_during_pulses=clock, scanned=True)
+    return {
+        "write_read": build_write_read(write, 0.0, **kw),
+        "scrambled": build_scrambled(write, key, 0.0, **kw),
+        "retrieved": build_retrieved(write, key, plan_retrieval(slow.detuning, 1e-3), 0.0, **kw),
+        "double_scrambled": build_double_scrambled(write, key_1, key_2, 0.0, **kw),
+        "double_retrieved": build_double_retrieved(
+            write, key_1, key_2, stacked, 0.0, frame=frame, scanned=True
+        ),
+        # the retrieved template over a (4, 1) axis of scramble key phases
+        "retrieved_keys": build_retrieved(
+            write,
+            replace(key, phi_S=np.linspace(0.0, TWO_PI, 4, endpoint=False)[:, None]),
+            plan_retrieval(slow.detuning, 1e-3),
+            0.0,
+            **kw,
+        ),
+    }
+
+
+def _noiseless_csv() -> bytes:
+    """41-point noiseless scans of every builder, rotating and lab frame,
+    clock off and on; a key-axis batch gives one row block per key phase."""
+    rows = ["scan,frame,clock,key,T_s,P_e"]
+    frames = (("rotating", ROTATING), ("lab", FrameConvention("lab", TWO_PI * 1e4)))
+    for frame_name, frame in frames:
+        for clock in (False, True):
+            for name, template in _noiseless_templates(frame, clock).items():
+                sc = scan(template, np.arange(41) * 5e-4)
+                for k, p_row in enumerate(np.atleast_2d(sc.p)):
+                    rows += [
+                        f"{name},{frame_name},{int(clock)},{k},{float(T)!r},{float(p)!r}"
+                        for T, p in zip(sc.T, p_row)
+                    ]
+    return ("\n".join(rows) + "\n").encode()
+
+
 GOLDENS = {
     **{f"cli_{p}.csv": (lambda p=p: _cli_csv(p, False)) for p in SINGLE},
     **{f"cli_sweep_{p}.csv": (lambda p=p: _cli_csv(p, True)) for p in SWEEP},
     "monte_carlo_scramble.csv": _monte_carlo_csv,
+    "noiseless_scans.csv": _noiseless_csv,
 }
 
 

@@ -21,6 +21,7 @@ from ramseylock import (
     Sequence,
     SequenceError,
     Wait,
+    WriteKey,
     apply_unitary,
     build_double_retrieved,
     build_double_scrambled,
@@ -188,12 +189,14 @@ class TestFrameInvariance:
 
 
 class TestScan:
-    def test_resonant_scan_is_flat_unity(self):
+    @pytest.mark.parametrize("frame", [ROTATING, LAB])
+    def test_resonant_scan_is_flat_unity(self, frame):
         f = FieldParams(TWO_PI * 565.0, 0.0)
         tau = 0.5 * math.pi / f.rabi
-        seq = Sequence((PulseSpec(f, tau), Wait(0.0, scanned=True), PulseSpec(f, tau)))
+        seq = Sequence((PulseSpec(f, tau), Wait(0.0, scanned=True), PulseSpec(f, tau)), frame)
         result = scan(seq, np.linspace(0.0, 2.0 / 110.0, 101))
-        assert result.p.max() == pytest.approx(1.0, abs=1e-12)
+        # the lab frame's |c_e|^2 reaches 1 + 4.4e-16 before the clip
+        assert result.p.max() == 1.0
         assert result.p.min() == pytest.approx(1.0, abs=1e-12)
 
     def test_fringe_frequency_equals_detuning(self, write_key, readout_grid):
@@ -220,6 +223,22 @@ class TestScan:
         assert not result.T.flags.writeable
         grid[0] = 1.0
         assert result.T[0] == 0.0
+
+    @pytest.mark.parametrize("phi", [0.7, np.linspace(0.0, TWO_PI, 3)[:, None]])
+    def test_result_keeps_fringe_scan_invariants(self, write_key, scramble_key, readout_grid, phi):
+        """A scan's result is not re-validated, so check what validation
+        would have given: read-only arrays, a copy of the grid, p in [0, 1]."""
+        key = replace(scramble_key, phi_S=phi)
+        plan = plan_retrieval(key.field.detuning)
+        template = build_retrieved(write_key, key, plan, 0.0, frame=LAB, scanned=True)
+        result = scan(template, readout_grid)
+        for got in (result, *(result.rows() if result.p.ndim == 2 else ())):
+            assert got.p.shape == got.sd.shape and got.p.shape[-1] == len(readout_grid)
+            assert not any(a.flags.writeable for a in (got.T, got.p, got.sd))
+            assert not np.shares_memory(got.T, readout_grid)
+            assert np.array_equal(got.T, readout_grid)
+            assert np.all((got.p >= 0.0) & (got.p <= 1.0)) and not np.any(got.sd)
+            assert got.label == ""
 
     def test_missing_scan_mark_rejected(self, write_key):
         seq = build_write_read(write_key, 1e-3)
@@ -464,6 +483,34 @@ class TestKeyPhaseAxis:
         phases[0] = 5.0
         assert pulse.phase_offset[0] == 0.1
         assert not pulse.phase_offset.flags.writeable
+
+    def test_array_offsets_compare_and_hash_by_value(self, write_field, scramble_field):
+        def pulse(offset, tau=1e-4):
+            return PulseSpec(write_field, tau, offset)
+
+        keyed = pulse(np.array([[0.1], [0.2]]))
+        assert keyed == pulse([[0.1], [0.2]]) and hash(keyed) == hash(pulse([[0.1], [0.2]]))
+        assert pulse([0.0]) == pulse([-0.0]) and hash(pulse([0.0])) == hash(pulse([-0.0]))
+        for other in (
+            pulse([[0.1], [0.3]]), pulse([0.1, 0.2]), pulse([[0.1], [0.2]], tau=2e-4), pulse(0.1)
+        ):
+            assert keyed != other and other != keyed
+        assert pulse(0.1) == pulse(0.1) and pulse(0.1) != pulse(np.array([0.1]))
+        assert len({keyed, pulse([[0.1], [0.2]]), pulse(0.1), pulse(0.1)}) == 2
+
+        def sequence(offset):
+            return Sequence((pulse(0.0), Wait(1e-3), pulse(offset)))
+
+        assert sequence([0.1, 0.2]) == sequence(np.array([0.1, 0.2]))
+        assert hash(sequence([0.1, 0.2])) == hash(sequence(np.array([0.1, 0.2])))
+        assert sequence([0.1, 0.2]) != sequence([0.1, 0.5]) != sequence(0.1)
+        key = ScrambleKey(scramble_field, 1e-3, [1.0, 2.0], 5e-3)
+        assert key == replace(key, phi_S=np.array([1.0, 2.0])) != replace(key, phi_S=1.0)
+        assert hash(key) == hash(replace(key, phi_S=[1.0, 2.0]))
+        assert replace(key, phi_S=None) == replace(key, phi_S=None) != key
+        write = WriteKey(write_field, 1e-4, np.array([0.1, 0.2]))
+        assert write == replace(write, phase=np.array([0.1, 0.2])) != replace(write, phase=0.1)
+        assert hash(write) == hash(replace(write, phase=np.array([0.1, 0.2])))
 
     @pytest.mark.parametrize("shape", [(3,), (2, 1, 1), (2, 3)])
     def test_phases_that_do_not_broadcast_against_the_grid(self, write_key, scramble_key, shape):

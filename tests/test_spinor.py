@@ -5,6 +5,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from ramseylock import (
     GROUND,
@@ -125,6 +128,59 @@ class TestFreeUnitary:
     def test_array_interval_checked_elementwise(self, bad):
         with pytest.raises(InvalidDurationError):
             free_unitary(ROTATING, np.array([0.0, bad]))
+
+
+FIELDS = st.builds(
+    FieldParams, st.floats(1.0, TWO_PI * 1e4), st.floats(-TWO_PI * 1e3, TWO_PI * 1e3)
+)
+KN_SHAPES = array_shapes(min_dims=2, max_dims=2, max_side=6)
+#: A scalar, or a (K, N) array of phases.
+PHASES = st.floats(-1e3, 1e3) | arrays(float, KN_SHAPES, elements=st.floats(-1e3, 1e3))
+#: A scalar, or a (K, N) array of free-evolution intervals.
+INTERVALS = st.floats(0.0, 1.0) | arrays(float, KN_SHAPES, elements=st.floats(0.0, 1.0))
+FRAMES = st.just(ROTATING) | st.floats(0.0, TWO_PI * 1e5).map(lambda w: FrameConvention("lab", w))
+
+
+def _element(u: Unitary2, shape, idx) -> Unitary2:
+    """Element ``idx`` of an operator whose entries broadcast to ``shape``."""
+    return Unitary2(
+        *(complex(np.broadcast_to(x, shape)[idx]) for x in (u.u_gg, u.u_ge, u.u_eg, u.u_ee))
+    )
+
+
+def _entries(u: Unitary2) -> tuple:
+    return (u.u_gg, u.u_ge, u.u_eg, u.u_ee)
+
+
+class TestArrayArgumentsMatchScalarCalls:
+    """Every element of an array-valued operator is the operator of that
+    element's argument, and unitary to 1e-12."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(field=FIELDS, tau=st.floats(0.0, 5e-3), phi=PHASES)
+    def test_pulse_unitary(self, field, tau, phi):
+        batch = pulse_unitary(field, tau, phi)
+        for idx in np.ndindex(np.shape(phi)):
+            got = _element(batch, np.shape(phi), idx)
+            assert got.unitarity_defect() <= 1e-12
+            if np.ndim(phi) == 0:
+                continue
+            # bit for bit against the same phase alone; numpy's complex
+            # product may round differently from Python's (fused
+            # multiply-add), so against the Python scalar only to rounding
+            alone = pulse_unitary(field, tau, np.array([phi[idx]]))
+            assert _entries(got) == _entries(_element(alone, (1,), 0))
+            scalar = pulse_unitary(field, tau, float(phi[idx]))
+            assert all(abs(a - b) <= 1e-15 for a, b in zip(_entries(got), _entries(scalar)))
+
+    @settings(max_examples=150, deadline=None)
+    @given(frame=FRAMES, t=INTERVALS)
+    def test_free_unitary(self, frame, t):
+        batch = free_unitary(frame, t)
+        for idx in np.ndindex(np.shape(t)):
+            got = _element(batch, np.shape(t), idx)
+            assert got.unitarity_defect() <= 1e-12
+            assert _entries(got) == _entries(free_unitary(frame, float(np.asarray(t)[idx])))
 
 
 class TestApplyUnitary:
