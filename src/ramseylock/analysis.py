@@ -381,8 +381,6 @@ def fit_many(scan: FringeScan) -> list[FitResult]:
     if len(scan) < 8:
         raise FitError(f"need at least 8 points to fit, got {len(scan)}")
     T = np.asarray(scan.T, dtype=float)
-    if not np.all(np.diff(T) > 0.0):
-        raise FitError("scan times must be strictly increasing")
     p = np.asarray(scan.p, dtype=float).reshape(-1, T.size)
     sd = np.asarray(scan.sd, dtype=float).reshape(p.shape)
 
@@ -454,8 +452,6 @@ def fringe_visibility(scan: FringeScan) -> float:
 
     Zero when the scan is identically zero (max + min = 0).
     """
-    if len(scan) == 0:
-        raise FitError("scan must not be empty")
     hi = float(np.max(scan.p))
     lo = float(np.min(scan.p))
     total = hi + lo

@@ -35,7 +35,7 @@ from .protocol import (
     plan_retrieval,
     secret_readout,
 )
-from .sequence import FringeScan, Sequence, scan
+from .sequence import FringeScan, Sequence, _scan_fault, scan
 from .spinor import TWO_PI, FieldParams, FrameConvention
 
 _SCAN_HEADER = "T_s,P_e,sd"
@@ -155,7 +155,7 @@ def _read_scan_csv(stream) -> FringeScan:
     Blank and ``#`` lines are skipped; the first other line is a header if
     it starts with ``T``.  A malformed row, a non-finite value, ``P_e``
     outside [0, 1], a negative ``sd`` or non-increasing ``T`` raises
-    ``FitError``, naming the line where there is one.
+    ``FitError`` naming the line.
     """
     rows, linenos = [], []
     header_allowed = True
@@ -171,28 +171,19 @@ def _read_scan_csv(stream) -> FringeScan:
         if len(parts) not in (2, 3):
             raise FitError(f"scan CSV line {lineno}: expected T_s,P_e[,sd]")
         try:
-            T = float(parts[0])
-            p = float(parts[1])
-            sd = float(parts[2]) if len(parts) == 3 else 0.0
+            rows.append((float(parts[0]), float(parts[1]),
+                         float(parts[2]) if len(parts) == 3 else 0.0))
         except ValueError as exc:
             raise FitError(f"scan CSV line {lineno}: {exc}") from exc
-        rows.append((T, p, sd))
         linenos.append(lineno)
     if not rows:
         raise FitError("scan CSV holds no data rows")
-    arr = np.asarray(rows, dtype=float)
-    T, p, sd = arr.T
-    ok = np.isfinite(arr).all(axis=1) & (p >= 0.0) & (p <= 1.0) & (sd >= 0.0)
-    if not ok.all():
-        i = int(np.argmin(ok))
-        raise FitError(
-            f"scan CSV line {linenos[i]}: T_s,P_e,sd = {rows[i]} must be finite, "
-            "with P_e in [0, 1] and sd >= 0"
-        )
-    try:
-        return FringeScan(T, p, sd)
-    except ValueError as exc:
-        raise FitError(f"scan CSV: {exc}") from exc
+    T, p, sd = np.asarray(rows, dtype=float).T
+    fault = _scan_fault(T, p, sd)
+    if fault is not None:
+        line = linenos[fault.index]
+        raise FitError(f"scan CSV line {line}: {fault.invariant}, got {fault.value}")
+    return FringeScan._trusted(T, p, sd)
 
 
 #: The protocols a key-phase sweep runs on, each with its first scramble

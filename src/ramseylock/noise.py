@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import InvalidDurationError
 from .protocol import ScrambleKey, WriteKey, build_scrambled
-from .sequence import FringeScan, scan
+from .sequence import FringeScan, _scan_fault, scan
 from .spinor import ROTATING, TWO_PI, FrameConvention
 
 
@@ -77,9 +77,9 @@ def _check_probabilities(p) -> np.ndarray:
     """``p`` as a float array; raises ``ValueError`` naming the first value
     outside [0, 1] (or NaN)."""
     p = np.asarray(p, dtype=float)
-    ok = (p >= 0.0) & (p <= 1.0)
-    if not ok.all():
-        raise ValueError(f"p_true must lie in [0, 1], got {p.flat[np.argmin(ok)]}")
+    fault = _scan_fault(None, p)
+    if fault is not None:
+        raise ValueError(f"p_true must lie in [0, 1], got {fault.value}")
     return p
 
 
@@ -112,7 +112,8 @@ def measure_scan(ideal: FringeScan, model: NoiseModel, rng: np.random.Generator)
     [0, 1] (or NaN) raises ``ValueError`` before anything is drawn.
     """
     mean, sd = _shot_stats(_counts(_check_probabilities(ideal.p), model, rng), model)
-    return FringeScan(ideal.T, mean, sd, label=ideal.label)
+    # valid by construction: a mean of counts / atom_count lies in [0, 1]
+    return FringeScan._trusted(ideal.T, mean, sd, label=ideal.label)
 
 
 def simulate_measurement(
@@ -177,24 +178,17 @@ def monte_carlo_scramble(
         raise ValueError(f"trials must be >= 1, got {trials}")
     base_phase = scramble_key.phi_S if scramble_key.has_phase else 0.0
     rngs = [np.random.default_rng(c) for c in np.random.SeedSequence(model.seed).spawn(trials)]
-    grid = np.asarray(list(T_grid), dtype=float)
 
     phases = np.array(
         [(base_phase + sample_relative_phase(model.linewidth, model.run_interval, rng)) % TWO_PI
          for rng in rngs]
     )
     keyed = ScrambleKey(scramble_key.field, scramble_key.tau, phases[:, None], scramble_key.T1)
-    ideal = _check_probabilities(
-        scan(build_scrambled(write_key, keyed, 0.0, frame=frame, scanned=True), grid).p
-    )
-    counts = np.stack([_counts(row, model, rng) for row, rng in zip(ideal, rngs)])
+    # scan checks the grid and clips p; the shot statistics are valid by construction
+    ideal = scan(build_scrambled(write_key, keyed, 0.0, frame=frame, scanned=True), list(T_grid))
+    counts = np.stack([_counts(row, model, rng) for row, rng in zip(ideal.p, rngs)])
     means, sds = _shot_stats(counts, model)
-    measured = FringeScan(grid, means, sds)
-
-    pooled = FringeScan(
-        grid,
-        means.mean(axis=0),
-        means.std(axis=0, ddof=1) if trials > 1 else np.zeros_like(grid),
-        label="pooled",
-    )
+    measured = FringeScan._trusted(ideal.T, means, sds)
+    spread = means.std(axis=0, ddof=1) if trials > 1 else np.zeros(len(ideal))
+    pooled = FringeScan._trusted(ideal.T, means.mean(axis=0), spread, label="pooled")
     return MonteCarloResult(scans=measured.rows(), pooled=pooled)

@@ -27,7 +27,6 @@ from .errors import (
     NoFringeError,
     NoPrecessionError,
     PlanMismatchError,
-    SequenceError,
 )
 from .sequence import FringeScan, PulseSpec, Sequence, Wait, _ValueEq, scan
 from .spinor import ROTATING, TWO_PI, FieldParams, FrameConvention
@@ -428,8 +427,6 @@ def secret_readout(
     timeline conventions of both sequences.
     """
     grid = list(T_grid)
-    if len(grid) == 0:
-        raise SequenceError("readout grid must not be empty")
     if scramble_key.has_phase:
         plan = plan_retrieval(scramble_key.field.detuning, 0.0)
         template = build_retrieved(write_key, scramble_key, plan, 0.0, frame=frame,

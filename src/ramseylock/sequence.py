@@ -24,9 +24,11 @@ once, on scalars.  The scanned wait's duration is the grid array, so the
 clock, the later pulse phases and the state become arrays of the grid's
 shape, and every later event costs one numpy operation over the grid.
 
-Inputs are checked once: :class:`Wait` checks its duration and
-:func:`scan` its grid, so the walker skips ``free_unitary``'s check, and
-a scan's ``p`` is clipped once and not re-validated by :class:`FringeScan`.
+Inputs are checked once, where they enter.  :class:`Wait` checks its
+duration, so the walker skips ``free_unitary``'s check.  Scan data has one
+checker, ``_scan_fault``, which :class:`FringeScan`, :func:`scan`, the scan
+CSV reader and the readout run and raise their own errors from; it never
+clips.  Scan data made valid by construction skips it via ``_trusted``.
 
 Key-phase axis: a pulse's ``phase_offset`` may also be an array, which
 broadcasts against the grid the same way.  Shape ``(K, 1)`` adds a leading
@@ -217,15 +219,39 @@ def evolve(seq: Sequence, initial: SpinState = GROUND, start_time: float = 0.0) 
     return _run(seq, initial, start_time)
 
 
+class _Fault(NamedTuple):
+    """The first broken invariant of scan data, at ``index`` along ``T``."""
+
+    invariant: str
+    index: int
+    value: float
+
+
+def _scan_fault(T, p=None, sd=None) -> _Fault | None:
+    """The first invariant that float scan data (``T`` 1-D or ``None``; ``p``
+    and ``sd`` ``(N,)`` or ``(K, N)``) breaks, in this order and at its first
+    failing point in C order; ``None`` if none.  Never raises or clips."""
+    for invariant, values, lag, holds in (
+        ("T values must be finite", T, 0, np.isfinite),
+        ("T values must be strictly increasing", T, 1, lambda t: t[1:] > t[:-1]),
+        ("p values must be finite and lie in [0, 1]", p, 0, lambda v: (v >= 0.0) & (v <= 1.0)),
+        ("sd values must be finite and >= 0", sd, 0, lambda v: (v >= 0.0) & (v < math.inf)),
+    ):
+        if values is not None and not (ok := holds(values)).all():
+            k = int(np.argmin(ok))  # flat index of the first failure
+            return _Fault(invariant, k % ok.shape[-1] + lag, float(values.flat[k + lag]))
+    return None
+
+
 @dataclass(frozen=True)
 class FringeScan:
     """A sampled excitation-probability curve ``p(T)`` with per-point sd.
 
     ``p`` and ``sd`` have the shape of ``T``, or ``(K, N)`` over an
     N-point ``T`` for a batch of K fringes on one grid (one per key phase
-    of a key-axis scan).  A batch is validated once; ``scan_data[k]`` and
-    :meth:`rows` return its fringes as 1-D scans that share its read-only
-    arrays and are not validated again.
+    of a key-axis scan).  Data that breaks an invariant raises ``ValueError``
+    and is never clipped.  A batch is validated once; ``scan_data[k]`` and
+    :meth:`rows` return its fringes as 1-D scans sharing its read-only arrays.
     """
 
     T: np.ndarray
@@ -241,16 +267,9 @@ class FringeScan:
             raise ValueError("scan needs at least one point")
         if p.ndim not in (1, 2) or p.shape[-1] != T.size or sd.shape != p.shape:
             raise ValueError("p and sd must have the shape of T, or (K, len(T)) for a batch")
-        for name, arr in (("T", T), ("p", p), ("sd", sd)):
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"{name} values must be finite")
-        if T.size > 1 and not np.all(np.diff(T) > 0.0):
-            raise ValueError("T values must be strictly increasing")
-        if np.any(p < -1e-9) or np.any(p > 1.0 + 1e-9):
-            raise ValueError("probabilities must lie in [0, 1]")
-        if np.any(sd < 0.0):
-            raise ValueError("standard deviations must be >= 0")
-        p = np.clip(p, 0.0, 1.0)
+        fault = _scan_fault(T, p, sd)
+        if fault is not None:
+            raise ValueError(f"scan point {fault.index}: {fault.invariant}, got {fault.value}")
         for name, arr in (("T", T), ("p", p), ("sd", sd)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
@@ -313,13 +332,13 @@ def scan(template: Sequence, grid: SequenceType[float]) -> FringeScan:
     T = np.array(grid, dtype=float)  # a copy: FringeScan freezes its arrays
     if T.size == 0:
         raise SequenceError("scan grid must not be empty")
-    if T.size > 1 and not np.all(np.diff(T) > 0.0):
-        raise SequenceError("scan grid must be strictly increasing")
-    if np.any(T < 0.0):
+    fault = _scan_fault(T)
+    if fault is not None:
+        error = SequenceError if math.isfinite(fault.value) else InvalidDurationError
+        raise error(f"scan grid point {fault.index}: {fault.invariant}, got {fault.value}")
+    if T[0] < 0.0:  # the least value of an increasing grid
         raise SequenceError("scan grid values must be >= 0")
     _scan_mark(template)
-    if not np.all(np.isfinite(T)):
-        raise InvalidDurationError("scan grid values must be finite")
     offsets = [e.phase_offset for e in template.pulses]
     keyed = [o.shape for o in offsets if isinstance(o, np.ndarray)]
     shape = T.shape

@@ -283,7 +283,9 @@ class TestExitCodes:
 
     def test_non_increasing_scan_csv_is_4(self, tmp_path, capsys):
         assert _fit_csv_exit(tmp_path, ["0.0,0.5,0.01"]) == 4
-        assert "increasing" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "increasing" in err
+        assert "line 7" in err
 
 
     def test_unconverged_fit_is_4_and_names_the_reason(self, tmp_path, capsys):

@@ -30,6 +30,18 @@ from ramseylock import (
 TWO_PI = 2.0 * math.pi
 
 
+def assert_fringe_scan_invariants(got, grid, label: str) -> None:
+    """What FringeScan validation would have given a result built without it:
+    read-only arrays, ``T`` equal to the grid, ``p`` in [0, 1], finite
+    ``sd >= 0`` and the label."""
+    assert not any(a.flags.writeable for a in (got.T, got.p, got.sd))
+    assert np.array_equal(got.T, grid)
+    assert got.p.shape == got.sd.shape and got.p.shape[-1] == len(grid)
+    assert np.all((got.p >= 0.0) & (got.p <= 1.0))
+    assert np.all(np.isfinite(got.sd) & (got.sd >= 0.0))
+    assert got.label == label
+
+
 def kuiper_statistic(samples: np.ndarray) -> float:
     """Kuiper V against the uniform distribution on [0, 1)."""
     u = np.sort(samples)
@@ -166,6 +178,19 @@ class TestMeasureScan:
         assert np.array_equal(measured.T, ideal.T)
         assert measured.label == "x"
 
+    @pytest.mark.parametrize("atoms, repeats", [(1, 1), (3, 4), (50_000, 5)])
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_result_keeps_fringe_scan_invariants(self, atoms, repeats, rows):
+        """The readout is not re-validated; few atoms put means on 0 and 1."""
+        grid = np.linspace(0.0, 1e-2, 11)
+        p = np.linspace(0.0, 1.0, 11)
+        p = np.vstack([np.roll(p, k) for k in range(rows)]) if rows > 1 else p
+        ideal = FringeScan(grid, p, np.zeros(p.shape), label="x")
+        measured = measure_scan(ideal, NoiseModel(atom_count=atoms, repeats=repeats),
+                                np.random.default_rng(6))
+        assert measured.p.shape == p.shape
+        assert_fringe_scan_invariants(measured, grid, "x")
+
     def test_certain_outcomes_have_no_scatter(self):
         ideal = FringeScan(np.arange(2.0), np.array([0.0, 1.0]), np.zeros(2))
         measured = measure_scan(ideal, NoiseModel(), np.random.default_rng(1))
@@ -262,6 +287,22 @@ class TestMonteCarloScramble:
         stacked = np.vstack([m.p for m in measured])
         assert np.array_equal(result.pooled.p, stacked.mean(axis=0))
         assert np.array_equal(result.pooled.sd, stacked.std(axis=0, ddof=1))
+
+    @pytest.mark.parametrize("trials", [1, 4])
+    @pytest.mark.parametrize("atoms", [2, 50_000])
+    def test_results_keep_fringe_scan_invariants(
+        self, write_key, scramble_key, readout_grid, trials, atoms
+    ):
+        """Neither the trial scans nor the pooled scan is re-validated."""
+        grid = readout_grid.copy()
+        model = NoiseModel(linewidth=TWO_PI * 1000.0, atom_count=atoms, repeats=3, seed=9)
+        result = monte_carlo_scramble(write_key, scramble_key, grid, trials, model)
+        assert len(result.scans) == trials
+        for got in result.scans:
+            assert_fringe_scan_invariants(got, grid, "")
+        assert_fringe_scan_invariants(result.pooled, grid, "pooled")
+        assert {got.p.shape for got in (*result.scans, result.pooled)} == {grid.shape}
+        assert grid.flags.writeable
 
     def test_trial_count_validated(self, write_key, scramble_key):
         with pytest.raises(ValueError):

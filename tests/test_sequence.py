@@ -2,7 +2,9 @@
 
 import io
 import math
+import re
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,8 +16,10 @@ from ramseylock import (
     ROTATING,
     FieldParams,
     FrameConvention,
+    FitError,
     FringeScan,
     InvalidDurationError,
+    NoiseModel,
     PulseSpec,
     ScrambleKey,
     Sequence,
@@ -31,13 +35,16 @@ from ramseylock import (
     evolve,
     excitation_probability,
     fit_damped_sinusoid,
+    measure_scan,
     plan_double_retrieval,
     plan_retrieval,
     pulse_unitary,
     scan,
     set_scan_value,
+    simulate_measurement,
 )
-from ramseylock.sequence import _walk
+from ramseylock.cli import _read_scan_csv
+from ramseylock.sequence import _scan_fault, _walk
 
 TWO_PI = 2.0 * math.pi
 LAB = FrameConvention("lab", TWO_PI * 1e4)
@@ -211,7 +218,7 @@ class TestScan:
         assert len(result) == 1
         assert abs(result.p[0] - per_point_reference(template, [2e-3])[0]) <= ENGINE_TOL
 
-    @pytest.mark.parametrize("grid", [[math.nan], [0.0, math.inf]])
+    @pytest.mark.parametrize("grid", [[math.nan], [0.0, math.inf], [0.0, math.nan, 1e-3]])
     def test_non_finite_grid_rejected(self, write_key, grid):
         with pytest.raises(InvalidDurationError):
             scan(build_write_read(write_key, 0.0, scanned=True), grid)
@@ -354,10 +361,128 @@ class TestFringeScan:
         with pytest.raises(ValueError):
             FringeScan(np.array([0.0, 1.0]), np.array([0.5, 1.5]), np.zeros(2))
 
+    @pytest.mark.parametrize("bad", [1.0 + 5e-10, -5e-10])
+    def test_rejects_probability_just_outside_range(self, bad):
+        """No tolerance and no clip: a scan holds the data it was given or raises."""
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            FringeScan(np.array([0.0, 1.0]), np.array([0.5, bad]), np.zeros(2))
+        edges = FringeScan(np.array([0.0, 1.0]), np.array([0.0, 1.0]), np.zeros(2))
+        assert edges.p.tolist() == [0.0, 1.0]
+
     def test_arrays_are_read_only(self):
         s = FringeScan(np.array([0.0, 1.0]), np.array([0.1, 0.2]), np.zeros(2))
         with pytest.raises(ValueError):
             s.p[0] = 0.9
+
+
+class TestScanFault:
+    """The one checker of scan data, and the entry points that raise from it."""
+
+    @pytest.mark.parametrize(
+        "T, p, sd, want",
+        [
+            # T finite comes before T increasing, which comes before p and sd
+            ([0.0, 2.0, math.inf], [2.0, 0.5, 0.5], [-1.0, 0.0, 0.0], ("finite", 2, math.inf)),
+            ([0.0, 2.0, 1.0], [2.0, 0.5, 0.5], [-1.0, 0.0, 0.0], ("increasing", 2, 1.0)),
+            ([0.0, 1.0, 2.0], [0.5, 0.5, -0.1], [-1.0, 0.0, 0.0], ("[0, 1]", 2, -0.1)),
+            ([0.0, 1.0, 2.0], [0.5, 0.5, 0.5], [0.0, -1.0, 0.0], (">= 0", 1, -1.0)),
+            # a (K, N) batch is searched in C order and named along T
+            ([0.0, 1.0, 2.0], [[0.5, 0.5, 0.5], [1.5, 0.5, 0.5]], [[0.0] * 3] * 2,
+             ("[0, 1]", 0, 1.5)),
+            ([0.0, 1.0, 2.0], [[0.5] * 3] * 2, [[0.0, 0.0, math.inf], [0.0, -1.0, 0.0]],
+             ("finite", 2, math.inf)),
+            ([0.0, 1.0, 2.0], [[0.5] * 3] * 2, [[0.0] * 3] * 2, None),
+        ],
+    )
+    def test_first_fault_in_order(self, T, p, sd, want):
+        fault = _scan_fault(*(np.array(a, dtype=float) for a in (T, p, sd)))
+        if want is None:
+            assert fault is None
+            return
+        phrase, index, value = want
+        assert phrase in fault.invariant
+        assert (fault.index, fault.value) == (index, value)
+
+    def test_p_alone_is_checked(self):
+        assert _scan_fault(None, np.array([0.0, 1.0])) is None
+        assert _scan_fault(None, np.array([0.5, math.nan])).index == 1
+
+
+#: The faults one example may carry: (array, how), with how a value to put
+#: in or the kind of change.
+_FAULTS = [
+    *(("T", bad) for bad in (math.nan, math.inf, -math.inf, "repeat", "decrease")),
+    *(("p", bad) for bad in (math.nan, math.inf, -math.inf, "below", "above")),
+    *(("sd", bad) for bad in (math.nan, math.inf, -math.inf, "below")),
+]
+
+
+@st.composite
+def _scan_rows(draw):
+    """1-D ``(T, p, sd)`` with at most one fault, and the fault and its row."""
+    n = draw(st.integers(min_value=2, max_value=12))
+    start = draw(st.floats(min_value=0.0, max_value=1.0))
+    steps = draw(st.lists(st.floats(min_value=1e-6, max_value=1e-2), min_size=n - 1,
+                          max_size=n - 1))
+    T = start + np.concatenate([[0.0], np.cumsum(steps)])
+    unit = st.floats(min_value=0.0, max_value=1.0)
+    p = np.array(draw(st.lists(unit, min_size=n, max_size=n)))
+    sd = np.array(draw(st.lists(unit, min_size=n, max_size=n)))
+    fault = draw(st.none() | st.sampled_from(_FAULTS))
+    if fault is None:
+        return T, p, sd, None, None
+    name, how = fault
+    row = draw(st.integers(min_value=1 if how in ("repeat", "decrease") else 0, max_value=n - 1))
+    arr = {"T": T, "p": p, "sd": sd}[name]
+    off = draw(st.floats(min_value=1e-9, max_value=10.0))
+    arr[row] = {
+        "repeat": lambda: T[row - 1],
+        "decrease": lambda: T[row - 1] - off,
+        "below": lambda: -off,
+        "above": lambda: 1.0 + off,
+    }.get(how, lambda: how)()
+    return T, p, sd, name, row
+
+
+class TestEntryPointsAgree:
+    @settings(max_examples=200, deadline=None)
+    @given(_scan_rows())
+    def test_scan_csv_and_readout_reject_the_same_data(self, example):
+        T, p, sd, faulty, row = example
+        csv = "T_s,P_e,sd\n" + "".join(
+            f"{float(t)!r},{float(q)!r},{float(s)!r}\n" for t, q, s in zip(T, p, sd)
+        )
+        try:
+            FringeScan(T.copy(), p.copy(), sd.copy())
+            scan_error = None
+        except ValueError as exc:
+            scan_error = str(exc)
+        try:
+            _read_scan_csv(io.StringIO(csv))
+            csv_error = None
+        except FitError as exc:
+            csv_error = str(exc)
+        assert (scan_error is None) == (csv_error is None) == (faulty is None)
+        if faulty is not None:
+            assert scan_error.startswith(f"scan point {row}: ")
+            assert csv_error.startswith(f"scan CSV line {row + 2}: ")
+
+        model = NoiseModel(atom_count=10, repeats=2)
+        rng = np.random.default_rng(0)
+        for k, q in enumerate(p):
+            try:
+                simulate_measurement(q, model, rng)
+                rejected = False
+            except ValueError as exc:
+                rejected = True
+                assert str(exc).endswith(f"[0, 1], got {float(q)}")
+            assert rejected == (faulty == "p" and k == row)
+        ideal = SimpleNamespace(T=T, p=p, label="")
+        if faulty == "p":
+            with pytest.raises(ValueError, match=rf"\[0, 1\], got {re.escape(str(p[row]))}$"):
+                measure_scan(ideal, model, rng)
+        else:
+            assert measure_scan(ideal, model, rng).p.shape == p.shape
 
 
 def _batch(**arrays):
