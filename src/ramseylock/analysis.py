@@ -14,14 +14,15 @@ the peak of the generalized Lomb-Scargle periodogram (Zechmeister &
 Kuerster 2009): the trial frequency with the least weighted residual sum
 of squares (SSR) of the undamped linear model, whose offset and quadrature
 amplitudes are solved exactly.  On a uniform grid the trial frequencies
-are those of a zero-padded FFT, which supplies every sum the SSR needs; on
-a non-uniform grid the SSR is evaluated directly on a grid over
-[0, Nyquist].  A fine scan of that same SSR one bin either side of the
-peak, then a few envelope-rate seeds, give the starting point;
-Gauss-Newton iterations refine all five parameters, and the result
-records why they stopped.  Fitted phases feed the circular-spread
-statistic that quantifies how much key-phase ambiguity a scramble stage
-injects and how completely a retrieve stage removes it.
+are the bins of a zero-padded FFT, which supplies every sum the SSR needs,
+and the seed is the vertex of the parabola through the least bin and its
+neighbours.  On a non-uniform grid the SSR is evaluated directly on a grid
+over [0, Nyquist], then on a fine scan one bin either side of its peak.  A
+few envelope-rate seeds complete the starting point; Gauss-Newton
+iterations refine all five parameters, and the result records why they
+stopped.  Fitted phases feed the circular-spread statistic that quantifies
+how much key-phase ambiguity a scramble stage injects and how completely a
+retrieve stage removes it.
 """
 
 from __future__ import annotations
@@ -37,9 +38,10 @@ from .sequence import FringeScan
 from .spinor import TWO_PI
 
 #: Periodogram seed resolution: the Lomb-Scargle SSR is evaluated at no
-#: fewer than COARSE_GRID_SIZE frequencies over [0, Nyquist], directly on a
-#: non-uniform grid, and on a uniform grid at the bins of an FFT zero-padded
-#: to PAD_FACTOR times the scan length (or more, to reach that count).
+#: fewer than COARSE_GRID_SIZE frequencies over [0, Nyquist]: on a uniform
+#: grid at the bins of an FFT zero-padded to PAD_FACTOR times the scan length
+#: (or more, to reach that count), refined by a parabolic vertex; on a
+#: non-uniform grid directly, refined by a fine 65-point scan.
 PAD_FACTOR = 8
 COARSE_GRID_SIZE = 512
 
@@ -229,21 +231,29 @@ def _periodogram_ssr(p, weights, size):
 
 
 def _coarse_frequency(T, p, weights):
-    """Initial frequency of each row: the generalized Lomb-Scargle peak (the
-    SSR minimum), then a fine 65-point SSR scan one periodogram bin either
-    side, so Gauss-Newton starts inside the right basin.  The SSR is even in
-    the frequency, so a scan reaching below 0 gives its minimum as ``|f|``."""
+    """Initial frequency of each row at the generalized Lomb-Scargle peak (the
+    SSR minimum), so Gauss-Newton starts inside the right basin.  On a
+    uniform grid: the vertex ``(k + shift) / (size * dt)`` of the parabola
+    through the periodogram SSR at the minimum bin ``k`` and its neighbours,
+    with ``shift`` 0 where the curvature is not positive and clipped to half
+    a bin.  The SSR is even about 0 and Nyquist, so there bin 1 (``last - 1``)
+    stands in for the missing neighbour.  On a non-uniform grid: a fine
+    65-point SSR scan one grid bin either side, its minimum taken as ``|f|``."""
     dt = np.diff(T)
     step = float(np.min(dt))
     if np.all(np.abs(dt - step) <= UNIFORM_TOLERANCE * step):
         size = max(PAD_FACTOR * T.size, 2 * COARSE_GRID_SIZE)
-        bin_width = 1.0 / (size * step)
-        best = np.argmin(_periodogram_ssr(p, weights, size), axis=-1) / (size * step)
-    else:
-        nyquist = 0.5 / step
-        bin_width = nyquist / (COARSE_GRID_SIZE - 1)
-        ssr = _grid_ssr(T, p, weights, np.zeros(len(p)), bin_width, COARSE_GRID_SIZE)
-        best = np.linspace(0.0, nyquist, COARSE_GRID_SIZE)[np.argmin(ssr, axis=-1)]
+        ssr = _periodogram_ssr(p, weights, size)
+        rows, k, last = np.arange(len(p)), np.argmin(ssr, axis=-1), ssr.shape[-1] - 1
+        left, mid = ssr[rows, np.abs(k - 1)], ssr[rows, k]
+        right = ssr[rows, last - np.abs(last - k - 1)]
+        curv = left - 2.0 * mid + right
+        shift = np.divide(left - right, 2.0 * curv, out=np.zeros_like(mid), where=curv > 0.0)
+        return (k + np.clip(shift, -0.5, 0.5)) / (size * step)
+    nyquist = 0.5 / step
+    bin_width = nyquist / (COARSE_GRID_SIZE - 1)
+    ssr = _grid_ssr(T, p, weights, np.zeros(len(p)), bin_width, COARSE_GRID_SIZE)
+    best = np.linspace(0.0, nyquist, COARSE_GRID_SIZE)[np.argmin(ssr, axis=-1)]
     fine = np.linspace(best - bin_width, best + bin_width, 65, axis=-1)
     ssr = _grid_ssr(T, p, weights, best - bin_width, bin_width / 32, 65)
     return np.abs(fine[np.arange(len(fine)), np.argmin(ssr, axis=-1)])

@@ -137,7 +137,10 @@ def apply_contrast_decay(scan_data: FringeScan, tau_c: float) -> FringeScan:
         raise InvalidDurationError(f"contrast time must be > 0, got {tau_c}")
     envelope = np.exp(-scan_data.T / tau_c)
     p = 0.5 + (scan_data.p - 0.5) * envelope
-    return FringeScan(scan_data.T, p, scan_data.sd, label=scan_data.label)
+    # for T >= 0 the envelope lies in [0, 1], so p stays in [0, 1] (rounding
+    # is monotonic) and needs no re-check; a T before 0 can push it out
+    build = FringeScan._trusted if scan_data.T[0] >= 0.0 else FringeScan
+    return build(scan_data.T, p, scan_data.sd, label=scan_data.label)
 
 
 @dataclass(frozen=True)

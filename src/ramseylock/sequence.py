@@ -250,8 +250,10 @@ class FringeScan:
     ``p`` and ``sd`` have the shape of ``T``, or ``(K, N)`` over an
     N-point ``T`` for a batch of K fringes on one grid (one per key phase
     of a key-axis scan).  Data that breaks an invariant raises ``ValueError``
-    and is never clipped.  A batch is validated once; ``scan_data[k]`` and
-    :meth:`rows` return its fringes as 1-D scans sharing its read-only arrays.
+    and is never clipped; valid data is stored as read-only copies, so the
+    caller's arrays stay writeable.  A batch is validated once;
+    ``scan_data[k]`` and :meth:`rows` return its fringes as 1-D scans
+    sharing its read-only arrays.
     """
 
     T: np.ndarray
@@ -260,9 +262,9 @@ class FringeScan:
     label: str = ""
 
     def __post_init__(self):
-        T = np.asarray(self.T, dtype=float)
-        p = np.asarray(self.p, dtype=float)
-        sd = np.asarray(self.sd, dtype=float)
+        T = np.array(self.T, dtype=float)
+        p = np.array(self.p, dtype=float)
+        sd = np.array(self.sd, dtype=float)
         if T.ndim != 1 or T.size == 0:
             raise ValueError("scan needs at least one point")
         if p.ndim not in (1, 2) or p.shape[-1] != T.size or sd.shape != p.shape:

@@ -25,6 +25,9 @@ from ramseylock import (
 
 TWO_PI = 2.0 * math.pi
 
+#: A 16-point 0/1 pattern, as single-atom readouts of no fringe would give.
+COIN = np.array([1, 0, 1, 0, 1, 1, 1, 0, 0, 0, 1, 0, 0, 1, 1, 0], dtype=float)
+
 
 def synthetic(T, amplitude, frequency, phase, offset, decay_time):
     p = offset + amplitude * np.exp(-T / decay_time) * np.cos(TWO_PI * frequency * T + phase)
@@ -306,6 +309,93 @@ class TestPeriodogramSeed:
         assert fit.frequency == pytest.approx(110.0, rel=1e-6)
         assert fit == _reference_fit(sc)
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        points=st.integers(16, 301),
+        step=st.floats(1e-5, 1e-3),
+        start=st.floats(0.0, 1.0),
+        cycles=st.floats(0.0, 1.0),
+        amplitude=st.floats(0.1, 0.4),
+        rate=st.floats(0.0, 3.0),
+        phase=st.floats(0.0, TWO_PI),
+        noise=st.sampled_from([0.0, 1e-3, 1e-2, 0.1]),
+        weighted=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_uniform_seed_is_within_half_a_bin_of_the_ssr_minimum(
+        self, points, step, start, cycles, amplitude, rate, phase, noise, weighted, seed
+    ):
+        # the oracle: the direct SSR at every padded bin picks the peak, and
+        # its least value on 129 frequencies one bin either side of that
+        # peak is the minimum the vertex must land within half a bin of.
+        # Fringes run from 2 periods to 0.8 Nyquist: at 0 and Nyquist the
+        # sin column vanishes, so the SSR there is that of a smaller model
+        # and jumps above its limit, and next to those bins the vertex may
+        # sit up to 1.5 bins from the SSR's least value
+        rng = np.random.default_rng(seed)
+        span = points * step
+        T = start * span + step * np.arange(points)
+        n_cycles = 2.0 + cycles * (0.4 * points - 2.0)
+        p = 0.5 + amplitude * np.exp(-rate * (T - T[0]) / span) * np.cos(
+            TWO_PI * n_cycles / span * T + phase
+        )
+        sd = amplitude * max(noise, 1e-3) * 10.0 ** -rng.uniform(0.0, 1.0, points)
+        if noise:
+            p = np.clip(p + sd * rng.standard_normal(points), 0.0, 1.0)
+        weights = 1.0 / sd if weighted else np.ones(points)
+        seed_frequency = analysis._coarse_frequency(T, p[None], weights[None])[0]
+
+        size = max(analysis.PAD_FACTOR * points, 2 * analysis.COARSE_GRID_SIZE)
+        bin_width = 1.0 / (size * float(np.min(np.diff(T))))
+        bins = bin_width * np.arange(size // 2 + 1)
+        peak = bins[np.argmin(_direct_ssr(T, p, weights, bins))]
+        dense = np.linspace(max(peak - bin_width, 0.0), min(peak + bin_width, bins[-1]), 129)
+        minimum = dense[np.argmin(_direct_ssr(T, p, weights, dense))]
+        assert abs(seed_frequency - minimum) <= 0.5 * bin_width
+
+    @pytest.mark.parametrize("end", ["zero", "nyquist"])
+    def test_a_minimum_at_an_end_bin_seeds_that_end_exactly(self, end):
+        # the SSR is even about 0 and about Nyquist, so the mirrored
+        # neighbours are equal and the vertex stays on the end bin; an SSR
+        # rising steeply on one side only would pull a vertex off it
+        T = np.arange(201) / 8192.0  # a binary step: Nyquist is exactly 4096 Hz
+        last = max(analysis.PAD_FACTOR * T.size, 2 * analysis.COARSE_GRID_SIZE) // 2
+        rise = np.arange(last + 1.0) if end == "zero" else last - np.arange(last + 1.0)
+        ssr = (1.0 + rise**2 + rise**3)[None]
+        with mock.patch.object(analysis, "_periodogram_ssr", return_value=ssr):
+            seed = analysis._coarse_frequency(T, np.full((1, T.size), 0.5), np.ones((1, T.size)))
+        assert seed.tolist() == [0.0 if end == "zero" else 4096.0]
+
+    @pytest.mark.parametrize("points, fraction", [(16, 0.99), (16, 0.97), (32, 0.97)])
+    def test_a_fringe_just_below_nyquist_converges(self, points, fraction):
+        # the SSR jumps up at the Nyquist bin, so the vertex next to it
+        # stays off it; the fine scan seeded within 1/32 bin of Nyquist,
+        # where the sin column fades, and these fits ran out of iterations
+        T = 1e-4 * np.arange(points)
+        fit = fit_damped_sinusoid(synthetic(T, 0.25, fraction * 5000.0, 0.0, 0.5, points * 1e-4))
+        assert fit.converged
+        assert fit.frequency == pytest.approx(fraction * 5000.0, rel=1e-9)
+
+    def test_jittered_grid_keeps_the_grid_and_fine_scan_seed(self):
+        # bit for bit the seed before the periodogram vertex: the SSR on
+        # COARSE_GRID_SIZE frequencies over [0, Nyquist], then 65 one grid
+        # bin either side of the best, folded to |f|
+        rng = np.random.default_rng(12)
+        T = 0.002 + 1e-4 * np.arange(157) + rng.uniform(-2e-5, 2e-5, 157)
+        fringe = 0.5 + 0.3 * np.exp(-40.0 * T) * np.cos(TWO_PI * 110.0 * T + 0.3)
+        noisy = np.clip(fringe + 0.05 * rng.standard_normal(T.size), 0.0, 1.0)
+        p = np.array([fringe, rng.uniform(0.0, 1.0, T.size), noisy])
+        weights = np.vstack([np.ones(T.size), rng.uniform(0.1, 10.0, (2, T.size))])
+        count = analysis.COARSE_GRID_SIZE
+        nyquist = 0.5 / float(np.min(np.diff(T)))
+        bin_width = nyquist / (count - 1)
+        coarse = analysis._grid_ssr(T, p, weights, np.zeros(3), bin_width, count)
+        best = np.linspace(0.0, nyquist, count)[np.argmin(coarse, axis=-1)]
+        fine = analysis._grid_ssr(T, p, weights, best - bin_width, bin_width / 32, 65)
+        grid = np.linspace(best - bin_width, best + bin_width, 65, axis=-1)
+        expected = np.abs(grid[np.arange(3), np.argmin(fine, axis=-1)])
+        assert np.array_equal(analysis._coarse_frequency(T, p, weights), expected)
+
 
 class TestFitDiagnostics:
     def test_step_tol(self):
@@ -347,11 +437,16 @@ class TestFitDiagnostics:
         assert fit.rms_residual > fit.residual_threshold
 
     def test_halving_exhausted(self):
-        p = np.array([1, 0, 1, 0, 1, 1, 1, 0, 0, 0, 1, 0, 0, 1, 1, 0], dtype=float)
-        T = np.arange(p.size) * 1e-3
-        fit = fit_damped_sinusoid(FringeScan(T, p, np.zeros_like(T)))
-        assert (fit.converged, fit.reason) == (False, "halving_exhausted")
-        assert 1 <= fit.iterations < analysis.MAX_ITERATIONS
+        # started exactly at Nyquist, the sin and frequency columns of the
+        # Jacobian are rounding; on the third step one of them clears the
+        # lstsq cutoff, the step along it is ~1e10 Hz, and no halving of it
+        # lowers the SSR
+        p = COIN[None]
+        T = np.arange(COIN.size) * 1e-3
+        start = np.array([[0.5, 0.5, 0.0, 0.0, 500.0]])
+        params, iterations, reasons = analysis._gauss_newton(T, p, np.ones_like(p), start)
+        assert (list(reasons), list(iterations)) == (["halving_exhausted"], [3])
+        assert params[0, 4] == pytest.approx(500.0)
 
     def test_max_iter(self, monkeypatch):
         monkeypatch.setattr(analysis, "MAX_ITERATIONS", 2)
@@ -431,16 +526,18 @@ class TestFitMany:
             _assert_same_fit(b, a)
 
     def test_every_stop_reason_in_one_batch(self):
+        # the coin pattern seeds just below Nyquist, where the sin column
+        # fades, and runs out of iterations; halving_exhausted and singular
+        # need an explicit start (see TestFitDiagnostics and below)
         T = np.arange(16) * 1e-3
         rng = np.random.default_rng(6)
         noise, noise_sd = rng.uniform(0, 1, 16), rng.uniform(1e-4, 1, 16)
-        coin = np.array([1, 0, 1, 0, 1, 1, 1, 0, 0, 0, 1, 0, 0, 1, 1, 0], dtype=float)
         clean = 0.5 + 0.3 * np.cos(TWO_PI * 110.0 * T + 0.4)
-        P = np.array([coin, noise, np.full(16, 0.5), clean])
+        P = np.array([COIN, noise, np.full(16, 0.5), clean])
         SD = np.array([np.zeros(16), noise_sd, np.zeros(16), np.zeros(16)])
         batched = analysis.fit_many(FringeScan(T, P, SD))
         assert [f.reason for f in batched] == [
-            "halving_exhausted", "residual", "zero_variance", "step_tol"
+            "max_iter", "residual", "zero_variance", "step_tol"
         ]
         for b, a in zip(batched, _fits_alone(T, P, SD)):
             _assert_same_fit(b, a)

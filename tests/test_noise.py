@@ -224,6 +224,35 @@ class TestContrastDecay:
         with pytest.raises(InvalidDurationError):
             apply_contrast_decay(sc, 0.0)
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        points=st.lists(
+            st.tuples(
+                st.floats(0.0, 1e6),
+                st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+                st.floats(0.0, 1.0),
+            ),
+            min_size=1, max_size=40, unique_by=lambda point: point[0],
+        ),
+        tau_c=st.floats(min_value=0.0, exclude_min=True),
+    )
+    def test_result_keeps_fringe_scan_invariants(self, points, tau_c):
+        """The damped scan is not re-validated: from tau_c = 5e-324 to inf
+        it must meet the invariants, with p the formula's bit for bit."""
+        T, p, sd = (np.array(a) for a in zip(*sorted(points)))
+        with np.errstate(over="ignore"):  # T / tau_c overflows to inf for a tiny tau_c
+            out = apply_contrast_decay(FringeScan(T, p, sd, label="x"), tau_c)
+            expected = 0.5 + (p - 0.5) * np.exp(-T / tau_c)
+        assert_fringe_scan_invariants(out, T, "x")
+        assert np.array_equal(out.p, expected)
+        assert np.array_equal(out.sd, sd)
+
+    def test_times_before_zero_are_still_checked(self):
+        # there the envelope exceeds 1 and can push p out of [0, 1]
+        sc = FringeScan(np.array([-1.0, 0.0]), np.array([1.0, 0.5]), np.zeros(2))
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            apply_contrast_decay(sc, 1.0)
+
 
 class TestMonteCarloScramble:
     def test_zero_linewidth_reproduces_declared_key(

@@ -374,6 +374,13 @@ class TestFringeScan:
         with pytest.raises(ValueError):
             s.p[0] = 0.9
 
+    def test_caller_arrays_stay_writeable(self):
+        T, p, sd = np.linspace(0.0, 1.0, 5), np.full(5, 0.5), np.zeros(5)
+        s = FringeScan(T, p, sd)
+        assert all(a.flags.writeable for a in (T, p, sd))
+        T[0], p[0], sd[0] = -1.0, 2.0, -1.0
+        assert (s.T[0], s.p[0], s.sd[0]) == (0.0, 0.5, 0.0)
+
 
 class TestScanFault:
     """The one checker of scan data, and the entry points that raise from it."""
