@@ -5,7 +5,8 @@ Scan output columns are ``T_s,P_e,sd``; key-phase sweep output columns are
 fitted row per swept phase).  All output is plain CSV with a header row,
 ``\\n`` newlines and ``.`` decimal points, suitable for any plotter.
 
-Exit codes: 0 success, 2 config error, 3 timing-planner failure, 4 fit
+Exit codes: 0 success, 2 config error (a non-finite number in a
+description file or ``--grid`` is one), 3 timing-planner failure, 4 fit
 non-convergence where a fit is required (standard error then names each
 failed fit's ``reason`` and iteration count).
 """
@@ -20,7 +21,7 @@ from dataclasses import replace
 import numpy as np
 
 from .analysis import FitResult, fit_damped_sinusoid, fit_many, phase_spread
-from .config import PROTOCOLS, ExperimentConfig, GridSpec, parse_config, parse_duration
+from .config import PROTOCOLS, ExperimentConfig, GridSpec, parse_config, parse_grid
 from .errors import ConfigError, FitError, PlannerError, RamseyLockError
 from .noise import NoiseModel, apply_contrast_decay, measure_scan
 from .protocol import (
@@ -318,13 +319,7 @@ def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
     if args.protocol:
         cfg.protocol = args.protocol
     if args.grid:
-        parts = args.grid.split(":")
-        if len(parts) != 3:
-            raise ConfigError("--grid must be start:stop:step")
-        start, stop, step = (parse_duration(p) for p in parts)
-        if step <= 0 or stop < start:
-            raise ConfigError("--grid needs stop >= start and step > 0")
-        cfg.grid = GridSpec(start, stop, step)
+        cfg.grid = parse_grid(args.grid, name="--grid")
     if args.sweep_phis is not None:
         if args.sweep_phis < 1:
             raise ConfigError("--sweep-phis must be >= 1")

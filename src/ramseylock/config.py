@@ -17,7 +17,8 @@ Statements::
     noise [atoms=<i>] [repeats=<i>] [seed=<i>] [contrast_wri_s=<f>]
     sweep phis=<i>
 
-The counts ``atoms``, ``repeats`` and ``phis`` must be at least 1.
+The counts ``atoms``, ``repeats`` and ``phis`` must be at least 1, and
+every number must be finite: NaN and infinities are config errors.
 
 ``parse_config`` and ``serialize_config`` round-trip exactly: floats are
 emitted with ``repr`` so every finite double survives unchanged.
@@ -25,6 +26,7 @@ emitted with ``repr`` so every finite double survives unchanged.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field as dataclass_field
 
 from .errors import ConfigError
@@ -102,18 +104,29 @@ def parse_duration(token: str, line: int | None = None) -> float:
             text = text[: -len(suffix)]
             scale = s
             break
-    try:
-        value = float(text)
-    except ValueError:
-        raise ConfigError(f"bad duration {token!r}", line) from None
-    return value * scale
+    return _parse_float(text, "duration", line) * scale
 
 
-def _parse_float(token: str, key: str, line: int) -> float:
+def parse_grid(text: str, line: int | None = None, name: str = "grid") -> GridSpec:
+    """``<start>:<stop>:<step>`` durations with ``stop >= start`` and
+    ``step > 0``; ``name`` is the statement or option they came from."""
+    parts = text.split(":")
+    if len(parts) != 3:
+        raise ConfigError(f"{name} must be <start>:<stop>:<step>", line)
+    start, stop, step = (parse_duration(part, line) for part in parts)
+    if step <= 0 or stop < start:
+        raise ConfigError(f"{name} needs stop >= start and step > 0", line)
+    return GridSpec(start, stop, step)
+
+
+def _parse_float(token: str, key: str, line: int | None) -> float:
     try:
-        return float(token)
+        value = float(token)
     except ValueError:
         raise ConfigError(f"bad number for {key}: {token!r}", line) from None
+    if not math.isfinite(value):
+        raise ConfigError(f"{key} must be finite, got {token!r}", line)
+    return value
 
 
 def _parse_int(token: str, key: str, line: int) -> int:
@@ -222,12 +235,9 @@ def parse_config(text: str) -> ExperimentConfig:
                     raise ConfigError(f"interval {key} already set", lineno)
                 cfg.intervals[key] = _parse_float(value, key, lineno)
         elif keyword == "grid":
-            if len(args) != 1 or args[0].count(":") != 2:
-                raise ConfigError("grid must be <start>:<stop>:<step>", lineno)
-            start, stop, step = (parse_duration(part, lineno) for part in args[0].split(":"))
-            if step <= 0 or stop < start:
-                raise ConfigError("grid needs stop >= start and step > 0", lineno)
-            cfg.grid = GridSpec(start, stop, step)
+            if len(args) != 1:
+                raise ConfigError("grid takes one <start>:<stop>:<step> token", lineno)
+            cfg.grid = parse_grid(args[0], lineno)
         elif keyword == "noise":
             pairs = _keyvals(args, lineno)
             for key, reason in _UNAPPLIED_NOISE_KEYS.items():

@@ -10,13 +10,20 @@ multiple of pi between its two pulses, the scramble is undone exactly and
 the original fringe reappears regardless of the key phase.
 
 Builders return :class:`~ramseylock.sequence.Sequence` objects; planners
-solve the integer timing constraints that make decryption exact.
+solve the integer timing constraints that make decryption exact.  One rule,
+one search and one bracket define every timing and builder: the
+odd-half-turn wait ``(2n+1)*pi/|detuning|`` (``_half_turns``), the bounded
+search for its least admissible ``n`` (``_least_odd``), and the recording
+interferometer ``[write, ..., wait T, read]`` that every protocol's events
+sit inside (``_recorded``).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import reduce
+from operator import add, sub
 from typing import Sequence as SequenceType
 
 import numpy as np
@@ -24,6 +31,7 @@ import numpy as np
 from .errors import (
     InfeasiblePlanError,
     InvalidDurationError,
+    InvalidFieldError,
     NoFringeError,
     NoPrecessionError,
     PlanMismatchError,
@@ -37,6 +45,49 @@ _PLAN_RTOL = 1e-9
 #: Search bound for the integer timing planners; prevents unbounded loops
 #: on infeasible inputs.
 MAX_PLAN_INDEX = 10**6
+
+
+def _half_turns(n: int, detuning: float) -> float:
+    """Wait ``(2n+1)*pi/|detuning|`` over which a field precesses by an odd
+    multiple of pi."""
+    if not math.isfinite(detuning):
+        raise InvalidFieldError(f"detuning must be finite, got {detuning}")
+    return (2 * n + 1) * math.pi / abs(detuning)
+
+
+def _least_odd(detuning: float, minimum: float, index: str, bound: str, *spent: float) -> int:
+    """Least ``n`` whose odd-half-turn wait, less each of ``spent`` in turn,
+    is at least ``minimum``; ``index`` and ``bound`` name it in the error
+    raised when no ``n <= MAX_PLAN_INDEX`` will do."""
+    error = f"no {index} <= {MAX_PLAN_INDEX} satisfies the {bound}"
+    period = _half_turns(0, detuning)
+    # left to right: the round-off picks the index of a minimum on a boundary
+    estimate = (reduce(add, (*spent, minimum)) / period - 1.0) / 2.0
+    if not estimate <= MAX_PLAN_INDEX:
+        raise InfeasiblePlanError(error)
+    n = max(0, math.ceil(estimate))
+    while reduce(sub, spent, (2 * n + 1) * period) < minimum:  # guard against ceil round-off
+        n += 1
+        if n > MAX_PLAN_INDEX:
+            raise InfeasiblePlanError(error)
+    return n
+
+
+def _check_close(actual: float, expected: float, what: str) -> None:
+    if not abs(actual - expected) <= _PLAN_RTOL * max(abs(expected), 1e-300):
+        raise PlanMismatchError(f"{what}: plan value {actual} != required {expected}")
+
+
+def _recorded(write_key: WriteKey, middle: tuple, T: float, frame: FrameConvention,
+              clock_during_pulses: bool, scanned: bool) -> Sequence:
+    """The recording interferometer ``[write, *middle, wait T, read]``; the
+    read pulse repeats the write pulse."""
+    pulse = write_key.pulse()
+    return Sequence(
+        (pulse, *middle, Wait(T, scanned=scanned), pulse),
+        frame=frame,
+        clock_during_pulses=clock_during_pulses,
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -163,11 +214,7 @@ def build_write_read(
     With ``scanned`` the read wait is marked as the scan variable so the
     result can be handed straight to :func:`~ramseylock.sequence.scan`.
     """
-    return Sequence(
-        (key.pulse(), Wait(T, scanned=scanned), key.pulse()),
-        frame=frame,
-        clock_during_pulses=clock_during_pulses,
-    )
+    return _recorded(key, (), T, frame, clock_during_pulses, scanned)
 
 
 def plan_readout(delta_W: float, k: int = 0) -> float:
@@ -177,7 +224,7 @@ def plan_readout(delta_W: float, k: int = 0) -> float:
         raise NoFringeError("readout timing is undefined at zero detuning")
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
-    return (2 * k + 1) * math.pi / abs(delta_W)
+    return _half_turns(k, delta_W)
 
 
 def build_scrambled(
@@ -190,17 +237,8 @@ def build_scrambled(
     scanned: bool = False,
 ) -> Sequence:
     """Encrypting sequence ``[write, wait T1, scramble, wait T, read]``."""
-    return Sequence(
-        (
-            write_key.pulse(),
-            Wait(scramble_key.T1),
-            scramble_key.pulse(),
-            Wait(T, scanned=scanned),
-            write_key.pulse(),
-        ),
-        frame=frame,
-        clock_during_pulses=clock_during_pulses,
-    )
+    middle = (Wait(scramble_key.T1), scramble_key.pulse())
+    return _recorded(write_key, middle, T, frame, clock_during_pulses, scanned)
 
 
 def plan_retrieval(delta_S: float, min_T2: float = 0.0) -> RetrievalPlan:
@@ -210,21 +248,8 @@ def plan_retrieval(delta_S: float, min_T2: float = 0.0) -> RetrievalPlan:
         raise NoPrecessionError("retrieval timing is undefined at zero detuning")
     if min_T2 < 0.0:
         raise ValueError(f"min_T2 must be >= 0, got {min_T2}")
-    period = math.pi / abs(delta_S)
-    estimate = (min_T2 / period - 1.0) / 2.0
-    if not estimate <= MAX_PLAN_INDEX:
-        raise InfeasiblePlanError(f"no n <= {MAX_PLAN_INDEX} satisfies the T2 bound")
-    n = max(0, math.ceil(estimate))
-    while (2 * n + 1) * period < min_T2:  # guard against ceil round-off
-        n += 1
-        if n > MAX_PLAN_INDEX:
-            raise InfeasiblePlanError(f"no n <= {MAX_PLAN_INDEX} satisfies the T2 bound")
-    return RetrievalPlan(n=n, T2=(2 * n + 1) * math.pi / abs(delta_S))
-
-
-def _check_close(actual: float, expected: float, what: str) -> None:
-    if abs(actual - expected) > _PLAN_RTOL * max(abs(expected), 1e-300):
-        raise PlanMismatchError(f"{what}: plan value {actual} != required {expected}")
+    n = _least_odd(delta_S, min_T2, "n", "T2 bound")
+    return RetrievalPlan(n=n, T2=_half_turns(n, delta_S))
 
 
 def build_retrieved(
@@ -247,20 +272,10 @@ def build_retrieved(
     d = scramble_key.field.detuning
     if d == 0.0:
         raise NoPrecessionError("retrieval is undefined at zero detuning")
-    _check_close(plan.T2, (2 * plan.n + 1) * math.pi / abs(d), "retrieval wait")
-    return Sequence(
-        (
-            write_key.pulse(),
-            Wait(scramble_key.T1),
-            scramble_key.pulse(),
-            Wait(plan.T2),
-            scramble_key.pulse(),
-            Wait(T, scanned=scanned),
-            write_key.pulse(),
-        ),
-        frame=frame,
-        clock_during_pulses=clock_during_pulses,
-    )
+    _check_close(plan.T2, _half_turns(plan.n, d), "retrieval wait")
+    pulse = scramble_key.pulse()
+    middle = (Wait(scramble_key.T1), pulse, Wait(plan.T2), pulse)
+    return _recorded(write_key, middle, T, frame, clock_during_pulses, scanned)
 
 
 def build_double_scrambled(
@@ -277,19 +292,8 @@ def build_double_scrambled(
 
     ``scramble_2.T1`` is the scramble-1 to scramble-2 wait.
     """
-    return Sequence(
-        (
-            write_key.pulse(),
-            Wait(scramble_1.T1),
-            scramble_1.pulse(),
-            Wait(scramble_2.T1),
-            scramble_2.pulse(),
-            Wait(T, scanned=scanned),
-            write_key.pulse(),
-        ),
-        frame=frame,
-        clock_during_pulses=clock_during_pulses,
-    )
+    middle = (Wait(scramble_1.T1), scramble_1.pulse(), Wait(scramble_2.T1), scramble_2.pulse())
+    return _recorded(write_key, middle, T, frame, clock_during_pulses, scanned)
 
 
 def plan_double_retrieval(
@@ -312,44 +316,24 @@ def plan_double_retrieval(
     """
     if delta_S1 == 0.0 or delta_S2 == 0.0:
         raise NoPrecessionError("stacked retrieval is undefined at zero detuning")
-    if tau_S2 < 0.0:
+    if not tau_S2 >= 0.0 or not math.isfinite(tau_S2):
         raise InvalidDurationError(f"tau_S2 must be >= 0, got {tau_S2}")
     if min_T3 < 0.0 or min_T2_plus_T4 < 0.0:
         raise ValueError("minimum intervals must be >= 0")
 
-    period_2 = math.pi / abs(delta_S2)
-    estimate = (min_T3 / period_2 - 1.0) / 2.0
-    if not estimate <= MAX_PLAN_INDEX:
-        raise InfeasiblePlanError(f"no n <= {MAX_PLAN_INDEX} satisfies the T3 bound")
-    n = max(0, math.ceil(estimate))
-    while (2 * n + 1) * period_2 < min_T3:
-        n += 1
-        if n > MAX_PLAN_INDEX:
-            raise InfeasiblePlanError(f"no n <= {MAX_PLAN_INDEX} satisfies the T3 bound")
-    T3 = (2 * n + 1) * math.pi / abs(delta_S2)
-
+    n = _least_odd(delta_S2, min_T3, "n", "T3 bound")
+    T3 = _half_turns(n, delta_S2)
     correction = 2.0 * tau_S2 if clock_during_pulses else 0.0
-    period_1 = math.pi / abs(delta_S1)
-    needed = T3 + correction + min_T2_plus_T4
-    estimate = (needed / period_1 - 1.0) / 2.0
-    if not estimate <= MAX_PLAN_INDEX:
-        raise InfeasiblePlanError(f"no m <= {MAX_PLAN_INDEX} satisfies the sum constraint")
-    m = max(0, math.ceil(estimate))
-    while (2 * m + 1) * period_1 - T3 - correction < min_T2_plus_T4:
-        m += 1
-        if m > MAX_PLAN_INDEX:
-            raise InfeasiblePlanError(f"no m <= {MAX_PLAN_INDEX} satisfies the sum constraint")
-    slack = (2 * m + 1) * math.pi / abs(delta_S1) - T3 - correction
+    m = _least_odd(delta_S1, min_T2_plus_T4, "m", "sum constraint", T3, correction)
+    slack = _half_turns(m, delta_S1) - T3 - correction
 
     if T2 is None:
         T2 = slack / 2.0
-        T4 = slack - T2
-    else:
-        if not (0.0 <= T2 <= slack):
-            raise PlanMismatchError(f"T2 override {T2} outside available slack [0, {slack}]")
-        T4 = slack - T2
+    elif not (0.0 <= T2 <= slack):
+        raise PlanMismatchError(f"T2 override {T2} outside available slack [0, {slack}]")
     return DoubleRetrievalPlan(
-        m=m, n=n, T2=T2, T3=T3, T4=T4, tau_S2=tau_S2, clock_during_pulses=clock_during_pulses
+        m=m, n=n, T2=T2, T3=T3, T4=slack - T2, tau_S2=tau_S2,
+        clock_during_pulses=clock_during_pulses,
     )
 
 
@@ -372,36 +356,18 @@ def build_double_retrieved(
     detuning (with the ``2*tau_S2`` correction iff the plan was made for a
     wall-clock timeline), ``tau_S2`` and ``T2`` against the second key.
     """
-    d1 = abs(scramble_1.field.detuning)
-    d2 = abs(scramble_2.field.detuning)
+    d1, d2 = scramble_1.field.detuning, scramble_2.field.detuning
     if d1 == 0.0 or d2 == 0.0:
         raise NoPrecessionError("stacked retrieval is undefined at zero detuning")
-    _check_close(plan.T3, (2 * plan.n + 1) * math.pi / d2, "retrieve-2 wait")
+    _check_close(plan.T3, _half_turns(plan.n, d2), "retrieve-2 wait")
     correction = 2.0 * plan.tau_S2 if plan.clock_during_pulses else 0.0
-    _check_close(
-        plan.T2 + plan.T3 + plan.T4 + correction,
-        (2 * plan.m + 1) * math.pi / d1,
-        "retrieve-1 sum constraint",
-    )
+    total = plan.T2 + plan.T3 + plan.T4 + correction
+    _check_close(total, _half_turns(plan.m, d1), "retrieve-1 sum constraint")
     _check_close(plan.tau_S2, scramble_2.tau, "scramble-2 duration")
     _check_close(plan.T2, scramble_2.T1, "scramble-1 to scramble-2 wait")
-    return Sequence(
-        (
-            write_key.pulse(),
-            Wait(scramble_1.T1),
-            scramble_1.pulse(),
-            Wait(plan.T2),
-            scramble_2.pulse(),
-            Wait(plan.T3),
-            scramble_2.pulse(),
-            Wait(plan.T4),
-            scramble_1.pulse(),
-            Wait(T, scanned=scanned),
-            write_key.pulse(),
-        ),
-        frame=frame,
-        clock_during_pulses=plan.clock_during_pulses,
-    )
+    s1, s2 = scramble_1.pulse(), scramble_2.pulse()
+    middle = (Wait(scramble_1.T1), s1, Wait(plan.T2), s2, Wait(plan.T3), s2, Wait(plan.T4), s1)
+    return _recorded(write_key, middle, T, frame, plan.clock_during_pulses, scanned)
 
 
 def secret_readout(
@@ -427,16 +393,15 @@ def secret_readout(
     timeline conventions of both sequences.
     """
     grid = list(T_grid)
+    opts = dict(frame=frame, clock_during_pulses=clock_during_pulses, scanned=True)
     if scramble_key.has_phase:
         plan = plan_retrieval(scramble_key.field.detuning, 0.0)
-        template = build_retrieved(write_key, scramble_key, plan, 0.0, frame=frame,
-                                   clock_during_pulses=clock_during_pulses, scanned=True)
-        return scan(template, grid)
-    if rng is None:
+        template = build_retrieved(write_key, scramble_key, plan, 0.0, **opts)
+    elif rng is None:
         raise ValueError("blind readout needs a random generator for the unknown key phase")
-    # one draw of N phases reads the stream as N scalar draws would
-    size = len(grid) if fresh_phase_per_point else None
-    blind = replace(scramble_key, phi_S=rng.uniform(0.0, TWO_PI, size=size))
-    template = build_scrambled(write_key, blind, 0.0, frame=frame,
-                               clock_during_pulses=clock_during_pulses, scanned=True)
+    else:
+        # one draw of N phases reads the stream as N scalar draws would
+        size = len(grid) if fresh_phase_per_point else None
+        blind = replace(scramble_key, phi_S=rng.uniform(0.0, TWO_PI, size=size))
+        template = build_scrambled(write_key, blind, 0.0, **opts)
     return scan(template, grid)

@@ -344,6 +344,44 @@ class TestExitCodes:
         assert captured.out == ""
         assert f"protocol {protocol!r} does not support a key-phase sweep" in captured.err
 
+    @pytest.mark.parametrize(
+        "key, old, new",
+        [
+            ("omega_a_hz", "frame rotating", "frame lab nan"),
+            ("rabi_hz", "rabi_hz=565", "rabi_hz=nan"),
+            ("detuning_hz", "detuning_hz=110", "detuning_hz=inf"),
+            ("tau_s", "tau_s=0.00044", "tau_s=nan"),
+            ("phase_rad", "phase_rad=0", "phase_rad=nan"),
+            ("T1", "T1=0.005", "T1=nan"),
+            ("T2", "T2=0.005", "T2=nan"),
+            ("T3", "T2=0.005", "T2=0.005 T3=-inf"),
+            ("T4", "T2=0.005", "T2=0.005 T4=inf"),
+            ("contrast_wri_s", "grid 0:20ms:0.1ms", "grid 0:20ms:0.1ms\nnoise contrast_wri_s=nan"),
+            ("contrast_wri_s", "grid 0:20ms:0.1ms", "grid 0:20ms:0.1ms\nnoise contrast_wri_s=inf"),
+            ("duration", "grid 0:20ms:0.1ms", "grid 0:20ms:nan"),
+            ("duration", "grid 0:20ms:0.1ms", "grid 0:inf:0.1ms"),
+        ],
+        ids=["omega_a_hz", "rabi_hz", "detuning_hz", "tau_s", "phase_rad", "T1", "T2", "T3",
+             "T4", "contrast_wri_s-nan", "contrast_wri_s-inf", "grid-nan", "grid-inf"],
+    )
+    def test_non_finite_number_is_2_and_names_key_and_line(self, tmp_path, capsys, key, old, new):
+        text = table1_text().replace("protocol ramsey", "protocol retrieve")
+        assert old in text
+        text = text.replace(old, new, 1)
+        path = tmp_path / "non_finite.cfg"
+        path.write_text(text)
+        assert main([str(path)]) == 2
+        err = capsys.readouterr().err
+        lineno = 1 + text[: text.index(new.split("\n")[-1])].count("\n")
+        assert f"line {lineno}: {key} must be finite" in err
+
+    @pytest.mark.parametrize("grid", ["0:20ms:nan", "0:inf:0.1ms", "1:0:1", "0:1:0", "0:1"])
+    def test_bad_grid_option_is_2(self, table1_path, capsys, grid):
+        assert main([table1_path, "--grid", grid]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "config error" in captured.err
+
     def test_missing_file_is_2(self, capsys):
         assert main(["/does/not/exist.cfg"]) == 2
 

@@ -5,11 +5,15 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ramseylock import (
     GROUND,
     FieldParams,
     InfeasiblePlanError,
+    InvalidDurationError,
+    InvalidFieldError,
     NoFringeError,
     NoPrecessionError,
     PlanMismatchError,
@@ -36,6 +40,7 @@ from ramseylock import (
     scan,
     secret_readout,
 )
+from ramseylock.protocol import MAX_PLAN_INDEX
 
 TWO_PI = 2.0 * math.pi
 
@@ -171,6 +176,103 @@ class TestPlanDoubleRetrieval:
             plan_double_retrieval(TWO_PI * 100.0, TWO_PI * 100.0, 1e-3, math.inf, 1e-3)
         with pytest.raises(InfeasiblePlanError):
             plan_double_retrieval(TWO_PI * 100.0, TWO_PI * 100.0, 1e-3, 1e-3, math.inf)
+
+    @pytest.mark.parametrize("clock", [False, True])
+    @pytest.mark.parametrize("tau_S2", [-1e-3, math.nan, math.inf])
+    def test_negative_or_non_finite_tau_S2_rejected(self, tau_S2, clock):
+        with pytest.raises(InvalidDurationError, match="tau_S2"):
+            plan_double_retrieval(
+                TWO_PI * 100.0, TWO_PI * 100.0, tau_S2, 1e-3, 1e-3, clock_during_pulses=clock
+            )
+
+
+_PLANNERS = {
+    "readout": lambda d: plan_readout(d),
+    "retrieval": lambda d: plan_retrieval(d, 1e-3),
+    "double-first": lambda d: plan_double_retrieval(d, TWO_PI * 100.0, 1e-3, 1e-3, 1e-3),
+    "double-second": lambda d: plan_double_retrieval(TWO_PI * 100.0, d, 1e-3, 1e-3, 1e-3),
+}
+
+
+@pytest.mark.parametrize("planner", sorted(_PLANNERS))
+@pytest.mark.parametrize("detuning", [math.nan, math.inf, -math.inf])
+def test_non_finite_detuning_is_an_invalid_field(planner, detuning):
+    with pytest.raises(InvalidFieldError, match="detuning must be finite"):
+        _PLANNERS[planner](detuning)
+
+
+#: Relative round-off the planner properties allow.  A minimum that sits on
+#: a half-turn boundary may resolve to either neighbouring index: the
+#: planners compare against ``(2n+1) * (pi/|delta|)`` but report
+#: ``(2n+1) * pi / |delta|``, and the two can differ by an ulp.
+_PLAN_TOL = 1e-12
+
+
+def _half_turns(n, detuning):
+    return (2 * n + 1) * math.pi / abs(detuning)
+
+
+_detunings = st.builds(
+    lambda magnitude, sign: sign * magnitude,
+    st.floats(1.0, 1e5),
+    st.sampled_from([-1.0, 1.0]),
+)
+
+
+def _draw_minimum(data, detuning, less=0.0):
+    """A free minimum, or one on (or one ulp from) a half-turn boundary
+    with ``less`` taken off."""
+    if data.draw(st.booleans()):
+        return data.draw(st.floats(0.0, 60.0 * math.pi / abs(detuning)))
+    boundary = _half_turns(data.draw(st.integers(0, 50)), detuning) - less
+    nudge = data.draw(st.sampled_from([None, 0.0, math.inf]))
+    if nudge is not None:
+        boundary = math.nextafter(boundary, nudge)
+    return max(0.0, boundary)
+
+
+class TestPlannerProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_retrieval_is_the_least_odd_half_turn(self, data):
+        delta = data.draw(_detunings)
+        minimum = _draw_minimum(data, delta)
+        plan = plan_retrieval(delta, minimum)
+        tol = _PLAN_TOL * plan.T2
+        assert abs(plan.T2 - _half_turns(plan.n, delta)) <= tol
+        assert plan.T2 >= minimum - tol
+        assert plan.n == 0 or _half_turns(plan.n - 1, delta) < minimum + tol
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_double_retrieval_meets_both_constraints_minimally(self, data):
+        delta_1, delta_2 = data.draw(_detunings), data.draw(_detunings)
+        tau_S2 = data.draw(st.floats(0.0, 5e-3))
+        clock = data.draw(st.booleans())
+        correction = 2.0 * tau_S2 if clock else 0.0
+        min_T3 = _draw_minimum(data, delta_2)
+        # aim the sum minimum at a boundary of the T3 the planner will pick
+        T3 = plan_retrieval(delta_2, min_T3).T2
+        min_sum = _draw_minimum(data, delta_1, less=T3 + correction)
+        try:
+            plan = plan_double_retrieval(
+                delta_1, delta_2, tau_S2, min_T3, min_sum, clock_during_pulses=clock
+            )
+        except InfeasiblePlanError:
+            # only when even the last index allowed falls short
+            last = _half_turns(MAX_PLAN_INDEX, delta_1)
+            assert last - T3 - correction < min_sum + _PLAN_TOL * last
+            return
+        assert abs(plan.T3 - _half_turns(plan.n, delta_2)) <= _PLAN_TOL * plan.T3
+        total = _half_turns(plan.m, delta_1)
+        tol = _PLAN_TOL * total
+        assert abs(plan.T2 + plan.T3 + plan.T4 + correction - total) <= tol
+        assert plan.T2 >= -tol and plan.T4 >= -tol
+        assert plan.T2 + plan.T4 >= min_sum - tol
+        assert plan.n == 0 or _half_turns(plan.n - 1, delta_2) < min_T3 + _PLAN_TOL * plan.T3
+        assert plan.m == 0 or (
+            _half_turns(plan.m - 1, delta_1) - plan.T3 - correction < min_sum + tol
+        )
 
 
 class TestBuildWriteRead:
@@ -398,6 +500,13 @@ class TestDoubleRetrieved:
             for p2 in np.linspace(0.0, TWO_PI, 3, endpoint=False)
         )
         assert worst > 0.1
+
+    def test_nan_in_a_plan_is_a_mismatch(self, write_key, wide_keys):
+        # NaN fails every comparison, so a check must ask "close?", not "far?"
+        make_1, make_2, plan = wide_keys
+        bad = replace(plan, tau_S2=math.nan, T4=plan.T4 + 1e-3, clock_during_pulses=True)
+        with pytest.raises(PlanMismatchError, match="sum constraint"):
+            build_double_retrieved(write_key, make_1(0.0), make_2(0.0), bad, 1e-3)
 
     def test_plan_key_mismatches_rejected(self, write_key, wide_keys):
         make_1, make_2, plan = wide_keys
