@@ -2,9 +2,10 @@
 
 The files hold the CLI CSV of every seeded single-shot protocol, the
 8-phase key sweep of every sweepable protocol, one small Monte Carlo
-ensemble and the noiseless fringes of every sequence builder.  Any change
-to the readout, the scan engine or the random stream order that moves a
-single bit of output fails here.
+ensemble, the noiseless fringes of every sequence builder and the raw
+Gauss-Newton result of a set of fits.  Any change to the readout, the scan
+engine, the fitter or the random stream order that moves a single bit of
+output fails here.
 
 Rewrite the files (only when a change of output is intended) with::
 
@@ -16,6 +17,7 @@ import math
 from dataclasses import replace
 from importlib import resources
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -24,6 +26,7 @@ from ramseylock import (
     ROTATING,
     FieldParams,
     FrameConvention,
+    FringeScan,
     NoiseModel,
     ScrambleKey,
     WriteKey,
@@ -37,6 +40,7 @@ from ramseylock import (
     plan_retrieval,
     scan,
 )
+from ramseylock import analysis
 from ramseylock.cli import run
 from ramseylock.config import parse_config
 
@@ -132,11 +136,99 @@ def _noiseless_csv() -> bytes:
     return ("\n".join(rows) + "\n").encode()
 
 
+def _gauss_newton_rows(case: str, call) -> list[str]:
+    """Run ``call()`` and return one row per fit that ``_gauss_newton`` ran
+    inside it: the five raw parameters (offset, a, b, rate, freq), the
+    iteration count and the reason."""
+    runs = []
+    gauss_newton = analysis._gauss_newton
+
+    def spy(*args):
+        out = gauss_newton(*args)
+        runs.append(out)
+        return out
+
+    with mock.patch.object(analysis, "_gauss_newton", spy), np.errstate(over="ignore",
+                                                                         invalid="ignore"):
+        call()
+    rows = []
+    for params, iterations, reasons in runs:
+        for k, (x, iteration, reason) in enumerate(zip(params, iterations, reasons)):
+            rows.append(",".join([case, str(k), *(repr(float(v)) for v in x),
+                                  str(int(iteration)), reason]))
+    return rows
+
+
+def _fit_protocol(csv: str) -> None:
+    run(parse_config("protocol fit\n"), io.StringIO(), input_stream=io.StringIO(csv))
+
+
+def _fit_inputs():
+    """Scan CSVs as the ``fit`` protocol reads them: the seeded ramsey,
+    retrieve, scramble and attack runs of table1.cfg, noisy (per-point sd,
+    a weighted fit) and noiseless (sd 0, an unweighted fit)."""
+    rng = np.random.default_rng(1414)
+    table = resources.files("ramseylock.data").joinpath("table1.cfg").read_text()
+    table = table.replace("protocol ramsey\n", "")
+    for protocol in ("ramsey", "retrieve", "scramble", "attack"):
+        for noisy in (True, False):
+            phi = float(rng.uniform(0.0, TWO_PI))
+            seed = int(rng.integers(2**31))
+            text = table.replace("phase_rad=random", f"phase_rad={phi!r}")
+            text += f"protocol {protocol}\n"
+            if noisy:
+                text += f"noise atoms=50000 repeats=5 seed={seed}\n"
+            out = io.StringIO()
+            assert run(parse_config(text), out, seed=None if noisy else seed) == 0
+            yield f"fit_{protocol}_{'noisy' if noisy else 'noiseless'}", out.getvalue()
+
+
+def _explicit_starts():
+    """Fits that end ``halving_exhausted``, ``singular`` and ``max_iter``."""
+    coin = np.array([1, 0, 1, 0, 1, 1, 1, 0, 0, 0, 1, 0, 0, 1, 1, 0], dtype=float)
+    T16 = np.arange(16) * 1e-3
+    yield "halving_exhausted", lambda: analysis._gauss_newton(
+        T16, coin[None], np.ones((1, 16)), np.array([[0.5, 0.5, 0.0, 0.0, 500.0]])
+    )
+    T = np.linspace(0.0, 20e-3, 201)
+    p = 0.5 + 0.4 * np.cos(TWO_PI * 110.0 * T + 0.3)
+    start = np.array([[0.5, 0.4, 0.0, 0.0, 110.0], [0.5, 0.4, 0.0, -1e6, 110.0]])
+    yield "singular", lambda: analysis._gauss_newton(T, np.array([p, p]), np.ones((2, 201)), start)
+    damped = 0.5 + 0.5 * np.exp(-T / 30e-3) * np.cos(TWO_PI * 110.0 * T + 1.0)
+
+    def capped():
+        with mock.patch.object(analysis, "MAX_ITERATIONS", 2):
+            analysis.fit_many(FringeScan(T, damped, np.zeros_like(T)))
+
+    yield "max_iter", capped
+    # coin runs out of its 200 iterations beside a residual and a clean row
+    rng = np.random.default_rng(6)
+    noise, noise_sd = rng.uniform(0, 1, 16), rng.uniform(1e-4, 1, 16)
+    clean = 0.5 + 0.3 * np.cos(TWO_PI * 110.0 * T16 + 0.4)
+    P = np.array([coin, noise, clean])
+    SD = np.array([np.zeros(16), noise_sd, np.zeros(16)])
+    yield "mixed_batch", lambda: analysis.fit_many(FringeScan(T16, P, SD))
+
+
+def _fit_bits_csv() -> bytes:
+    """The raw Gauss-Newton result of every fit of the ``fit`` protocol
+    inputs, of the 8-phase sweeps and of explicit starts, bit for bit."""
+    rows = ["case,row,offset,a,b,rate,freq,iterations,reason"]
+    for case, csv in _fit_inputs():
+        rows += _gauss_newton_rows(case, lambda csv=csv: _fit_protocol(csv))
+    for protocol in SWEEP:
+        rows += _gauss_newton_rows(f"sweep_{protocol}", lambda p=protocol: _cli_csv(p, True))
+    for case, call in _explicit_starts():
+        rows += _gauss_newton_rows(case, call)
+    return ("\n".join(rows) + "\n").encode()
+
+
 GOLDENS = {
     **{f"cli_{p}.csv": (lambda p=p: _cli_csv(p, False)) for p in SINGLE},
     **{f"cli_sweep_{p}.csv": (lambda p=p: _cli_csv(p, True)) for p in SWEEP},
     "monte_carlo_scramble.csv": _monte_carlo_csv,
     "noiseless_scans.csv": _noiseless_csv,
+    "fit_bits.csv": _fit_bits_csv,
 }
 
 
