@@ -113,13 +113,16 @@ class FitResult:
             raise ValueError("converged must hold exactly when reason is 'step_tol'")
 
 
-def _model(T: np.ndarray, params: np.ndarray) -> np.ndarray:
-    """The fitted curve on ``T`` of every row of ``params`` (offset, a, b,
-    rate, freq), one row of the result each."""
-    offset, a, b, rate, freq = params.T[..., None]
+def _evaluate(T, p, weights, x):
+    """The curve of each row of ``x`` (offset, a, b, rate, freq) on ``T``:
+    env, cos, sin, ``a*cos + b*sin``, the weighted residual and its SSR."""
+    offset, a, b, rate, freq = x.T[..., None]
     env = np.exp(-rate * T)
     arg = TWO_PI * freq * T
-    return offset + env * (a * np.cos(arg) + b * np.sin(arg))
+    cos_t, sin_t = np.cos(arg), np.sin(arg)
+    osc = a * cos_t + b * sin_t
+    resid = (offset + env * osc - p) * weights
+    return env, cos_t, sin_t, osc, resid, np.einsum("kn,kn->k", resid, resid)
 
 
 def _normal_solve(w2, p, c, s, cc, cs, ss, cp, sp):
@@ -295,22 +298,18 @@ def _gauss_newton(T, p, weights, params):
     the same row of ``p``; returns (params, iterations, reasons), with each
     reason one of ``step_tol``, ``halving_exhausted``, ``max_iter`` and
     ``singular``.  The rows step together, and a row leaves the batch when
-    it stops, so no row's outcome depends on another's."""
+    it stops, so no row's outcome depends on another's.  Each iterate is
+    evaluated once: a full step that every row takes on the first try is
+    the next iterate, and a step below the tolerance is taken unevaluated."""
     params = np.array(params, dtype=float)
     iterations = np.full(len(params), MAX_ITERATIONS)
     reasons = np.full(len(params), "max_iter", dtype=object)
-    rows, x = np.arange(len(params)), params.copy()
+    rows, x, evaluated = np.arange(len(params)), params.copy(), None
     neg_T, two_pi_T = -T, TWO_PI * T
     for iteration in range(1, MAX_ITERATIONS + 1):
         if not rows.size:
             break
-        offset, a, b, rate, freq = x.T[..., None]
-        env = np.exp(-rate * T)
-        arg = TWO_PI * freq * T
-        cos_t, sin_t = np.cos(arg), np.sin(arg)
-        osc = a * cos_t + b * sin_t
-        resid = (offset + env * osc - p) * weights
-        ssr = np.einsum("kn,kn->k", resid, resid)
+        env, cos_t, sin_t, osc, resid, ssr = evaluated or _evaluate(T, p, weights, x)
         ew = env * weights
         jac = np.stack(
             [
@@ -318,7 +317,7 @@ def _gauss_newton(T, p, weights, params):
                 ew * cos_t,
                 ew * sin_t,
                 neg_T * ew * osc,
-                two_pi_T * ew * (b * cos_t - a * sin_t),
+                two_pi_T * ew * (x[:, 2:3] * cos_t - x[:, 1:2] * sin_t),
             ],
             axis=-1,
         )
@@ -338,19 +337,21 @@ def _gauss_newton(T, p, weights, params):
         # ``taken`` is the shrink of the step each row took
         taken = np.full(len(x), np.nan)
         pending = np.flatnonzero(~singular)
-        shrink = 1.0
-        for _ in range(30):
-            sub = slice(None) if pending.size == len(x) else pending
-            trial = x[sub] + shrink * step[sub]
-            r = (_model(T, trial) - p[sub]) * weights[sub]
-            ok = np.einsum("kn,kn->k", r, r) <= ssr[sub]
-            ok |= rel_step[sub] * shrink < STEP_TOLERANCE
+        shrink, evaluated = 1.0, None
+        for attempt in range(30):
+            trial = x[pending] + shrink * step[pending]
+            ok = rel_step[pending] * shrink < STEP_TOLERANCE  # taken whatever its SSR
+            if not ok.all():
+                tried = pending[~ok]
+                evaluated = _evaluate(T, p[tried], weights[tried], trial[~ok])
+                ok[~ok] = evaluated[5] <= ssr[tried]
             x[pending[ok]] = trial[ok]
             taken[pending[ok]] = shrink
             pending = pending[~ok]
             if not pending.size:
                 break
             shrink *= 0.5
+        evaluated = None if attempt or pending.size else evaluated
         converged = rel_step * taken < STEP_TOLERANCE
         done = singular | converged
         done[pending] = True
@@ -403,7 +404,7 @@ def fit_many(scan: FringeScan) -> list[FitResult]:
         weights = np.divide(1.0, sd_live, out=np.ones_like(sd_live), where=weighted)
         seeds = _rate_seeds(T, p_live, weights, _coarse_frequency(T, p_live, weights))
         params, iterations, reasons = _gauss_newton(T, p_live, weights, seeds)
-        rms = np.sqrt(np.mean((_model(T, params) - p_live) ** 2, axis=-1))
+        rms = np.sqrt(np.mean(_evaluate(T, p_live, 1.0, params)[4] ** 2, axis=-1))
         fitted = zip(params.tolist(), iterations.tolist(), reasons, rms.tolist())
 
     span = float(T[-1] - T[0])

@@ -156,29 +156,41 @@ def _read_scan_csv(stream) -> FringeScan:
     Blank and ``#`` lines are skipped; the first other line is a header if
     it starts with ``T``.  A malformed row, a non-finite value, ``P_e``
     outside [0, 1], a negative ``sd`` or non-increasing ``T`` raises
-    ``FitError`` naming the line.
+    ``FitError`` naming the line.  Rows of one width after an optional
+    first-line header, and nothing else, are parsed in one numpy pass.
     """
-    rows, linenos = [], []
-    header_allowed = True
-    for lineno, line in enumerate(stream, start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if header_allowed:
-            header_allowed = False
-            if line.lower().startswith("t"):
-                continue
-        parts = line.split(",")
-        if len(parts) not in (2, 3):
-            raise FitError(f"scan CSV line {lineno}: expected T_s,P_e[,sd]")
+    lines = stream.read().removesuffix("\n").split("\n")
+    header = lines[0].strip().lower().startswith("t")
+    data = None
+    if len(lines) > header and lines[header].strip():  # numpy warns if no line holds data
         try:
-            rows.append((float(parts[0]), float(parts[1]),
-                         float(parts[2]) if len(parts) == 3 else 0.0))
-        except ValueError as exc:
-            raise FitError(f"scan CSV line {lineno}: {exc}") from exc
-        linenos.append(lineno)
-    if not rows:
-        raise FitError("scan CSV holds no data rows")
+            data = np.loadtxt(lines[header:], delimiter=",", comments=None, ndmin=2)
+        except ValueError:
+            pass
+    if data is not None and data.shape[1] in (2, 3) and len(data) == len(lines) - header:
+        rows = np.concatenate([data, np.zeros((len(data), 3 - data.shape[1]))], axis=1)
+        linenos = range(1 + header, len(lines) + 1)
+    else:
+        rows, linenos = [], []
+        header_allowed = True
+        for lineno, line in enumerate(lines, start=1):
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            if header_allowed:
+                header_allowed = False
+                if line.lower().startswith("t"):
+                    continue
+            parts = line.split(",")
+            if len(parts) not in (2, 3):
+                raise FitError(f"scan CSV line {lineno}: expected T_s,P_e[,sd]")
+            try:
+                rows.append([float(part) for part in parts] + [0.0] * (3 - len(parts)))
+            except ValueError as exc:
+                raise FitError(f"scan CSV line {lineno}: {exc}") from exc
+            linenos.append(lineno)
+        if not rows:
+            raise FitError("scan CSV holds no data rows")
     T, p, sd = np.asarray(rows, dtype=float).T
     fault = _scan_fault(T, p, sd)
     if fault is not None:

@@ -116,6 +116,8 @@ def parse_grid(text: str, line: int | None = None, name: str = "grid") -> GridSp
     start, stop, step = (parse_duration(part, line) for part in parts)
     if step <= 0 or stop < start:
         raise ConfigError(f"{name} needs stop >= start and step > 0", line)
+    if not math.isfinite((stop - start) / step):
+        raise ConfigError(f"{name} has too many points: (stop - start) / step overflows", line)
     return GridSpec(start, stop, step)
 
 

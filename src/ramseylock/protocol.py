@@ -246,7 +246,7 @@ def plan_retrieval(delta_S: float, min_T2: float = 0.0) -> RetrievalPlan:
     ``(2n+1)*pi/|delta_S| >= min_T2``."""
     if delta_S == 0.0:
         raise NoPrecessionError("retrieval timing is undefined at zero detuning")
-    if min_T2 < 0.0:
+    if not min_T2 >= 0.0:
         raise ValueError(f"min_T2 must be >= 0, got {min_T2}")
     n = _least_odd(delta_S, min_T2, "n", "T2 bound")
     return RetrievalPlan(n=n, T2=_half_turns(n, delta_S))
@@ -318,7 +318,7 @@ def plan_double_retrieval(
         raise NoPrecessionError("stacked retrieval is undefined at zero detuning")
     if not tau_S2 >= 0.0 or not math.isfinite(tau_S2):
         raise InvalidDurationError(f"tau_S2 must be >= 0, got {tau_S2}")
-    if min_T3 < 0.0 or min_T2_plus_T4 < 0.0:
+    if not (min_T3 >= 0.0 and min_T2_plus_T4 >= 0.0):
         raise ValueError("minimum intervals must be >= 0")
 
     n = _least_odd(delta_S2, min_T3, "n", "T3 bound")

@@ -181,7 +181,7 @@ def _with_final_ssr(fit_call, sc):
 
     def spy(T, p, weights, params):
         out = gauss_newton(T, p, weights, params)
-        r = (analysis._model(T, out[0]) - p) * weights
+        r = analysis._evaluate(T, p, weights, out[0])[4]
         ssr.extend(np.sum(r * r, axis=-1))
         return out
 

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from ramseylock import (
     ConfigError,
+    FitError,
     FringeScan,
     fit_damped_sinusoid,
     parse_config,
@@ -255,6 +256,88 @@ class TestRun:
         assert float(row.split(",")[2]) == pytest.approx(110.0, rel=1e-6)
 
 
+def _read_line_by_line(stream) -> FringeScan:
+    """The scan CSV reader as it was before the one-pass numpy parse: the
+    oracle for ``cli._read_scan_csv``."""
+    rows, linenos = [], []
+    header_allowed = True
+    for lineno, line in enumerate(stream, start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if header_allowed:
+            header_allowed = False
+            if line.lower().startswith("t"):
+                continue
+        parts = line.split(",")
+        if len(parts) not in (2, 3):
+            raise FitError(f"scan CSV line {lineno}: expected T_s,P_e[,sd]")
+        try:
+            rows.append((float(parts[0]), float(parts[1]),
+                         float(parts[2]) if len(parts) == 3 else 0.0))
+        except ValueError as exc:
+            raise FitError(f"scan CSV line {lineno}: {exc}") from exc
+        linenos.append(lineno)
+    if not rows:
+        raise FitError("scan CSV holds no data rows")
+    T, p, sd = np.asarray(rows, dtype=float).T
+    fault = cli._scan_fault(T, p, sd)
+    if fault is not None:
+        line = linenos[fault.index]
+        raise FitError(f"scan CSV line {line}: {fault.invariant}, got {fault.value}")
+    return FringeScan._trusted(T, p, sd)
+
+
+#: Tokens that read differently (or not at all) in ``float`` and numpy, or
+#: break a scan invariant: padding, an underscore, a hex float, non-finite
+#: values, an empty field, a mid-line comment, p > 1 and a negative sd.
+_ODD_TOKENS = (" 0.25 ", "\t0.5", "1_0", "0x1p-3", "nan", "inf", "-inf", "1e999", "", "-0.0",
+               "0.5 # note", "+0.5", "1.5", "-1", "x", "\u0661")
+
+
+@st.composite
+def _scan_csv_texts(draw):
+    """Scan CSV texts, clean (all rows of one width, one line ending) or
+    messy (``#``, blank and blank-looking lines, mixed widths, odd tokens,
+    trailing commas, CRLF and lone ``\\r``)."""
+    messy = draw(st.booleans())
+    width = draw(st.sampled_from([2, 3]))
+    ending = draw(st.sampled_from(["\n", "\r\n"]))
+    lines = []
+    if draw(st.booleans()):
+        lines.append(draw(st.sampled_from(["T_s,P_e,sd", "T_s,P_e", " t", "# T_s,P_e,sd"])))
+    for i in range(draw(st.integers(0, 10))):
+        line = draw(st.sampled_from(("row",) * 5 + ("#", "# note", "", "  ", "\x0c")))
+        if line == "row" or not messy:
+            w = draw(st.sampled_from([1, 2, 3, 4])) if messy and draw(st.booleans()) else width
+            tokens = [repr(i * 1e-4 + draw(st.floats(0.0, 5e-5))),
+                      repr(draw(st.floats(0.0, 1.0))), repr(draw(st.floats(0.0, 0.1))), "0.1"][:w]
+            if draw(st.integers(0, 3)) == 0:
+                tokens[draw(st.integers(0, w - 1))] = draw(st.sampled_from(_ODD_TOKENS))
+            line = ",".join(tokens) + ("," if messy and draw(st.integers(0, 5)) == 0 else "")
+        lines.append(line)
+    endings = st.sampled_from(["\n", "\r\n", "\r"]) if messy else st.just(ending)
+    text = "".join(line + draw(endings) for line in lines)
+    return text if draw(st.booleans()) else text.rstrip("\r\n")
+
+
+def _parsed(reader, text):
+    try:
+        sc = reader(io.StringIO(text))
+    except FitError as exc:
+        return str(exc)
+    return [(a.tobytes(), a.shape, a.strides) for a in (sc.T, sc.p, sc.sd)]
+
+
+class TestScanCsvReader:
+    @pytest.mark.filterwarnings("error")
+    @settings(max_examples=400, deadline=None)
+    @given(_scan_csv_texts())
+    def test_matches_the_line_by_line_reader(self, text):
+        # the same arrays, bit for bit and in the same layout, or the same error
+        assert _parsed(cli._read_scan_csv, text) == _parsed(_read_line_by_line, text)
+
+
 def _fit_csv_exit(tmp_path, rows: list[str]) -> int:
     T = np.linspace(0.0, 20e-3, 30)
     good = [f"{float(t)!r},{0.5 + 0.4 * math.cos(TWO_PI * 110.0 * t)!r},0.01" for t in T]
@@ -381,6 +464,22 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "config error" in captured.err
+
+    def test_grid_with_too_many_points_is_2_and_names_the_line(self, tmp_path, capsys):
+        # the point count overflows: rejected before any grid is built
+        text = table1_text().replace("grid 0:20ms:0.1ms", "grid -1e308:1e308:1")
+        path = tmp_path / "huge_grid.cfg"
+        path.write_text(text)
+        assert main([str(path)]) == 2
+        lineno = 1 + text[: text.index("grid -1e308")].count("\n")
+        assert f"line {lineno}: grid has too many points" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("grid", ["-1e308:1e308:1", "0:1e300:1e-10"])
+    def test_grid_option_with_too_many_points_is_2(self, table1_path, capsys, grid):
+        assert main([table1_path, f"--grid={grid}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "config error: --grid has too many points" in captured.err
 
     def test_missing_file_is_2(self, capsys):
         assert main(["/does/not/exist.cfg"]) == 2

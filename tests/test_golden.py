@@ -148,9 +148,9 @@ def _gauss_newton_rows(case: str, call) -> list[str]:
         runs.append(out)
         return out
 
-    with mock.patch.object(analysis, "_gauss_newton", spy), np.errstate(over="ignore",
-                                                                         invalid="ignore"):
-        call()
+    with mock.patch.object(analysis, "_gauss_newton", spy):
+        with np.errstate(over="ignore", invalid="ignore"):
+            call()
     rows = []
     for params, iterations, reasons in runs:
         for k, (x, iteration, reason) in enumerate(zip(params, iterations, reasons)):

@@ -109,6 +109,11 @@ class TestPlanRetrieval:
         with pytest.raises(NoPrecessionError):
             plan_retrieval(0.0, 1e-3)
 
+    def test_nan_minimum_rejected(self):
+        # not reported as infeasible: NaN is no minimum at all
+        with pytest.raises(ValueError, match="min_T2 must be >= 0"):
+            plan_retrieval(TWO_PI * 100.0, math.nan)
+
     def test_round_off_step_past_index_bound_is_infeasible(self):
         # the estimate lands exactly on MAX_PLAN_INDEX, and ceil round-off
         # makes the guard loop step one past it
@@ -176,6 +181,13 @@ class TestPlanDoubleRetrieval:
             plan_double_retrieval(TWO_PI * 100.0, TWO_PI * 100.0, 1e-3, math.inf, 1e-3)
         with pytest.raises(InfeasiblePlanError):
             plan_double_retrieval(TWO_PI * 100.0, TWO_PI * 100.0, 1e-3, 1e-3, math.inf)
+
+    @pytest.mark.parametrize(
+        "minima", [(math.nan, 1e-3), (1e-3, math.nan)], ids=["min_T3", "min_T2_plus_T4"]
+    )
+    def test_nan_minimum_rejected(self, minima):
+        with pytest.raises(ValueError, match="minimum intervals must be >= 0"):
+            plan_double_retrieval(TWO_PI * 100.0, TWO_PI * 100.0, 1e-3, *minima)
 
     @pytest.mark.parametrize("clock", [False, True])
     @pytest.mark.parametrize("tau_S2", [-1e-3, math.nan, math.inf])
