@@ -299,8 +299,7 @@ def _gauss_newton(T, p, weights, params):
     reason one of ``step_tol``, ``halving_exhausted``, ``max_iter`` and
     ``singular``.  The rows step together, and a row leaves the batch when
     it stops, so no row's outcome depends on another's.  Each iterate is
-    evaluated once: a full step that every row takes on the first try is
-    the next iterate, and a step below the tolerance is taken unevaluated."""
+    evaluated once, and a step below the tolerance is taken unevaluated."""
     params = np.array(params, dtype=float)
     iterations = np.full(len(params), MAX_ITERATIONS)
     reasons = np.full(len(params), "max_iter", dtype=object)
@@ -351,6 +350,7 @@ def _gauss_newton(T, p, weights, params):
             if not pending.size:
                 break
             shrink *= 0.5
+        # reuse holds as the rows kept below are exactly those evaluated at attempt 0
         evaluated = None if attempt or pending.size else evaluated
         converged = rel_step * taken < STEP_TOLERANCE
         done = singular | converged

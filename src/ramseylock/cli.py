@@ -14,6 +14,7 @@ failed fit's ``reason`` and iteration count).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import sys
 from dataclasses import replace
@@ -156,17 +157,17 @@ def _read_scan_csv(stream) -> FringeScan:
     Blank and ``#`` lines are skipped; the first other line is a header if
     it starts with ``T``.  A malformed row, a non-finite value, ``P_e``
     outside [0, 1], a negative ``sd`` or non-increasing ``T`` raises
-    ``FitError`` naming the line.  Rows of one width after an optional
-    first-line header, and nothing else, are parsed in one numpy pass.
+    ``FitError`` naming the line.  A body of same-width rows is one numpy pass.
     """
-    lines = stream.read().removesuffix("\n").split("\n")
+    text = stream.read()
+    lines = text.removesuffix("\n").split("\n")
     header = lines[0].strip().lower().startswith("t")
     data = None
-    if len(lines) > header and lines[header].strip():  # numpy warns if no line holds data
-        try:
+    # numpy skips blank lines, may end a row at a lone "\r", fails late on "#", warns on no rows
+    if ("#" not in text and "" not in lines and "\r" not in lines and len(lines) > header
+            and ("\r" not in text or text.count("\r") == text.count("\r\n"))):
+        with contextlib.suppress(ValueError):
             data = np.loadtxt(lines[header:], delimiter=",", comments=None, ndmin=2)
-        except ValueError:
-            pass
     if data is not None and data.shape[1] in (2, 3) and len(data) == len(lines) - header:
         rows = np.concatenate([data, np.zeros((len(data), 3 - data.shape[1]))], axis=1)
         linenos = range(1 + header, len(lines) + 1)
@@ -185,7 +186,8 @@ def _read_scan_csv(stream) -> FringeScan:
             if len(parts) not in (2, 3):
                 raise FitError(f"scan CSV line {lineno}: expected T_s,P_e[,sd]")
             try:
-                rows.append([float(part) for part in parts] + [0.0] * (3 - len(parts)))
+                rows.append((float(parts[0]), float(parts[1]),
+                             float(parts[2]) if len(parts) == 3 else 0.0))
             except ValueError as exc:
                 raise FitError(f"scan CSV line {lineno}: {exc}") from exc
             linenos.append(lineno)

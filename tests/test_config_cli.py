@@ -6,7 +6,7 @@ from importlib import resources
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ramseylock import (
@@ -333,6 +333,13 @@ class TestScanCsvReader:
     @pytest.mark.filterwarnings("error")
     @settings(max_examples=400, deadline=None)
     @given(_scan_csv_texts())
+    # a lone "\r" and a blank or "\r"-only line: a numpy that ends a row at each "\r"
+    # and skips empty rows reads as many rows as there are lines
+    @example("0,0.5\r1e-3,0.6\n\n2e-3,0.7")
+    @example("0,0.5\r1e-3,0.6\n\r\r\n2e-3,0.7")
+    # a CRLF blank line, which numpy skips, and a whitespace-only line, which it rejects
+    @example("T_s,P_e\r\n0,0.5\r\n\r\n1e-3,0.6\r\n")
+    @example("0,0.5\n  \n1e-3,0.6\n")
     def test_matches_the_line_by_line_reader(self, text):
         # the same arrays, bit for bit and in the same layout, or the same error
         assert _parsed(cli._read_scan_csv, text) == _parsed(_read_line_by_line, text)
