@@ -13,16 +13,15 @@ The fitter is deterministic and derivative-based.  The frequency seed is
 the peak of the generalized Lomb-Scargle periodogram (Zechmeister &
 Kuerster 2009): the trial frequency with the least weighted residual sum
 of squares (SSR) of the undamped linear model, whose offset and quadrature
-amplitudes are solved exactly.  On a uniform grid the trial frequencies
-are the bins of a zero-padded FFT, which supplies every sum the SSR needs,
-and the seed is the vertex of the parabola through the least bin and its
-neighbours.  On a non-uniform grid the SSR is evaluated directly on a grid
-over [0, Nyquist], then on a fine scan one bin either side of its peak.  A
-few envelope-rate seeds complete the starting point; Gauss-Newton
-iterations refine all five parameters, and the result records why they
-stopped.  Fitted phases feed the circular-spread statistic that quantifies
-how much key-phase ambiguity a scramble stage injects and how completely a
-retrieve stage removes it.
+amplitudes are solved exactly.  The trial frequencies are the bins of a
+zero-padded FFT on a uniform grid, which supplies every sum the SSR needs,
+and a grid over [0, Nyquist] on a non-uniform one, where the SSR is
+evaluated directly; the seed is the vertex of the parabola through the
+least bin and its neighbours.  A few envelope-rate seeds complete the
+starting point; Gauss-Newton iterations refine all five parameters, and
+the result records why they stopped.  Fitted phases feed the
+circular-spread statistic that quantifies how much key-phase ambiguity a
+scramble stage injects and how completely a retrieve stage removes it.
 """
 
 from __future__ import annotations
@@ -38,10 +37,10 @@ from .sequence import FringeScan
 from .spinor import TWO_PI
 
 #: Periodogram seed resolution: the Lomb-Scargle SSR is evaluated at no
-#: fewer than COARSE_GRID_SIZE frequencies over [0, Nyquist]: on a uniform
-#: grid at the bins of an FFT zero-padded to PAD_FACTOR times the scan length
-#: (or more, to reach that count), refined by a parabolic vertex; on a
-#: non-uniform grid directly, refined by a fine 65-point scan.
+#: fewer than COARSE_GRID_SIZE frequencies over [0, Nyquist] and refined by
+#: a parabolic vertex: on a uniform grid at the bins of an FFT zero-padded to
+#: PAD_FACTOR times the scan length (or more, to reach that count); on a
+#: non-uniform grid directly, at exactly COARSE_GRID_SIZE frequencies.
 PAD_FACTOR = 8
 COARSE_GRID_SIZE = 512
 
@@ -192,31 +191,25 @@ def _sums(a, b):
     return c.view(float) @ b + 1j * ((1j * c).view(float) @ b)
 
 
-def _grid_ssr(T, p, weights, start, step, count):
-    """The SSR of each row at the ``count`` frequencies ``start + j * step``
-    (``start`` one per row), with the sums evaluated directly on ``T``.
+def _grid_ssr(T, p, weights, step, count):
+    """The SSR of each row at the ``count`` frequencies ``j * step``, with
+    the sums evaluated directly on ``T``.
 
-    ``exp(-i*omega_j*t)`` is a phasor at each row's first frequency times
-    ``r**j``, ``r = exp(-i*step*t)``, and the doubled frequencies take
-    ``r**(2j)``.  Each power ``r**(q*baby + i)`` is a giant step
-    ``r**(q*baby)``, applied to the rows, times a baby step ``r**i``, which
-    all rows share in one matrix product.  Both tables stay a few dozen
-    rows long, so a one-row fit of a few hundred points allocates nothing
-    above 128 KiB: freeing a larger block raises the C allocator's mmap
-    threshold for the whole process, which slowed a Monte Carlo ensemble
-    run after such a fit by 6%."""
-    t = T - T[0]
+    ``exp(-i*omega_j*t)`` is ``r**j``, ``r = exp(-i*step*t)``, and the
+    doubled frequencies take the even powers ``r**(2j)``.  Each power
+    ``r**(q*baby + i)`` is a giant step ``r**(q*baby)``, applied to the
+    rows, times a baby step ``r**i``, which all rows share in one matrix
+    product.  Both tables stay a few dozen rows long, where a table of
+    every power would have ``2 * count - 1``."""
     w2 = weights * weights
-    base = np.exp(-1j * TWO_PI * start[:, None] * t)
-    r = np.exp(-1j * TWO_PI * step * t)
+    r = np.exp(-1j * TWO_PI * step * (T - T[0]))
     powers = 2 * count - 1
     baby = math.isqrt(3 * powers)
     small = _powers(r, baby)
     big = _powers(small[-1] * r, -(-powers // baby))
-    wb = w2 * base
-    rows = np.stack([wb, wb * p, wb * base], axis=1)[:, :, None, :] * big
-    sums = _sums(rows.reshape(len(p), -1, t.size), small).reshape(len(p), 3, -1)
-    return _spectral_ssr(w2, p, sums[:, 0, :count], sums[:, 2, :powers:2], sums[:, 1, :count])
+    rows = np.stack([w2, w2 * p], axis=1)[:, :, None, :] * big
+    sums = _sums(rows.reshape(len(p), -1, T.size), small).reshape(len(p), 2, -1)
+    return _spectral_ssr(w2, p, sums[:, 0, :count], sums[:, 0, :powers:2], sums[:, 1, :count])
 
 
 def _periodogram_ssr(p, weights, size):
@@ -235,31 +228,30 @@ def _periodogram_ssr(p, weights, size):
 
 def _coarse_frequency(T, p, weights):
     """Initial frequency of each row at the generalized Lomb-Scargle peak (the
-    SSR minimum), so Gauss-Newton starts inside the right basin.  On a
-    uniform grid: the vertex ``(k + shift) / (size * dt)`` of the parabola
-    through the periodogram SSR at the minimum bin ``k`` and its neighbours,
-    with ``shift`` 0 where the curvature is not positive and clipped to half
-    a bin.  The SSR is even about 0 and Nyquist, so there bin 1 (``last - 1``)
-    stands in for the missing neighbour.  On a non-uniform grid: a fine
-    65-point SSR scan one grid bin either side, its minimum taken as ``|f|``."""
+    SSR minimum), so Gauss-Newton starts inside the right basin: the vertex
+    ``(k + shift) / scale`` of the parabola through the SSR at the minimum
+    bin ``k`` of the frequencies ``j / scale`` and its neighbours, with
+    ``shift`` 0 where the curvature is not positive and clipped to half a
+    bin.  The SSR is even about 0 and, on a uniform grid, about Nyquist, so
+    there bin 1 (``last - 1``) stands in for the missing neighbour.  A
+    uniform grid reads the SSR off a padded FFT, ``scale = size * dt``; a
+    non-uniform grid evaluates it directly at COARSE_GRID_SIZE frequencies
+    up to ``0.5 / min(dt)``."""
     dt = np.diff(T)
     step = float(np.min(dt))
     if np.all(np.abs(dt - step) <= UNIFORM_TOLERANCE * step):
         size = max(PAD_FACTOR * T.size, 2 * COARSE_GRID_SIZE)
+        scale = size * step
         ssr = _periodogram_ssr(p, weights, size)
-        rows, k, last = np.arange(len(p)), np.argmin(ssr, axis=-1), ssr.shape[-1] - 1
-        left, mid = ssr[rows, np.abs(k - 1)], ssr[rows, k]
-        right = ssr[rows, last - np.abs(last - k - 1)]
-        curv = left - 2.0 * mid + right
-        shift = np.divide(left - right, 2.0 * curv, out=np.zeros_like(mid), where=curv > 0.0)
-        return (k + np.clip(shift, -0.5, 0.5)) / (size * step)
-    nyquist = 0.5 / step
-    bin_width = nyquist / (COARSE_GRID_SIZE - 1)
-    ssr = _grid_ssr(T, p, weights, np.zeros(len(p)), bin_width, COARSE_GRID_SIZE)
-    best = np.linspace(0.0, nyquist, COARSE_GRID_SIZE)[np.argmin(ssr, axis=-1)]
-    fine = np.linspace(best - bin_width, best + bin_width, 65, axis=-1)
-    ssr = _grid_ssr(T, p, weights, best - bin_width, bin_width / 32, 65)
-    return np.abs(fine[np.arange(len(fine)), np.argmin(ssr, axis=-1)])
+    else:
+        scale = 2 * (COARSE_GRID_SIZE - 1) * step
+        ssr = _grid_ssr(T, p, weights, 1.0 / scale, COARSE_GRID_SIZE)
+    rows, k, last = np.arange(len(p)), np.argmin(ssr, axis=-1), ssr.shape[-1] - 1
+    left, mid = ssr[rows, np.abs(k - 1)], ssr[rows, k]
+    right = ssr[rows, last - np.abs(last - k - 1)]
+    curv = left - 2.0 * mid + right
+    shift = np.divide(left - right, 2.0 * curv, out=np.zeros_like(mid), where=curv > 0.0)
+    return (k + np.clip(shift, -0.5, 0.5)) / scale
 
 
 def _rate_seeds(T, p, weights, freq):
@@ -395,37 +387,27 @@ def fit_many(scan: FringeScan) -> list[FitResult]:
     p = np.asarray(scan.p, dtype=float).reshape(-1, T.size)
     sd = np.asarray(scan.sd, dtype=float).reshape(p.shape)
 
-    data_sd = np.std(p, axis=-1)
+    # a constant row keeps these: offset p[0], no fringe, zero_variance
     live = np.ptp(p, axis=-1) > FLAT_TOLERANCE * np.max(np.abs(p), axis=-1)
-    fitted = []
+    params = np.zeros((len(p), 5))
+    params[:, 0] = p[:, 0]
+    iterations = np.zeros(len(p), dtype=int)
+    reasons = np.full(len(p), "zero_variance", dtype=object)
+    rms = np.zeros(len(p))
+    thresholds = np.where(live, np.std(p, axis=-1), 0.0)
     if live.any():
         p_live, sd_live = p[live], sd[live]
         weighted = np.all(sd_live > 0.0, axis=-1, keepdims=True)
         weights = np.divide(1.0, sd_live, out=np.ones_like(sd_live), where=weighted)
         seeds = _rate_seeds(T, p_live, weights, _coarse_frequency(T, p_live, weights))
-        params, iterations, reasons = _gauss_newton(T, p_live, weights, seeds)
-        rms = np.sqrt(np.mean(_evaluate(T, p_live, 1.0, params)[4] ** 2, axis=-1))
-        fitted = zip(params.tolist(), iterations.tolist(), reasons, rms.tolist())
+        params[live], iterations[live], reasons[live] = _gauss_newton(T, p_live, weights, seeds)
+        rms[live] = np.sqrt(np.mean(_evaluate(T, p_live, 1.0, params[live])[4] ** 2, axis=-1))
 
     span = float(T[-1] - T[0])
-    fits = iter(fitted)
     results = []
-    for row, threshold, varies in zip(p, data_sd.tolist(), live):
-        if not varies:
-            results.append(FitResult(
-                amplitude=0.0,
-                frequency=0.0,
-                phase=0.0,
-                offset=float(row[0]),
-                decay_time=math.inf,
-                rms_residual=0.0,
-                converged=False,
-                residual_threshold=0.0,
-                iterations=0,
-                reason="zero_variance",
-            ))
-            continue
-        (offset, a, b, rate, freq), iterations, reason, rms = next(fits)
+    for (offset, a, b, rate, freq), count, reason, residual, threshold in zip(
+        params.tolist(), iterations.tolist(), reasons, rms.tolist(), thresholds.tolist()
+    ):
         # canonical form: positive frequency, amplitude >= 0, phase in [0, 2*pi)
         if freq < 0.0:
             freq, b = -freq, -b
@@ -434,7 +416,7 @@ def fit_many(scan: FringeScan) -> list[FitResult]:
         # an envelope that changes by < 1e-9 over the scanned window is
         # indistinguishable from no damping
         decay_time = math.inf if abs(rate) * span < 1e-9 else 1.0 / rate
-        if reason == "step_tol" and not (amplitude > 0.0 and rms <= threshold):
+        if reason == "step_tol" and not (amplitude > 0.0 and residual <= threshold):
             reason = "residual"
         results.append(FitResult(
             amplitude=amplitude,
@@ -442,10 +424,10 @@ def fit_many(scan: FringeScan) -> list[FitResult]:
             phase=phase,
             offset=offset,
             decay_time=decay_time,
-            rms_residual=rms,
+            rms_residual=residual,
             converged=reason == "step_tol",
             residual_threshold=threshold,
-            iterations=iterations,
+            iterations=count,
             reason=reason,
         ))
     return results

@@ -102,8 +102,11 @@ def _grid_values(cfg: ExperimentConfig, fields) -> np.ndarray:
             raise ConfigError("no grid given and the write field has zero detuning; add a grid")
         spec = GridSpec(0.0, 2.0 / detuning_hz, (2.0 / detuning_hz) / 200.0)
     count = int(round((spec.stop - spec.start) / spec.step))
-    grid = spec.start + spec.step * np.arange(count + 1)
-    return grid[grid <= spec.stop + 1e-12 * max(1.0, abs(spec.stop))]
+    try:
+        grid = spec.start + spec.step * np.arange(count + 1)
+        return grid[grid <= spec.stop + 1e-12 * max(1.0, abs(spec.stop))]
+    except MemoryError:
+        raise ConfigError(f"grid of {count + 1} points does not fit in memory") from None
 
 
 def _noise_model(cfg: ExperimentConfig) -> NoiseModel | None:
@@ -151,20 +154,31 @@ def _report_unconverged(what: str, fit: FitResult) -> None:
           file=sys.stderr)
 
 
+def _float(token: str) -> float:
+    """``float`` of a CSV field without the syntax only Python reads: an
+    ``_`` between digits or a non-ASCII digit or space."""
+    if "_" in token or not token.isascii():
+        raise ValueError(f"could not convert string to float: {token!r}")
+    return float(token)
+
+
 def _read_scan_csv(stream) -> FringeScan:
     """Parse ``T_s,P_e[,sd]`` rows.
 
     Blank and ``#`` lines are skipped; the first other line is a header if
-    it starts with ``T``.  A malformed row, a non-finite value, ``P_e``
-    outside [0, 1], a negative ``sd`` or non-increasing ``T`` raises
-    ``FitError`` naming the line.  A body of same-width rows is one numpy pass.
+    it starts with ``T``.  A malformed row, a field with ``_`` or a
+    non-ASCII character, a non-finite value, ``P_e`` outside [0, 1], a
+    negative ``sd`` or non-increasing ``T`` raises ``FitError`` naming the
+    line.  A body of same-width rows is one numpy pass.
     """
     text = stream.read()
     lines = text.removesuffix("\n").split("\n")
     header = lines[0].strip().lower().startswith("t")
     data = None
-    # numpy skips blank lines, may end a row at a lone "\r", fails late on "#", warns on no rows
-    if ("#" not in text and "" not in lines and "\r" not in lines and len(lines) > header
+    # numpy skips blank lines, may end a row at a lone "\r", fails late on "#", warns on no
+    # rows and reads non-ASCII spaces
+    if (text.isascii() and "#" not in text and "" not in lines and "\r" not in lines
+            and len(lines) > header
             and ("\r" not in text or text.count("\r") == text.count("\r\n"))):
         with contextlib.suppress(ValueError):
             data = np.loadtxt(lines[header:], delimiter=",", comments=None, ndmin=2)
@@ -186,8 +200,8 @@ def _read_scan_csv(stream) -> FringeScan:
             if len(parts) not in (2, 3):
                 raise FitError(f"scan CSV line {lineno}: expected T_s,P_e[,sd]")
             try:
-                rows.append((float(parts[0]), float(parts[1]),
-                             float(parts[2]) if len(parts) == 3 else 0.0))
+                rows.append((_float(parts[0]), _float(parts[1]),
+                             _float(parts[2]) if len(parts) == 3 else 0.0))
             except ValueError as exc:
                 raise FitError(f"scan CSV line {lineno}: {exc}") from exc
             linenos.append(lineno)
@@ -334,6 +348,8 @@ def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
         cfg.protocol = args.protocol
     if args.grid:
         cfg.grid = parse_grid(args.grid, name="--grid")
+    if args.seed is not None and args.seed < 0:
+        raise ConfigError("--seed must be >= 0")
     if args.sweep_phis is not None:
         if args.sweep_phis < 1:
             raise ConfigError("--sweep-phis must be >= 1")

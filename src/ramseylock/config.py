@@ -17,8 +17,9 @@ Statements::
     noise [atoms=<i>] [repeats=<i>] [seed=<i>] [contrast_wri_s=<f>]
     sweep phis=<i>
 
-The counts ``atoms``, ``repeats`` and ``phis`` must be at least 1, and
-every number must be finite: NaN and infinities are config errors.
+The counts ``atoms``, ``repeats`` and ``phis`` must be at least 1, the
+``seed`` at least 0, and every number must be finite: NaN and infinities
+are config errors.
 
 ``parse_config`` and ``serialize_config`` round-trip exactly: floats are
 emitted with ``repr`` so every finite double survives unchanged.
@@ -250,14 +251,13 @@ def parse_config(text: str) -> ExperimentConfig:
             if unknown:
                 raise ConfigError(f"unknown noise keys {sorted(unknown)}", lineno)
             counts = {}
-            for key in ("atoms", "repeats"):
+            for key, least in (("atoms", 1), ("repeats", 1), ("seed", 0)):
                 if key in pairs:
                     counts[key] = _parse_int(pairs[key], key, lineno)
-                    if counts[key] < 1:
-                        raise ConfigError(f"noise {key} must be >= 1", lineno)
+                    if counts[key] < least:
+                        raise ConfigError(f"noise {key} must be >= {least}", lineno)
             cfg.noise = NoiseSpec(
                 **counts,
-                seed=_parse_int(pairs["seed"], "seed", lineno) if "seed" in pairs else 0,
                 contrast_wri_s=_parse_float(pairs["contrast_wri_s"], "contrast_wri_s", lineno)
                 if "contrast_wri_s" in pairs
                 else None,

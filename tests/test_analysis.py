@@ -206,17 +206,16 @@ class TestPeriodogramSeed:
 
     @pytest.mark.parametrize("count", [65, analysis.COARSE_GRID_SIZE])
     def test_batched_grid_ssr_matches_direct_ssr_on_a_jittered_grid(self, count):
-        # three rows, weighted and not, each scanned from its own start
+        # three rows, weighted and not
         rng = np.random.default_rng(8)
         T = 0.002 + 1e-4 * np.arange(157) + rng.uniform(-2e-5, 2e-5, 157)
         p = rng.uniform(0.0, 1.0, (3, T.size))
         weights = np.vstack([rng.uniform(0.1, 10.0, (2, T.size)), np.ones((1, T.size))])
-        start = np.array([0.0, 37.3, 912.6])
         step = 5000.0 / count
-        batched = analysis._grid_ssr(T, p, weights, start, step, count)
+        batched = analysis._grid_ssr(T, p, weights, step, count)
         assert batched.shape == (3, count)
         for k in range(3):
-            direct = _direct_ssr(T, p[k], weights[k], start[k] + step * np.arange(count))
+            direct = _direct_ssr(T, p[k], weights[k], step * np.arange(count))
             scale = np.sum(weights[k] ** 2 * p[k] ** 2)
             assert np.max(np.abs(batched[k] - direct)) <= 1e-12 * scale
 
@@ -233,18 +232,22 @@ class TestPeriodogramSeed:
         noise=st.sampled_from([0.0, 1e-3, 1e-2, 0.1]),
         weighted=st.booleans(),
         spread=st.sampled_from([0.3, 1.5]),
+        jitter=st.sampled_from([0.0, 0.2]),
         seed=st.integers(0, 2**32 - 1),
     )
     def test_fit_matches_grid_seed_oracle(
         self, points, step, start, cycles, offset, amplitude, rate, phase, noise, weighted, spread,
-        seed,
+        jitter, seed,
     ):
-        # uniform-grid damped sinusoids from 2 periods up to 0.8 Nyquist,
-        # starting within one span of T = 0, where the amplitude is defined
+        # damped sinusoids from 2 periods up to 0.8 Nyquist, starting within
+        # one span of T = 0, where the amplitude is defined, on a uniform grid
+        # or one with each point moved by up to ``jitter`` steps
         rng = np.random.default_rng(seed)
         span = points * step
         start *= span
         T = start + step * np.arange(points)
+        if jitter:
+            T = T + jitter * step * rng.uniform(-1.0, 1.0, points)
         n_cycles = 2.0 + cycles * (0.4 * points - 2.0)
         amplitude *= min(offset, 1.0 - offset)
         p = offset + amplitude * np.exp(-rate * (T - start) / span) * np.cos(
@@ -259,9 +262,9 @@ class TestPeriodogramSeed:
         sc = FringeScan(T, p, sd if weighted else np.zeros(points))
         fit, ssr = _with_final_ssr(fit_damped_sinusoid, sc)
         ref, ref_ssr = _with_final_ssr(_reference_fit, sc)
-        # the padded FFT grid is never coarser than the 512 frequencies, so a
-        # fit may gain convergence where a narrow residual minimum fell
-        # between the old grid points, but must not lose it
+        # the seed grid is never coarser than the oracle's 512 frequencies,
+        # so a fit may gain convergence where a narrow residual minimum fell
+        # between the oracle's grid points, but must not lose it
         assert fit.converged or not ref.converged
         if not ref.converged:
             return
@@ -298,16 +301,19 @@ class TestPeriodogramSeed:
         sizes = []
         direct = analysis._grid_ssr
 
-        def spy(T, p, weights, start, step, count):
+        def spy(T, p, weights, step, count):
             sizes.append(count)
-            return direct(T, p, weights, start, step, count)
+            return direct(T, p, weights, step, count)
 
         with mock.patch.object(analysis, "_grid_ssr", spy):
             fit = fit_damped_sinusoid(sc)
-        assert sizes == [analysis.COARSE_GRID_SIZE, 65]
+        assert sizes == [analysis.COARSE_GRID_SIZE]
         assert fit.converged
         assert fit.frequency == pytest.approx(110.0, rel=1e-6)
-        assert fit == _reference_fit(sc)
+        ref = _reference_fit(sc)
+        assert (fit.reason, ref.reason) == ("step_tol", "step_tol")
+        for name in ("amplitude", "frequency", "phase", "offset", "decay_time"):
+            assert abs(getattr(fit, name) - getattr(ref, name)) <= _gate(getattr(ref, name))
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -320,21 +326,26 @@ class TestPeriodogramSeed:
         phase=st.floats(0.0, TWO_PI),
         noise=st.sampled_from([0.0, 1e-3, 1e-2, 0.1]),
         weighted=st.booleans(),
+        jitter=st.sampled_from([0.0, 0.2]),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_uniform_seed_is_within_half_a_bin_of_the_ssr_minimum(
-        self, points, step, start, cycles, amplitude, rate, phase, noise, weighted, seed
+    def test_seed_is_within_half_a_bin_of_the_ssr_minimum(
+        self, points, step, start, cycles, amplitude, rate, phase, noise, weighted, jitter, seed
     ):
-        # the oracle: the direct SSR at every padded bin picks the peak, and
-        # its least value on 129 frequencies one bin either side of that
-        # peak is the minimum the vertex must land within half a bin of.
-        # Fringes run from 2 periods to 0.8 Nyquist: at 0 and Nyquist the
-        # sin column vanishes, so the SSR there is that of a smaller model
-        # and jumps above its limit, and next to those bins the vertex may
-        # sit up to 1.5 bins from the SSR's least value
+        # the oracle: the direct SSR at every bin picks the peak, and its
+        # least value on 129 frequencies one bin either side of that peak is
+        # the minimum the vertex must land within half a bin of.  The bins
+        # are the padded FFT's on a uniform grid and the COARSE_GRID_SIZE
+        # grid frequencies on one whose points move by up to ``jitter``
+        # steps.  Fringes run from 2 periods to 0.8 Nyquist: at 0 and
+        # Nyquist the sin column vanishes, so the SSR there is that of a
+        # smaller model and jumps above its limit, and next to those bins
+        # the vertex may sit up to 1.5 bins from the SSR's least value
         rng = np.random.default_rng(seed)
         span = points * step
         T = start * span + step * np.arange(points)
+        if jitter:
+            T = T + jitter * step * rng.uniform(-1.0, 1.0, points)
         n_cycles = 2.0 + cycles * (0.4 * points - 2.0)
         p = 0.5 + amplitude * np.exp(-rate * (T - T[0]) / span) * np.cos(
             TWO_PI * n_cycles / span * T + phase
@@ -346,6 +357,8 @@ class TestPeriodogramSeed:
         seed_frequency = analysis._coarse_frequency(T, p[None], weights[None])[0]
 
         size = max(analysis.PAD_FACTOR * points, 2 * analysis.COARSE_GRID_SIZE)
+        if jitter:
+            size = 2 * (analysis.COARSE_GRID_SIZE - 1)
         bin_width = 1.0 / (size * float(np.min(np.diff(T))))
         bins = bin_width * np.arange(size // 2 + 1)
         peak = bins[np.argmin(_direct_ssr(T, p, weights, bins))]
@@ -375,26 +388,6 @@ class TestPeriodogramSeed:
         fit = fit_damped_sinusoid(synthetic(T, 0.25, fraction * 5000.0, 0.0, 0.5, points * 1e-4))
         assert fit.converged
         assert fit.frequency == pytest.approx(fraction * 5000.0, rel=1e-9)
-
-    def test_jittered_grid_keeps_the_grid_and_fine_scan_seed(self):
-        # bit for bit the seed before the periodogram vertex: the SSR on
-        # COARSE_GRID_SIZE frequencies over [0, Nyquist], then 65 one grid
-        # bin either side of the best, folded to |f|
-        rng = np.random.default_rng(12)
-        T = 0.002 + 1e-4 * np.arange(157) + rng.uniform(-2e-5, 2e-5, 157)
-        fringe = 0.5 + 0.3 * np.exp(-40.0 * T) * np.cos(TWO_PI * 110.0 * T + 0.3)
-        noisy = np.clip(fringe + 0.05 * rng.standard_normal(T.size), 0.0, 1.0)
-        p = np.array([fringe, rng.uniform(0.0, 1.0, T.size), noisy])
-        weights = np.vstack([np.ones(T.size), rng.uniform(0.1, 10.0, (2, T.size))])
-        count = analysis.COARSE_GRID_SIZE
-        nyquist = 0.5 / float(np.min(np.diff(T)))
-        bin_width = nyquist / (count - 1)
-        coarse = analysis._grid_ssr(T, p, weights, np.zeros(3), bin_width, count)
-        best = np.linspace(0.0, nyquist, count)[np.argmin(coarse, axis=-1)]
-        fine = analysis._grid_ssr(T, p, weights, best - bin_width, bin_width / 32, 65)
-        grid = np.linspace(best - bin_width, best + bin_width, 65, axis=-1)
-        expected = np.abs(grid[np.arange(3), np.argmin(fine, axis=-1)])
-        assert np.array_equal(analysis._coarse_frequency(T, p, weights), expected)
 
 
 class TestFitDiagnostics:
@@ -550,6 +543,24 @@ class TestFitMany:
         assert [(f.reason, f.iterations) for f in batched] == [
             ("max_iter", 2), ("zero_variance", 0)
         ]
+
+    def test_a_constant_row_reports_every_field(self):
+        # alone and between fitted rows: offset p[0], no fringe, no damping,
+        # no residual and a zero threshold; repr also pins the sign of zeros
+        T = np.linspace(0.0, 20e-3, 201)
+        constant = np.full(201, 0.1)
+        expected = FitResult(
+            amplitude=0.0, frequency=0.0, phase=0.0, offset=0.1, decay_time=math.inf,
+            rms_residual=0.0, converged=False, residual_threshold=0.0, iterations=0,
+            reason="zero_variance",
+        )
+        fringe = synthetic(T, 0.5, 110.0, 1.0, 0.5, 30e-3).p
+        P = np.array([fringe, constant, fringe[::-1]])
+        SD = np.array([np.zeros(201), np.full(201, 0.01), np.full(201, 0.01)])
+        alone = analysis.fit_many(FringeScan(T, constant, SD[1]))
+        batched = analysis.fit_many(FringeScan(T, P, SD))
+        assert [repr(f) for f in alone + batched[1:2]] == [repr(expected)] * 2
+        assert batched[0].reason == "step_tol" and batched[2].reason != "zero_variance"
 
     def test_a_singular_row_leaves_the_others_alone(self):
         # an envelope that overflows has no finite residual, hence no step

@@ -256,9 +256,16 @@ class TestRun:
         assert float(row.split(",")[2]) == pytest.approx(110.0, rel=1e-6)
 
 
+def _ascii_float(token: str) -> float:
+    """``float`` of a field that holds no ``_`` and only ASCII characters."""
+    if "_" in token or not token.isascii():
+        raise ValueError(f"could not convert string to float: {token!r}")
+    return float(token)
+
+
 def _read_line_by_line(stream) -> FringeScan:
-    """The scan CSV reader as it was before the one-pass numpy parse: the
-    oracle for ``cli._read_scan_csv``."""
+    """The scan CSV reader as it was before the one-pass numpy parse, with
+    fields read by ``_ascii_float``: the oracle for ``cli._read_scan_csv``."""
     rows, linenos = [], []
     header_allowed = True
     for lineno, line in enumerate(stream, start=1):
@@ -273,8 +280,8 @@ def _read_line_by_line(stream) -> FringeScan:
         if len(parts) not in (2, 3):
             raise FitError(f"scan CSV line {lineno}: expected T_s,P_e[,sd]")
         try:
-            rows.append((float(parts[0]), float(parts[1]),
-                         float(parts[2]) if len(parts) == 3 else 0.0))
+            rows.append((_ascii_float(parts[0]), _ascii_float(parts[1]),
+                         _ascii_float(parts[2]) if len(parts) == 3 else 0.0))
         except ValueError as exc:
             raise FitError(f"scan CSV line {lineno}: {exc}") from exc
         linenos.append(lineno)
@@ -340,6 +347,12 @@ class TestScanCsvReader:
     # a CRLF blank line, which numpy skips, and a whitespace-only line, which it rejects
     @example("T_s,P_e\r\n0,0.5\r\n\r\n1e-3,0.6\r\n")
     @example("0,0.5\n  \n1e-3,0.6\n")
+    # number syntax only Python reads, a non-ASCII space numpy reads, and a
+    # non-ASCII header, which is no field
+    @example("0,0.5\n1e-3,0.0_5\n")
+    @example("0,0.5\n1e-3,\u0661\n")
+    @example("0,0.5\n1e-3,\xa00.6\n")
+    @example("T_s,P_\u00e9\n0,0.5\n1e-3,0.6\n")
     def test_matches_the_line_by_line_reader(self, text):
         # the same arrays, bit for bit and in the same layout, or the same error
         assert _parsed(cli._read_scan_csv, text) == _parsed(_read_line_by_line, text)
@@ -351,7 +364,8 @@ def _fit_csv_exit(tmp_path, rows: list[str]) -> int:
     cfg = tmp_path / "fit.cfg"
     cfg.write_text("protocol fit\n")
     data = tmp_path / "scan.csv"
-    data.write_text("T_s,P_e,sd\n" + "\n".join(good[:5] + rows + good[5:]) + "\n")
+    data.write_text("T_s,P_e,sd\n" + "\n".join(good[:5] + rows + good[5:]) + "\n",
+                    encoding="utf-8")
     return main([str(cfg), "--input", str(data)])
 
 
@@ -370,6 +384,12 @@ class TestExitCodes:
     def test_bad_scan_csv_value_is_4_and_names_the_line(self, tmp_path, capsys, row):
         assert _fit_csv_exit(tmp_path, [row]) == 4
         assert "line 7" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field", ["0.0_5", "1_0", "\u0661", "\xa00.5"])
+    def test_python_only_number_in_scan_csv_is_4(self, tmp_path, capsys, field):
+        assert _fit_csv_exit(tmp_path, [f"0.00051,{field},0.01"]) == 4
+        err = capsys.readouterr().err
+        assert f"scan CSV line 7: could not convert string to float: {field!r}" in err
 
     def test_non_increasing_scan_csv_is_4(self, tmp_path, capsys):
         assert _fit_csv_exit(tmp_path, ["0.0,0.5,0.01"]) == 4
@@ -420,6 +440,20 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert f"line {len(text.splitlines())}" in err
         assert key in err
+
+    def test_negative_noise_seed_is_2_and_names_the_line(self, tmp_path, capsys):
+        text = table1_text() + "noise seed=-3\n"
+        path = tmp_path / "seed.cfg"
+        path.write_text(text)
+        assert main([str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"line {len(text.splitlines())}: noise seed must be >= 0" in err
+
+    def test_negative_seed_option_is_2(self, table1_path, capsys):
+        assert main([table1_path, "--seed", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "config error: --seed must be >= 0" in captured.err
 
     @pytest.mark.parametrize("protocol", ["ramsey", "attack", "fit"])
     def test_sweep_of_a_protocol_without_a_scramble_key_is_2(self, table1_path, tmp_path,
@@ -487,6 +521,14 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "config error: --grid has too many points" in captured.err
+
+    def test_grid_option_too_large_to_allocate_is_2(self, table1_path, capsys):
+        # 1e16 points, 80 PB: more than the user address space of a 64-bit
+        # process, so the allocation fails at once
+        assert main([table1_path, "--grid", "0:1:1e-16"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "points does not fit in memory" in captured.err
 
     def test_missing_file_is_2(self, capsys):
         assert main(["/does/not/exist.cfg"]) == 2
