@@ -167,28 +167,10 @@ def _spectral_ssr(w2, p, z1, z2, zp):
 
 
 def _powers(r, count):
-    """Rows ``r**0 .. r**(count - 1)`` of the phasor row ``r``, by doubling."""
-    out = np.empty((count, r.size), dtype=complex)
-    out[0] = 1.0
-    filled = 1
-    while filled < count:
-        more = min(filled, count - filled)
-        np.multiply(out[:more], r, out=out[filled:filled + more])
-        r = r * r
-        filled += more
-    return out
-
-
-def _sums(a, b):
-    """``sum(a * b)`` over the points for every row of ``a`` (K, M, N) and
-    of ``b`` (J, N), as real matrix products against the interleaved
-    (re, im) view of ``b``: ``conj(a)`` gives the real parts and
-    ``1j * conj(a)`` the imaginary parts.  Real products keep the fitter on
-    the real BLAS kernels; the complex ones added about 1.2 MB of resident
-    memory on first use."""
-    c = a.conj()
-    b = b.view(float).T
-    return c.view(float) @ b + 1j * ((1j * c).view(float) @ b)
+    """Rows ``r**0 .. r**(count - 1)`` of the phasor row ``r``."""
+    powers = np.broadcast_to(r, (count, r.size)).copy()
+    powers[0] = 1.0
+    return np.cumprod(powers, axis=0, out=powers)
 
 
 def _grid_ssr(T, p, weights, step, count):
@@ -208,7 +190,7 @@ def _grid_ssr(T, p, weights, step, count):
     small = _powers(r, baby)
     big = _powers(small[-1] * r, -(-powers // baby))
     rows = np.stack([w2, w2 * p], axis=1)[:, :, None, :] * big
-    sums = _sums(rows.reshape(len(p), -1, T.size), small).reshape(len(p), 2, -1)
+    sums = (rows.reshape(len(p), -1, T.size) @ small.T).reshape(len(p), 2, -1)
     return _spectral_ssr(w2, p, sums[:, 0, :count], sums[:, 0, :powers:2], sums[:, 1, :count])
 
 
@@ -380,10 +362,13 @@ def fit_many(scan: FringeScan) -> list[FitResult]:
         Amplitudes normalized to be >= 0 with the phases folded into
         [0, 2*pi); frequencies in Hz; ``decay_time`` in seconds (``inf``
         when no damping is resolved, negative for a growing envelope).
+        Amplitude and phase refer to T = 0: the fit runs on the scan's own
+        clock, ``T - T[0]``, and carries them back.
     """
     if len(scan) < 8:
         raise FitError(f"need at least 8 points to fit, got {len(scan)}")
-    T = np.asarray(scan.T, dtype=float)
+    T0 = float(scan.T[0])
+    T = np.asarray(scan.T, dtype=float) - T0
     p = np.asarray(scan.p, dtype=float).reshape(-1, T.size)
     sd = np.asarray(scan.sd, dtype=float).reshape(p.shape)
 
@@ -402,8 +387,12 @@ def fit_many(scan: FringeScan) -> list[FitResult]:
         seeds = _rate_seeds(T, p_live, weights, _coarse_frequency(T, p_live, weights))
         params[live], iterations[live], reasons[live] = _gauss_newton(T, p_live, weights, seeds)
         rms[live] = np.sqrt(np.mean(_evaluate(T, p_live, 1.0, params[live])[4] ** 2, axis=-1))
+        if T0:  # move (a, b) from T = T0 back to T = 0
+            a, b, rate, freq = params[:, 1:].T
+            ab = (a + 1j * b) * np.exp(rate * T0 + 1j * TWO_PI * freq * T0)
+            params[:, 1], params[:, 2] = ab.real, ab.imag
 
-    span = float(T[-1] - T[0])
+    span = float(T[-1])
     results = []
     for (offset, a, b, rate, freq), count, reason, residual, threshold in zip(
         params.tolist(), iterations.tolist(), reasons, rms.tolist(), thresholds.tolist()

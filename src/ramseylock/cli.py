@@ -271,8 +271,8 @@ def run(
 
     ``seed`` overrides the noise-block seed (and seeds random key phases
     for otherwise noiseless runs).  ``input_stream`` supplies the scan CSV
-    for the ``fit`` protocol.  A key-phase sweep of a protocol without a
-    scramble key raises ``ConfigError``.
+    for the ``fit`` protocol.  A negative seed, or a key-phase sweep of a
+    protocol without a scramble key, raises ``ConfigError``.
     """
     if cfg.sweep_phis and cfg.protocol not in _FIRST_SCRAMBLE:
         raise ConfigError(f"protocol {cfg.protocol!r} does not support a key-phase sweep")
@@ -291,6 +291,8 @@ def run(
     model = _noise_model(cfg)
     if seed is None:
         seed = cfg.noise.seed if cfg.noise is not None else 0
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     write_key = _write_key(cfg, fields)
     grid = _grid_values(cfg, fields)

@@ -5,21 +5,18 @@ tokens.  Frequencies are written in Hz (the tabulated convention) and
 multiplied by 2*pi when the simulation objects are built; durations are
 seconds, with ``ms``/``us`` suffixes allowed inside ``grid`` ranges.
 
-Statements::
+Statements, with the domain of each value; every number must be finite
+(NaN and infinities are config errors)::
 
     frame rotating | frame lab <omega_a_hz>
     clock_during_pulses on|off
-    field <label> rabi_hz=<f> detuning_hz=<f>
-    pulse <name> field=<label> tau_s=<f> phase_rad=<f>|random
+    field <label> rabi_hz=<f > 0> detuning_hz=<f>
+    pulse <name> field=<label> tau_s=<f > 0> phase_rad=<f>|random
     protocol ramsey|scramble|retrieve|double-scramble|double-retrieve|attack|fit
-    interval T1=<f> [T2=<f> T3=<f> T4=<f>]
-    grid <start>:<stop>:<step>
-    noise [atoms=<i>] [repeats=<i>] [seed=<i>] [contrast_wri_s=<f>]
-    sweep phis=<i>
-
-The counts ``atoms``, ``repeats`` and ``phis`` must be at least 1, the
-``seed`` at least 0, and every number must be finite: NaN and infinities
-are config errors.
+    interval [T1=<f >= 0>] [T2=<f >= 0>] [T3=<f >= 0>] [T4=<f >= 0>]
+    grid <start >= 0>:<stop >= start>:<step > 0>
+    noise [atoms=<i >= 1>] [repeats=<i >= 1>] [seed=<i >= 0>] [contrast_wri_s=<f > 0>]
+    sweep phis=<i >= 1>
 
 ``parse_config`` and ``serialize_config`` round-trip exactly: floats are
 emitted with ``repr`` so every finite double survives unchanged.
@@ -43,12 +40,6 @@ PROTOCOLS = (
 )
 
 _INTERVAL_NAMES = ("T1", "T2", "T3", "T4")
-
-#: Noise keys that no command-line protocol would apply, with the reason.
-_UNAPPLIED_NOISE_KEYS = {
-    "contrast_sri_s": "no readout applies a scrambling-interferometer contrast time",
-    "linewidth_hz": "no command-line protocol diffuses the key phase",
-}
 
 
 @dataclass(frozen=True)
@@ -99,18 +90,16 @@ def parse_duration(token: str, line: int | None = None) -> float:
     """Duration in seconds; bare numbers are seconds, ``s``/``ms``/``us``
     suffixes are honoured."""
     text = token.strip()
-    scale = 1.0
-    for suffix, s in (("us", 1e-6), ("ms", 1e-3), ("s", 1.0)):
+    for suffix, scale in (("us", 1e-6), ("ms", 1e-3), ("s", 1.0)):
         if text.endswith(suffix):
-            text = text[: -len(suffix)]
-            scale = s
-            break
-    return _parse_float(text, "duration", line) * scale
+            return _parse_float(text[: -len(suffix)], "duration", line) * scale
+    return _parse_float(text, "duration", line)
 
 
 def parse_grid(text: str, line: int | None = None, name: str = "grid") -> GridSpec:
-    """``<start>:<stop>:<step>`` durations with ``stop >= start`` and
-    ``step > 0``; ``name`` is the statement or option they came from."""
+    """``<start>:<stop>:<step>`` durations with ``start >= 0``, ``stop >=
+    start`` and ``step > 0``; ``name`` is the statement or option they came
+    from."""
     parts = text.split(":")
     if len(parts) != 3:
         raise ConfigError(f"{name} must be <start>:<stop>:<step>", line)
@@ -119,6 +108,8 @@ def parse_grid(text: str, line: int | None = None, name: str = "grid") -> GridSp
         raise ConfigError(f"{name} needs stop >= start and step > 0", line)
     if not math.isfinite((stop - start) / step):
         raise ConfigError(f"{name} has too many points: (stop - start) / step overflows", line)
+    if start < 0:
+        raise ConfigError(f"{name} start must be >= 0, got {parts[0]!r}", line)
     return GridSpec(start, stop, step)
 
 
@@ -132,23 +123,80 @@ def _parse_float(token: str, key: str, line: int | None) -> float:
     return value
 
 
-def _parse_int(token: str, key: str, line: int) -> int:
+def _positive(token: str, key: str, line: int) -> float:
+    value = _parse_float(token, key, line)
+    if value <= 0.0:
+        raise ConfigError(f"{key} must be > 0, got {token!r}", line)
+    return value
+
+
+def _nonnegative(token: str, key: str, line: int) -> float:
+    value = _parse_float(token, key, line)
+    if value < 0.0:
+        raise ConfigError(f"{key} must be >= 0, got {token!r}", line)
+    return value
+
+
+def _count(token: str, key: str, line: int, least: int = 1) -> int:
     try:
-        return int(token)
+        value = int(token)
     except ValueError:
         raise ConfigError(f"bad integer for {key}: {token!r}", line) from None
+    if value < least:
+        raise ConfigError(f"{key} must be >= {least}, got {token!r}", line)
+    return value
 
 
-def _keyvals(tokens: list[str], line: int) -> dict[str, str]:
-    pairs = {}
-    for tok in tokens:
-        if "=" not in tok:
-            raise ConfigError(f"expected key=value, got {tok!r}", line)
-        key, _, value = tok.partition("=")
-        if key in pairs:
-            raise ConfigError(f"duplicate key {key!r}", line)
-        pairs[key] = value
-    return pairs
+def _seed(token: str, key: str, line: int) -> int:
+    return _count(token, "noise seed", line, least=0)
+
+
+def _phase(token: str, key: str, line: int) -> float | None:
+    return None if token == "random" else _parse_float(token, key, line)
+
+
+def _name(token: str, key: str, line: int) -> str:
+    return token
+
+
+def _unapplied(token: str, key: str, line: int):
+    reason = ("no readout applies a scrambling-interferometer contrast time"
+              if key == "contrast_sri_s" else "no command-line protocol diffuses the key phase")
+    raise ConfigError(f"{key} is not supported: {reason}", line)
+
+
+#: The key=value statements: the reader ``(token, key, line) -> value`` of
+#: each key, and whether every key is required (otherwise none is).
+_STATEMENTS = {
+    "field": ({"rabi_hz": _positive, "detuning_hz": _parse_float}, True),
+    "pulse": ({"field": _name, "tau_s": _positive, "phase_rad": _phase}, True),
+    "interval": (dict.fromkeys(_INTERVAL_NAMES, _nonnegative), False),
+    "noise": ({"atoms": _count, "repeats": _count, "seed": _seed, "contrast_wri_s": _positive,
+               "contrast_sri_s": _unapplied, "linewidth_hz": _unapplied}, False),
+    "sweep": ({"phis": _count}, True),
+}
+
+
+def _read(keyword: str, tokens: list[str], line: int) -> dict:
+    """The values of a ``keyword`` statement's ``key=value`` tokens, each
+    read by its reader in ``_STATEMENTS``; an unknown, duplicate or missing
+    key is a config error naming the statement and the key."""
+    readers, required = _STATEMENTS[keyword]
+    values = {}
+    for token in tokens:
+        key, eq, text = token.partition("=")
+        if not eq:
+            raise ConfigError(f"{keyword} expects key=value, got {token!r}", line)
+        if key in values:
+            raise ConfigError(f"duplicate {keyword} key {key!r}", line)
+        reader = readers.get(key)
+        if reader is None:
+            raise ConfigError(f"unknown {keyword} key {key!r}", line)
+        values[key] = reader(text, key, line)
+    if required and len(values) < len(readers):
+        missing = next(key for key in readers if key not in values)
+        raise ConfigError(f"{keyword} needs {missing}=", line)
+    return values
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -158,15 +206,15 @@ def parse_config(text: str) -> ExperimentConfig:
     seen: set[str] = set()
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        statement = raw.split("#", 1)[0].strip()
+        statement = raw.partition("#")[0].strip()
         if not statement:
             continue
         tokens = statement.split()
         keyword, args = tokens[0], tokens[1:]
 
-        if keyword in ("frame", "clock_during_pulses", "protocol", "grid", "noise", "sweep", "interval"):
-            if keyword in seen and keyword != "interval":
-                raise ConfigError(f"duplicate {keyword} statement", lineno)
+        if keyword in seen:
+            raise ConfigError(f"duplicate {keyword} statement", lineno)
+        if keyword not in ("field", "pulse", "interval"):
             seen.add(keyword)
 
         if keyword == "frame":
@@ -183,93 +231,30 @@ def parse_config(text: str) -> ExperimentConfig:
             if args not in (["on"], ["off"]):
                 raise ConfigError("clock_during_pulses must be 'on' or 'off'", lineno)
             cfg.clock_during_pulses = args == ["on"]
-        elif keyword == "field":
+        elif keyword in ("field", "pulse"):
+            defs, make = (cfg.fields, FieldDef) if keyword == "field" else (cfg.pulses, PulseDef)
             if not args:
-                raise ConfigError("field needs a label", lineno)
-            label = args[0]
-            if label in cfg.fields:
-                raise ConfigError(f"field {label!r} already defined", lineno)
-            pairs = _keyvals(args[1:], lineno)
-            unknown = set(pairs) - {"rabi_hz", "detuning_hz"}
-            if unknown:
-                raise ConfigError(f"unknown field keys {sorted(unknown)}", lineno)
-            if "rabi_hz" not in pairs or "detuning_hz" not in pairs:
-                raise ConfigError("field needs rabi_hz= and detuning_hz=", lineno)
-            cfg.fields[label] = FieldDef(
-                label,
-                _parse_float(pairs["rabi_hz"], "rabi_hz", lineno),
-                _parse_float(pairs["detuning_hz"], "detuning_hz", lineno),
-            )
-        elif keyword == "pulse":
-            if not args:
-                raise ConfigError("pulse needs a name", lineno)
-            name = args[0]
-            if name in cfg.pulses:
-                raise ConfigError(f"pulse {name!r} already defined", lineno)
-            pairs = _keyvals(args[1:], lineno)
-            unknown = set(pairs) - {"field", "tau_s", "phase_rad"}
-            if unknown:
-                raise ConfigError(f"unknown pulse keys {sorted(unknown)}", lineno)
-            for needed in ("field", "tau_s", "phase_rad"):
-                if needed not in pairs:
-                    raise ConfigError(f"pulse needs {needed}=", lineno)
-            phase: float | None
-            if pairs["phase_rad"] == "random":
-                phase = None
-            else:
-                phase = _parse_float(pairs["phase_rad"], "phase_rad", lineno)
-            cfg.pulses[name] = PulseDef(
-                name,
-                pairs["field"],
-                _parse_float(pairs["tau_s"], "tau_s", lineno),
-                phase,
-            )
+                raise ConfigError(f"{keyword} needs a name", lineno)
+            if args[0] in defs:
+                raise ConfigError(f"{keyword} {args[0]!r} already defined", lineno)
+            defs[args[0]] = make(args[0], **_read(keyword, args[1:], lineno))
         elif keyword == "protocol":
             if len(args) != 1 or args[0] not in PROTOCOLS:
                 raise ConfigError(f"protocol must be one of {', '.join(PROTOCOLS)}", lineno)
             cfg.protocol = args[0]
         elif keyword == "interval":
-            pairs = _keyvals(args, lineno)
-            unknown = set(pairs) - set(_INTERVAL_NAMES)
-            if unknown:
-                raise ConfigError(f"unknown interval names {sorted(unknown)}", lineno)
-            for key, value in pairs.items():
+            for key, value in _read(keyword, args, lineno).items():
                 if key in cfg.intervals:
                     raise ConfigError(f"interval {key} already set", lineno)
-                cfg.intervals[key] = _parse_float(value, key, lineno)
+                cfg.intervals[key] = value
         elif keyword == "grid":
             if len(args) != 1:
                 raise ConfigError("grid takes one <start>:<stop>:<step> token", lineno)
             cfg.grid = parse_grid(args[0], lineno)
         elif keyword == "noise":
-            pairs = _keyvals(args, lineno)
-            for key, reason in _UNAPPLIED_NOISE_KEYS.items():
-                if key in pairs:
-                    raise ConfigError(f"{key} is not supported: {reason}", lineno)
-            known = {"atoms", "repeats", "seed", "contrast_wri_s"}
-            unknown = set(pairs) - known
-            if unknown:
-                raise ConfigError(f"unknown noise keys {sorted(unknown)}", lineno)
-            counts = {}
-            for key, least in (("atoms", 1), ("repeats", 1), ("seed", 0)):
-                if key in pairs:
-                    counts[key] = _parse_int(pairs[key], key, lineno)
-                    if counts[key] < least:
-                        raise ConfigError(f"noise {key} must be >= {least}", lineno)
-            cfg.noise = NoiseSpec(
-                **counts,
-                contrast_wri_s=_parse_float(pairs["contrast_wri_s"], "contrast_wri_s", lineno)
-                if "contrast_wri_s" in pairs
-                else None,
-            )
+            cfg.noise = NoiseSpec(**_read(keyword, args, lineno))
         elif keyword == "sweep":
-            pairs = _keyvals(args, lineno)
-            if set(pairs) != {"phis"}:
-                raise ConfigError("sweep takes exactly phis=<count>", lineno)
-            count = _parse_int(pairs["phis"], "phis", lineno)
-            if count < 1:
-                raise ConfigError("sweep phis must be >= 1", lineno)
-            cfg.sweep_phis = count
+            cfg.sweep_phis = _read(keyword, args, lineno)["phis"]
         else:
             raise ConfigError(f"unknown statement {keyword!r}", lineno)
 

@@ -45,6 +45,8 @@ class NoiseModel:
             raise ValueError(f"repeats must be >= 1, got {self.repeats}")
         if self.run_interval < 0.0:
             raise ValueError(f"run_interval must be >= 0, got {self.run_interval}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 def sample_phase_increment(linewidth: float, elapsed: float, rng: np.random.Generator) -> float:

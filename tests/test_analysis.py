@@ -45,6 +45,25 @@ class TestFitDampedSinusoid:
         assert fit.offset == pytest.approx(0.5, rel=1e-6)
         assert fit.decay_time == pytest.approx(30e-3, rel=1e-6)
 
+    def test_late_scan_is_fitted_on_its_own_clock(self):
+        # 32 points, two periods of 6,250 Hz, damped at 2/span and starting
+        # 24 spans after T = 0: on absolute T the envelope is exp(48) times
+        # the scan's, and the fit stopped at max_iter near 6,180 Hz
+        step, points = 1e-5, 32
+        span = (points - 1) * step
+        T = 24 * span + step * np.arange(points)
+        p = 0.5 + 0.25 * np.exp(-2.0 * (T - T[0]) / span) * np.cos(TWO_PI * 6250.0 * T + 0.7)
+        fit = fit_damped_sinusoid(FringeScan(T, p, np.zeros(points)))
+        assert fit.converged
+        assert fit.frequency == pytest.approx(6250.0, rel=1e-9)
+        assert fit.decay_time == pytest.approx(span / 2.0, rel=1e-9)
+        # the amplitude is defined at T = 0: 0.25 * exp(48), about 1.75e20
+        assert fit.amplitude == pytest.approx(0.25 * math.exp(48.0), rel=1e-6)
+        model = fit.offset + fit.amplitude * np.exp(-T / fit.decay_time) * np.cos(
+            TWO_PI * fit.frequency * T + fit.phase
+        )
+        np.testing.assert_allclose(model, p, rtol=0.0, atol=1e-9)
+
     def test_constant_input_reports_no_fringe(self):
         T = np.linspace(0.0, 20e-3, 60)
         fit = fit_damped_sinusoid(FringeScan(T, np.full_like(T, 0.5), np.zeros_like(T)))

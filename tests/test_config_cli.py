@@ -43,6 +43,30 @@ def table1_path(tmp_path):
     return str(path)
 
 
+#: One statement of each key=value kind, and a key it needs (``None``:
+#: every key of the statement is optional).
+_KEYVAL_STATEMENTS = [
+    ("field", "field X rabi_hz=100 detuning_hz=10", "detuning_hz"),
+    ("pulse", "pulse p field=W tau_s=1e-4 phase_rad=0", "tau_s"),
+    ("interval", "interval T3=0.001 T4=0.002", None),
+    ("noise", "noise seed=1 atoms=10", None),
+    ("sweep", "sweep phis=4", "phis"),
+]
+
+
+def _key_faults():
+    """An unknown, a duplicate and (where a key is needed) a missing key
+    in each statement of ``_KEYVAL_STATEMENTS``."""
+    for keyword, statement, needed in _KEYVAL_STATEMENTS:
+        last = statement.split()[-1]
+        yield pytest.param(f"{statement} colour=red", keyword, "colour", id=f"{keyword}-unknown")
+        yield pytest.param(f"{statement} {last}", keyword, last.partition("=")[0],
+                           id=f"{keyword}-duplicate")
+        if needed:
+            kept = [t for t in statement.split() if not t.startswith(f"{needed}=")]
+            yield pytest.param(" ".join(kept), keyword, needed, id=f"{keyword}-missing")
+
+
 class TestParse:
     def test_shipped_config(self):
         cfg = parse_config(table1_text())
@@ -72,6 +96,25 @@ class TestParse:
     def test_unknown_key_rejected(self):
         text = "field W rabi_hz=565 detuning_hz=110 colour=red\nprotocol ramsey\n"
         with pytest.raises(ConfigError, match="colour"):
+            parse_config(text)
+
+    @pytest.mark.parametrize("statement, keyword, key", _key_faults())
+    def test_key_fault_names_statement_key_and_line(self, statement, keyword, key):
+        text = table1_text() + statement + "\n"
+        with pytest.raises(ConfigError) as info:
+            parse_config(text)
+        message = str(info.value)
+        assert message.startswith(f"line {len(text.splitlines())}: ")
+        assert keyword in message
+        assert repr(key) in message or f"{key}=" in message
+
+    @pytest.mark.parametrize("statement", [s for _, s, _ in _KEYVAL_STATEMENTS])
+    def test_keyval_statement_reads(self, statement):
+        parse_config(table1_text() + statement + "\n")
+
+    def test_interval_set_twice_names_the_key(self):
+        text = table1_text() + "interval T1=0.001\n"
+        with pytest.raises(ConfigError, match=f"line {len(text.splitlines())}: interval T1 already"):
             parse_config(text)
 
     def test_comments_and_blank_lines_ignored(self):
@@ -498,6 +541,64 @@ class TestExitCodes:
         err = capsys.readouterr().err
         lineno = 1 + text[: text.index(new.split("\n")[-1])].count("\n")
         assert f"line {lineno}: {key} must be finite" in err
+
+    @pytest.mark.parametrize(
+        "key, bound, old, new",
+        [
+            ("rabi_hz", "> 0", "rabi_hz=565", "rabi_hz=0"),
+            ("rabi_hz", "> 0", "rabi_hz=565", "rabi_hz=-565"),
+            ("tau_s", "> 0", "tau_s=0.00044", "tau_s=0"),
+            ("tau_s", "> 0", "tau_s=0.00044", "tau_s=-1e-3"),
+            ("T1", ">= 0", "T1=0.005", "T1=-1"),
+            ("T2", ">= 0", "T2=0.005", "T2=-1"),
+            ("T3", ">= 0", "T2=0.005", "T2=0.005 T3=-1e-3"),
+            ("T4", ">= 0", "T2=0.005", "T2=0.005 T4=-1e-3"),
+            ("contrast_wri_s", "> 0", "grid 0:20ms:0.1ms",
+             "grid 0:20ms:0.1ms\nnoise contrast_wri_s=0"),
+            ("contrast_wri_s", "> 0", "grid 0:20ms:0.1ms",
+             "grid 0:20ms:0.1ms\nnoise contrast_wri_s=-0.1"),
+            ("grid start", ">= 0", "grid 0:20ms:0.1ms", "grid -1ms:20ms:0.1ms"),
+        ],
+        ids=["rabi_hz-0", "rabi_hz-negative", "tau_s-0", "tau_s-negative", "T1", "T2", "T3",
+             "T4", "contrast_wri_s-0", "contrast_wri_s-negative", "grid-start"],
+    )
+    def test_out_of_range_number_is_2_and_names_key_and_line(self, tmp_path, capsys, key,
+                                                            bound, old, new):
+        # retrieve plans T2: a negative T2 used to reach the planner's ValueError
+        text = table1_text().replace("protocol ramsey", "protocol retrieve")
+        assert old in text
+        text = text.replace(old, new, 1)
+        path = tmp_path / "out_of_range.cfg"
+        path.write_text(text)
+        assert main([str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lineno = 1 + text[: text.index(new.split("\n")[-1])].count("\n")
+        assert f"line {lineno}: {key} must be {bound}" in captured.err
+
+    def test_negative_grid_start_option_is_2(self, table1_path, capsys):
+        assert main([table1_path, "--grid=-1ms:20ms:0.1ms"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "config error: --grid start must be >= 0" in captured.err
+
+    def test_rabi_that_overflows_in_angular_units_is_2(self, tmp_path, capsys):
+        # 1e308 Hz is finite; 2*pi times it is not
+        text = table1_text().replace("rabi_hz=565", "rabi_hz=1e308")
+        path = tmp_path / "huge_rabi.cfg"
+        path.write_text(text)
+        assert main([str(path)]) == 2
+        assert "config error: field 'W': rabi must be positive and finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("seed, noise_seed, bad", [(-1, 0, -1), (None, -2, -2)])
+    def test_negative_seed_in_run_is_a_config_error(self, seed, noise_seed, bad):
+        # the argument, or without one the noise seed, of a programmatic run
+        cfg = parse_config(table1_text())
+        cfg.noise = NoiseSpec(seed=noise_seed)
+        out = io.StringIO()
+        with pytest.raises(ConfigError, match=f"seed must be >= 0, got {bad}"):
+            run(cfg, out, seed=seed)
+        assert out.getvalue() == ""
 
     @pytest.mark.parametrize("grid", ["0:20ms:nan", "0:inf:0.1ms", "1:0:1", "0:1:0", "0:1"])
     def test_bad_grid_option_is_2(self, table1_path, capsys, grid):

@@ -117,6 +117,10 @@ class TestSimulateMeasurement:
         with pytest.raises(ValueError):
             simulate_measurement(1.5, NoiseModel(), np.random.default_rng(0))
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            NoiseModel(seed=-1)
+
 
 def per_point_readout(p, model, rng):
     """The scalar readout, one point at a time: the reference the one-draw
