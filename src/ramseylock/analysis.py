@@ -363,7 +363,8 @@ def fit_many(scan: FringeScan) -> list[FitResult]:
         [0, 2*pi); frequencies in Hz; ``decay_time`` in seconds (``inf``
         when no damping is resolved, negative for a growing envelope).
         Amplitude and phase refer to T = 0: the fit runs on the scan's own
-        clock, ``T - T[0]``, and carries them back.
+        clock, ``T - T[0]``, and carries them back; an amplitude that
+        overflows on the way reads ``inf`` and keeps a finite phase.
     """
     if len(scan) < 8:
         raise FitError(f"need at least 8 points to fit, got {len(scan)}")
@@ -379,6 +380,7 @@ def fit_many(scan: FringeScan) -> list[FitResult]:
     iterations = np.zeros(len(p), dtype=int)
     reasons = np.full(len(p), "zero_variance", dtype=object)
     rms = np.zeros(len(p))
+    scales = np.ones(len(p))
     thresholds = np.where(live, np.std(p, axis=-1), 0.0)
     if live.any():
         p_live, sd_live = p[live], sd[live]
@@ -387,20 +389,23 @@ def fit_many(scan: FringeScan) -> list[FitResult]:
         seeds = _rate_seeds(T, p_live, weights, _coarse_frequency(T, p_live, weights))
         params[live], iterations[live], reasons[live] = _gauss_newton(T, p_live, weights, seeds)
         rms[live] = np.sqrt(np.mean(_evaluate(T, p_live, 1.0, params[live])[4] ** 2, axis=-1))
-        if T0:  # move (a, b) from T = T0 back to T = 0
+        if T0:  # carry (a, b) from T = T0 back to T = 0: turn them, then scale the amplitude
             a, b, rate, freq = params[:, 1:].T
-            ab = (a + 1j * b) * np.exp(rate * T0 + 1j * TWO_PI * freq * T0)
+            ab = (a + 1j * b) * np.exp(1j * TWO_PI * freq * T0)
             params[:, 1], params[:, 2] = ab.real, ab.imag
+            with np.errstate(over="ignore"):  # a late, damped scan reads amplitude inf
+                scales = np.exp(rate * T0)
 
     span = float(T[-1])
     results = []
-    for (offset, a, b, rate, freq), count, reason, residual, threshold in zip(
-        params.tolist(), iterations.tolist(), reasons, rms.tolist(), thresholds.tolist()
+    for (offset, a, b, rate, freq), scale, count, reason, residual, threshold in zip(
+        params.tolist(), scales.tolist(), iterations.tolist(), reasons, rms.tolist(),
+        thresholds.tolist()
     ):
         # canonical form: positive frequency, amplitude >= 0, phase in [0, 2*pi)
         if freq < 0.0:
             freq, b = -freq, -b
-        amplitude = math.hypot(a, b)
+        amplitude = math.hypot(a, b) * scale if a or b else 0.0
         phase = math.atan2(-b, a) % TWO_PI
         # an envelope that changes by < 1e-9 over the scanned window is
         # indistinguishable from no damping

@@ -17,7 +17,6 @@ import argparse
 import contextlib
 import math
 import sys
-from dataclasses import replace
 
 import numpy as np
 
@@ -35,7 +34,6 @@ from .protocol import (
     build_write_read,
     plan_double_retrieval,
     plan_retrieval,
-    secret_readout,
 )
 from .sequence import FringeScan, Sequence, _scan_fault, scan
 from .spinor import TWO_PI, FieldParams, FrameConvention
@@ -63,7 +61,10 @@ def _build_fields(cfg: ExperimentConfig) -> dict[str, FieldParams]:
 
 
 def _frame(cfg: ExperimentConfig) -> FrameConvention:
-    return FrameConvention(cfg.frame_mode, _angular(cfg.frame_omega_a_hz))
+    try:
+        return FrameConvention(cfg.frame_mode, _angular(cfg.frame_omega_a_hz))
+    except ValueError as exc:
+        raise ConfigError(f"frame: {exc}") from exc
 
 
 def _pulse_def(cfg: ExperimentConfig, name: str):
@@ -92,7 +93,7 @@ def _scramble_key(cfg, fields, name: str, wait: str | float, rng, phi=None) -> S
     return ScrambleKey(fields[p.field], p.tau_s, phi, wait)
 
 
-def _grid_values(cfg: ExperimentConfig, fields) -> np.ndarray:
+def _grid_values(cfg: ExperimentConfig) -> np.ndarray:
     spec = cfg.grid
     if spec is None:
         # default: two fringe periods of the recording field in 201 points
@@ -109,19 +110,14 @@ def _grid_values(cfg: ExperimentConfig, fields) -> np.ndarray:
         raise ConfigError(f"grid of {count + 1} points does not fit in memory") from None
 
 
-def _noise_model(cfg: ExperimentConfig) -> NoiseModel | None:
-    """Readout model of the ``noise`` block; ``None`` without one."""
-    n = cfg.noise
-    return None if n is None else NoiseModel(atom_count=n.atoms, repeats=n.repeats)
-
-
-def _measure(ideal: FringeScan, cfg: ExperimentConfig, model: NoiseModel | None, rng) -> FringeScan:
+def _measure(ideal: FringeScan, cfg: ExperimentConfig, rng) -> FringeScan:
     """Apply contrast decay and projective readout when noise is configured."""
-    if model is None:
+    noise = cfg.noise
+    if noise is None:
         return ideal
-    if cfg.noise.contrast_wri_s is not None:
-        ideal = apply_contrast_decay(ideal, cfg.noise.contrast_wri_s)
-    return measure_scan(ideal, model, rng)
+    if noise.contrast_wri_s is not None:
+        ideal = apply_contrast_decay(ideal, noise.contrast_wri_s)
+    return measure_scan(ideal, NoiseModel(atom_count=noise.atoms, repeats=noise.repeats), rng)
 
 
 def _write_scan(scan_data: FringeScan, out) -> None:
@@ -132,26 +128,26 @@ def _write_scan(scan_data: FringeScan, out) -> None:
         out.write(f"{_fmt(T)},{_fmt(p)},{_fmt(sd)}\n")
 
 
-def _write_fit_row(out, phi: float, fit: FitResult) -> None:
-    out.write(
-        ",".join(
-            [
-                _fmt(phi),
-                _fmt(fit.amplitude),
-                _fmt(fit.frequency),
-                _fmt(fit.phase),
-                _fmt(fit.offset),
-                _fmt(fit.decay_time),
-                _fmt(fit.rms_residual),
-            ]
-        )
-        + "\n"
-    )
-
-
-def _report_unconverged(what: str, fit: FitResult) -> None:
-    print(f"{what} did not converge: {fit.reason} after {fit.iterations} iterations",
-          file=sys.stderr)
+def _write_fits(out, fits: list[FitResult], phases=None) -> int:
+    """Write one CSV row per fit, its ``phi_S`` taken from ``phases`` (NaN
+    without them), and report on standard error: the phase spread when two
+    or more fits converged, then each fit that did not.  Returns 0, or 4
+    when a fit did not converge."""
+    swept = phases is not None
+    phis = [float(phi) for phi in phases] if swept else [math.nan] * len(fits)
+    out.write(_FIT_HEADER + "\n")
+    for phi, f in zip(phis, fits):
+        row = (phi, f.amplitude, f.frequency, f.phase, f.offset, f.decay_time, f.rms_residual)
+        out.write(",".join(map(_fmt, row)) + "\n")
+    converged = [f for f in fits if f.converged]
+    if len(converged) >= 2:
+        print(f"phase spread over sweep: {phase_spread(converged):.6f} rad", file=sys.stderr)
+    for phi, f in zip(phis, fits):
+        if not f.converged:
+            what = f"fit at phi_S={phi:.6f}" if swept else "fit"
+            print(f"{what} did not converge: {f.reason} after {f.iterations} iterations",
+                  file=sys.stderr)
+    return 0 if len(converged) == len(fits) else 4
 
 
 def _float(token: str) -> float:
@@ -215,18 +211,14 @@ def _read_scan_csv(stream) -> FringeScan:
     return FringeScan._trusted(T, p, sd)
 
 
-#: The protocols a key-phase sweep runs on, each with its first scramble
-#: pulse: the key whose phase a sweep replaces.
-_FIRST_SCRAMBLE = {
-    "scramble": "scramble",
-    "retrieve": "scramble",
-    "double-scramble": "scramble1",
-    "double-retrieve": "scramble1",
-}
+#: The protocols a key-phase sweep runs on: the sweep replaces the phase of
+#: their first scramble pulse (``scramble``, or ``scramble1`` when stacked).
+_SWEPT = ("scramble", "retrieve", "double-scramble", "double-retrieve")
 
 
 def _template(cfg, fields, write_key, rng, frame, phi=None) -> Sequence:
-    """The configured protocol's scan template.
+    """The configured protocol's scan template; ``attack`` scans the
+    ``scramble`` one.
 
     ``phi`` (a float or a ``(K, 1)`` array of key phases) replaces the first
     scramble key's phase; without it a ``random`` phase is drawn from
@@ -236,7 +228,8 @@ def _template(cfg, fields, write_key, rng, frame, phi=None) -> Sequence:
     opts = dict(frame=frame, scanned=True)
     if cfg.protocol == "ramsey":
         return build_write_read(write_key, 0.0, clock_during_pulses=cfg.clock_during_pulses, **opts)
-    s1 = _scramble_key(cfg, fields, _FIRST_SCRAMBLE[cfg.protocol], "T1", rng, phi)
+    first = "scramble1" if cfg.protocol.startswith("double-") else "scramble"
+    s1 = _scramble_key(cfg, fields, first, "T1", rng, phi)
     if cfg.protocol == "double-retrieve":
         s2_def = _pulse_def(cfg, "scramble2")
         plan = plan_double_retrieval(
@@ -251,7 +244,7 @@ def _template(cfg, fields, write_key, rng, frame, phi=None) -> Sequence:
         s2 = _scramble_key(cfg, fields, "scramble2", plan.T2, rng)
         return build_double_retrieved(write_key, s1, s2, plan, 0.0, **opts)
     opts["clock_during_pulses"] = cfg.clock_during_pulses
-    if cfg.protocol == "scramble":
+    if cfg.protocol in ("scramble", "attack"):
         return build_scrambled(write_key, s1, 0.0, **opts)
     if cfg.protocol == "retrieve":
         plan = plan_retrieval(s1.field.detuning, cfg.intervals.get("T2", 0.0))
@@ -271,60 +264,35 @@ def run(
 
     ``seed`` overrides the noise-block seed (and seeds random key phases
     for otherwise noiseless runs).  ``input_stream`` supplies the scan CSV
-    for the ``fit`` protocol.  A negative seed, or a key-phase sweep of a
-    protocol without a scramble key, raises ``ConfigError``.
+    for the ``fit`` protocol.  A negative seed, or a key-phase sweep of
+    ``ramsey``, ``attack`` or ``fit``, raises ``ConfigError``.
     """
-    if cfg.sweep_phis and cfg.protocol not in _FIRST_SCRAMBLE:
+    if cfg.sweep_phis and cfg.protocol not in _SWEPT:
         raise ConfigError(f"protocol {cfg.protocol!r} does not support a key-phase sweep")
     if cfg.protocol == "fit":
         stream = input_stream if input_stream is not None else sys.stdin
-        fit = fit_damped_sinusoid(_read_scan_csv(stream))
-        out.write(_FIT_HEADER + "\n")
-        _write_fit_row(out, math.nan, fit)
-        if not fit.converged:
-            _report_unconverged("fit", fit)
-            return 4
-        return 0
+        return _write_fits(out, [fit_damped_sinusoid(_read_scan_csv(stream))])
 
     fields = _build_fields(cfg)
     frame = _frame(cfg)
-    model = _noise_model(cfg)
     if seed is None:
         seed = cfg.noise.seed if cfg.noise is not None else 0
     if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     write_key = _write_key(cfg, fields)
-    grid = _grid_values(cfg, fields)
-
-    if cfg.protocol == "attack":
-        # the reader does not hold the key phase: secret_readout draws one
-        key = replace(_scramble_key(cfg, fields, "scramble", "T1", rng, phi=0.0), phi_S=None)
-        ideal = secret_readout(write_key, key, grid, rng, frame=frame,
-                               clock_during_pulses=cfg.clock_during_pulses)
-        _write_scan(_measure(ideal, cfg, model, rng), out)
-        return 0
-
-    if cfg.sweep_phis:
+    grid = _grid_values(cfg)
+    phases = phi = None
+    if cfg.sweep_phis:  # one scan on the key-phase axis, one row per phase
         phases = np.linspace(0.0, TWO_PI, cfg.sweep_phis, endpoint=False)
-        template = _template(cfg, fields, write_key, rng, frame, phi=phases[:, None])
-        out.write(_FIT_HEADER + "\n")
-        # one scan on the key-phase axis; rows are read out in phase order
-        # and fitted in one call
-        fits = fit_many(_measure(scan(template, grid), cfg, model, rng))
-        for phi, fit in zip(phases, fits):
-            _write_fit_row(out, float(phi), fit)
-        converged = [f for f in fits if f.converged]
-        if len(converged) >= 2:
-            print(f"phase spread over sweep: {phase_spread(converged):.6f} rad", file=sys.stderr)
-        for phi, fit in zip(phases, fits):
-            if not fit.converged:
-                _report_unconverged(f"fit at phi_S={float(phi):.6f}", fit)
-        return 0 if len(converged) == len(fits) else 4
-
-    template = _template(cfg, fields, write_key, rng, frame)
-    _write_scan(_measure(scan(template, grid), cfg, model, rng), out)
-    return 0
+        phi = phases[:, None]
+    elif cfg.protocol == "attack":  # the reader does not hold the key phase
+        phi = float(rng.uniform(0.0, TWO_PI))
+    measured = _measure(scan(_template(cfg, fields, write_key, rng, frame, phi), grid), cfg, rng)
+    if phases is None:
+        _write_scan(measured, out)
+        return 0
+    return _write_fits(out, fit_many(measured), phases)
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
@@ -368,17 +336,12 @@ def main(argv=None) -> int:
             cfg = parse_config(fh.read())
         cfg = _apply_overrides(cfg, args)
 
-        input_stream = None
-        if args.input:
-            input_stream = open(args.input, "r", encoding="utf-8")
-        try:
-            if args.output:
-                with open(args.output, "w", encoding="utf-8", newline="") as out:
-                    return run(cfg, out, seed=args.seed, input_stream=input_stream)
-            return run(cfg, sys.stdout, seed=args.seed, input_stream=input_stream)
-        finally:
-            if input_stream is not None:
-                input_stream.close()
+        with contextlib.ExitStack() as files:
+            input_stream = (files.enter_context(open(args.input, "r", encoding="utf-8"))
+                            if args.input else None)
+            out = (files.enter_context(open(args.output, "w", encoding="utf-8", newline=""))
+                   if args.output else sys.stdout)
+            return run(cfg, out, seed=args.seed, input_stream=input_stream)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -65,8 +65,10 @@ def _least_odd(detuning: float, minimum: float, index: str, bound: str, *spent: 
     estimate = (reduce(add, (*spent, minimum)) / period - 1.0) / 2.0
     if not estimate <= MAX_PLAN_INDEX:
         raise InfeasiblePlanError(error)
-    n = max(0, math.ceil(estimate))
-    while reduce(sub, spent, (2 * n + 1) * period) < minimum:  # guard against ceil round-off
+    # round-off can put the estimate one past the answer or one short of it:
+    # step up from the index below it, testing the wait the planner reports
+    n = max(0, math.ceil(estimate) - 1)
+    while reduce(sub, spent, _half_turns(n, detuning)) < minimum:
         n += 1
         if n > MAX_PLAN_INDEX:
             raise InfeasiblePlanError(error)

@@ -64,6 +64,21 @@ class TestFitDampedSinusoid:
         )
         np.testing.assert_allclose(model, p, rtol=0.0, atol=1e-9)
 
+    @pytest.mark.filterwarnings("error")
+    def test_very_late_damped_scan_keeps_a_finite_phase(self):
+        # the scan above, 400 spans late: exp(800) overflows on the way back
+        # to T = 0, so the amplitude reads inf, but the phase is carried
+        # back apart from it
+        step, points = 1e-5, 32
+        span = (points - 1) * step
+        T = 400 * span + step * np.arange(points)
+        p = 0.5 + 0.25 * np.exp(-2.0 * (T - T[0]) / span) * np.cos(TWO_PI * 6250.0 * T + 0.7)
+        fit = fit_damped_sinusoid(FringeScan(T, p, np.zeros(points)))
+        assert fit.converged and fit.reason == "step_tol"
+        assert fit.frequency == pytest.approx(6250.0, rel=1e-9)
+        assert fit.amplitude == math.inf
+        assert fit.phase == pytest.approx(0.7, abs=1e-9)
+
     def test_constant_input_reports_no_fringe(self):
         T = np.linspace(0.0, 20e-3, 60)
         fit = fit_damped_sinusoid(FringeScan(T, np.full_like(T, 0.5), np.zeros_like(T)))

@@ -250,6 +250,28 @@ class TestRun:
         second = capsys.readouterr().out
         assert first != second
 
+    def test_attack_scans_the_scramble_template_with_a_drawn_key_phase(self, tmp_path, capsys):
+        # noiseless, the key phase is the run's only draw; the declared one is ignored
+        attack, scramble = tmp_path / "attack.cfg", tmp_path / "scramble.cfg"
+        attack.write_text(table1_text().replace("phase_rad=random", "phase_rad=0.3"))
+        for seed in (0, 5):
+            phi = float(np.random.default_rng(seed).uniform(0.0, TWO_PI))
+            scramble.write_text(table1_text().replace("phase_rad=random", f"phase_rad={phi!r}"))
+            assert main([str(attack), "--protocol", "attack", "--seed", str(seed)]) == 0
+            drawn = capsys.readouterr().out
+            assert main([str(scramble), "--protocol", "scramble"]) == 0
+            assert drawn == capsys.readouterr().out
+
+    def test_sweep_reports_one_phase_spread_and_a_fit_none(self, table1_path, tmp_path, capsys):
+        assert main([table1_path, "--protocol", "scramble", "--sweep-phis", "4"]) == 0
+        err = capsys.readouterr().err
+        assert err.startswith("phase spread over sweep: ") and err.count("\n") == 1
+        data, cfg = tmp_path / "scan.csv", tmp_path / "fit.cfg"
+        assert main([table1_path, "--protocol", "ramsey", "--output", str(data)]) == 0
+        cfg.write_text("protocol fit\n")
+        assert main([str(cfg), "--input", str(data)]) == 0
+        assert capsys.readouterr().err == ""
+
     def test_output_file(self, table1_path, tmp_path, capsys):
         target = tmp_path / "scan.csv"
         assert main([table1_path, "--protocol", "ramsey", "--output", str(target)]) == 0
@@ -589,6 +611,30 @@ class TestExitCodes:
         path.write_text(text)
         assert main([str(path)]) == 2
         assert "config error: field 'W': rabi must be positive and finite" in capsys.readouterr().err
+
+    def test_frame_that_overflows_in_angular_units_is_2(self, tmp_path, capsys):
+        # 1e308 Hz is finite; 2*pi times it is not
+        path = tmp_path / "huge_frame.cfg"
+        path.write_text(table1_text().replace("frame rotating", "frame lab 1e308"))
+        assert main([str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "config error: frame: atomic_frequency must be finite" in captured.err
+
+    @pytest.mark.parametrize("argv", [["--seed", "-1"], ["--sweep-phis", "0"], ["--grid", "1:0:1"]])
+    def test_rejected_run_leaves_the_output_file_alone(self, table1_path, tmp_path, capsys, argv):
+        target = tmp_path / "kept.csv"
+        target.write_bytes(b"earlier output\n")
+        assert main([table1_path, "--output", str(target), *argv]) == 2
+        assert target.read_bytes() == b"earlier output\n"
+        assert capsys.readouterr().out == ""
+
+    def test_unparsable_description_leaves_the_output_file_alone(self, tmp_path, capsys):
+        path, target = tmp_path / "bad.cfg", tmp_path / "kept.csv"
+        path.write_text("nonsense\n")
+        target.write_bytes(b"earlier output\n")
+        assert main([str(path), "--output", str(target)]) == 2
+        assert target.read_bytes() == b"earlier output\n"
 
     @pytest.mark.parametrize("seed, noise_seed, bad", [(-1, 0, -1), (None, -2, -2)])
     def test_negative_seed_in_run_is_a_config_error(self, seed, noise_seed, bad):

@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ramseylock import (
@@ -213,10 +213,9 @@ def test_non_finite_detuning_is_an_invalid_field(planner, detuning):
         _PLANNERS[planner](detuning)
 
 
-#: Relative round-off the planner properties allow.  A minimum that sits on
-#: a half-turn boundary may resolve to either neighbouring index: the
-#: planners compare against ``(2n+1) * (pi/|delta|)`` but report
-#: ``(2n+1) * pi / |delta|``, and the two can differ by an ulp.
+#: Relative round-off the planner properties allow where they add waits up
+#: or where the planner gives up before its search (an index estimate past
+#: ``MAX_PLAN_INDEX``).  Every bound and every minimality is checked exactly.
 _PLAN_TOL = 1e-12
 
 
@@ -250,10 +249,9 @@ class TestPlannerProperties:
         delta = data.draw(_detunings)
         minimum = _draw_minimum(data, delta)
         plan = plan_retrieval(delta, minimum)
-        tol = _PLAN_TOL * plan.T2
-        assert abs(plan.T2 - _half_turns(plan.n, delta)) <= tol
-        assert plan.T2 >= minimum - tol
-        assert plan.n == 0 or _half_turns(plan.n - 1, delta) < minimum + tol
+        assert plan.T2 == _half_turns(plan.n, delta)
+        assert plan.T2 >= minimum
+        assert plan.n == 0 or _half_turns(plan.n - 1, delta) < minimum
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
@@ -275,16 +273,35 @@ class TestPlannerProperties:
             last = _half_turns(MAX_PLAN_INDEX, delta_1)
             assert last - T3 - correction < min_sum + _PLAN_TOL * last
             return
-        assert abs(plan.T3 - _half_turns(plan.n, delta_2)) <= _PLAN_TOL * plan.T3
+        assert plan.T3 == _half_turns(plan.n, delta_2) and plan.T3 >= min_T3
         total = _half_turns(plan.m, delta_1)
-        tol = _PLAN_TOL * total
-        assert abs(plan.T2 + plan.T3 + plan.T4 + correction - total) <= tol
-        assert plan.T2 >= -tol and plan.T4 >= -tol
-        assert plan.T2 + plan.T4 >= min_sum - tol
-        assert plan.n == 0 or _half_turns(plan.n - 1, delta_2) < min_T3 + _PLAN_TOL * plan.T3
-        assert plan.m == 0 or (
-            _half_turns(plan.m - 1, delta_1) - plan.T3 - correction < min_sum + tol
+        assert abs(plan.T2 + plan.T3 + plan.T4 + correction - total) <= _PLAN_TOL * total
+        assert plan.T2 >= 0.0 and plan.T4 >= 0.0
+        assert plan.T2 + plan.T4 == total - plan.T3 - correction >= min_sum
+        assert plan.n == 0 or _half_turns(plan.n - 1, delta_2) < min_T3
+        assert plan.m == 0 or _half_turns(plan.m - 1, delta_1) - plan.T3 - correction < min_sum
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_a_minimum_on_a_boundary_returns_its_index(self, data):
+        delta_1, delta_2 = data.draw(_detunings), data.draw(_detunings)
+        k = data.draw(st.integers(0, 50))
+        min_T3 = _half_turns(k, delta_2)
+        assert plan_retrieval(delta_2, min_T3).n == k
+        assert k == 0 or _half_turns(k - 1, delta_2) < min_T3
+        # the sum bound on the j-th boundary left by that T3, past the least feasible index
+        tau_S2 = data.draw(st.floats(0.0, 5e-3))
+        clock = data.draw(st.booleans())
+        correction = 2.0 * tau_S2 if clock else 0.0
+        first = math.ceil((min_T3 + correction) * abs(delta_1) / math.pi / 2.0) + 1
+        j = first + data.draw(st.integers(0, 50))
+        assume(j <= MAX_PLAN_INDEX)
+        min_sum = _half_turns(j, delta_1) - min_T3 - correction
+        plan = plan_double_retrieval(
+            delta_1, delta_2, tau_S2, min_T3, min_sum, clock_during_pulses=clock
         )
+        assert (plan.n, plan.m) == (k, j)
+        assert _half_turns(j - 1, delta_1) - min_T3 - correction < min_sum
 
 
 class TestBuildWriteRead:

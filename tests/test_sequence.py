@@ -592,6 +592,33 @@ class TestKeyPhaseAxis:
         for row, phase in zip(batch.rows(), phases):
             assert np.max(np.abs(row.p - scan(template(float(phase)), grid).p)) <= ENGINE_TOL
 
+    @pytest.mark.parametrize("clock", [False, True], ids=["clock-off", "clock-on"])
+    @pytest.mark.parametrize("frame", [ROTATING, LAB], ids=["rotating", "lab"])
+    @pytest.mark.parametrize(
+        "builder, arg", [(builder, arg) for builder in _BUILDERS for arg in _KEY_ARGS[builder]]
+    )
+    def test_key_phase_harmonics_rebuild_every_other_phase(
+        self, write_key, scramble_key, builder, arg, frame, clock
+    ):
+        # a key phase held by k pulses enters P(T) as a trigonometric
+        # polynomial of degree 2k, so a scan at 4k + 1 equal phases fixes it
+        def template(phases):
+            keyed = _builder_templates(write_key, scramble_key, frame, clock, **{arg: phases})
+            return keyed[builder]
+
+        grid = np.linspace(0.0, 20e-3, 41)
+        keyed = template(np.zeros((1, 1))).events
+        k = sum(isinstance(e, PulseSpec) and np.ndim(e.phase_offset) > 0 for e in keyed)
+        assert k >= 1
+        sampled = TWO_PI * np.arange(4 * k + 1) / (4 * k + 1)
+        harmonics = np.arange(-2 * k, 2 * k + 1)
+        coefficients = np.exp(-1j * np.outer(harmonics, sampled)) @ scan(
+            template(sampled[:, None]), grid
+        ).p / sampled.size
+        phases = np.random.default_rng(17).uniform(0.0, TWO_PI, 50)
+        rebuilt = (np.exp(1j * np.outer(phases, harmonics)) @ coefficients).real
+        assert np.max(np.abs(rebuilt - scan(template(phases[:, None]), grid).p)) <= ENGINE_TOL
+
     def test_one_phase_per_grid_point(self, write_key, scramble_key, readout_grid):
         def template(phase):
             keyed = _builder_templates(write_key, scramble_key, ROTATING, False, phi=phase)
