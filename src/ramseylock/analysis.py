@@ -65,9 +65,9 @@ _RATE_SEEDS = (0.0, 0.5, 1.0, 2.0, 4.0, 8.0)
 #: Why a fit stopped.  ``step_tol``: a step fell below STEP_TOLERANCE and
 #: the fringe explains the data (the only converged outcome);
 #: ``residual``: the step converged but the rms residual exceeds the data's
-#: standard deviation, or the amplitude is zero; ``halving_exhausted``: 30
-#: step halvings found no decrease; ``max_iter``: MAX_ITERATIONS steps ran
-#: out; ``singular``: the least-squares step could not be solved;
+#: standard deviation, or the fitted fringe is zero; ``halving_exhausted``:
+#: 30 step halvings found no decrease; ``max_iter``: MAX_ITERATIONS steps
+#: ran out; ``singular``: the least-squares step could not be solved;
 #: ``zero_variance``: the data are constant to FLAT_TOLERANCE, so no fit
 #: was attempted.
 FIT_REASONS = ("step_tol", "residual", "halving_exhausted", "max_iter", "singular", "zero_variance")
@@ -130,11 +130,11 @@ def _normal_solve(w2, p, c, s, cc, cs, ss, cp, sp):
     argument holds, per row, one weighted sum (of cos, sin, cos^2, cos*sin,
     sin^2, p*cos, p*sin) for each of its trial models.  Returns the
     coefficients ``offset``, ``a`` and ``b`` and the residual sum of
-    squares (SSR), each of that shape."""
-    total = np.sum(w2, axis=-1)[:, None]
+    squares (SSR), each of that shape, written over ``cc`` .. ``sp``."""
+    total = w2.sum(axis=-1)[:, None]
     wp = w2 * p
-    P = np.sum(wp, axis=-1)[:, None]
-    Q = np.sum(wp * p, axis=-1)[:, None]
+    P = wp.sum(axis=-1)[:, None]
+    Q = (wp * p).sum(axis=-1)[:, None]
     # a ridge proportional to the gram scale keeps the degenerate systems
     # (f = 0 and f = Nyquist have a vanishing sin column) solvable;
     # selection is unaffected elsewhere
@@ -142,16 +142,23 @@ def _normal_solve(w2, p, c, s, cc, cs, ss, cp, sp):
     g00 = total + ridge
     # eliminate the offset, then solve the remaining 2x2 system
     u, v = c / g00, s / g00
-    a11 = cc + ridge - u * c
-    a12 = cs - u * s
-    a22 = ss + ridge - v * s
-    b1 = cp - u * P
-    b2 = sp - v * P
-    det = a11 * a22 - a12 * a12
-    a = (a22 * b1 - a12 * b2) / det
-    b = (a11 * b2 - a12 * b1) / det
-    offset = (P - c * a - s * b) / g00
-    return offset, a, b, Q - P * P / g00 - (a * b1 + b * b2)
+    # the 2x2 system and its solution overwrite the sums; ``t`` holds each product
+    t = u * c
+    a11 = np.subtract(np.add(cc, ridge, out=cc), t, out=cc)
+    a12 = np.subtract(cs, np.multiply(u, s, out=t), out=cs)
+    a22 = np.subtract(np.add(ss, ridge, out=ss), np.multiply(v, s, out=t), out=ss)
+    b1 = np.subtract(cp, np.multiply(u, P, out=t), out=cp)
+    b2 = np.subtract(sp, np.multiply(v, P, out=t), out=sp)
+    det = np.subtract(np.multiply(a11, a22, out=u), np.multiply(a12, a12, out=t), out=u)
+    a = np.subtract(np.multiply(a22, b1, out=v), np.multiply(a12, b2, out=t), out=v)
+    a /= det
+    b = np.subtract(np.multiply(a11, b2, out=a11), np.multiply(a12, b1, out=t), out=a11)
+    b /= det
+    offset = np.subtract(P, np.multiply(c, a, out=t), out=a12)
+    offset -= np.multiply(s, b, out=t)
+    offset /= g00
+    ssr = np.add(np.multiply(a, b1, out=b1), np.multiply(b, b2, out=b2), out=b1)
+    return offset, a, b, np.subtract(Q - P * P / g00, ssr, out=ssr)
 
 
 def _spectral_ssr(w2, p, z1, z2, zp):
@@ -159,7 +166,7 @@ def _spectral_ssr(w2, p, z1, z2, zp):
     the complex sums ``z1`` of ``w2 * exp(-i*omega*t)``, ``z2`` of
     ``w2 * exp(-2i*omega*t)`` and ``zp`` of ``w2 * p * exp(-i*omega*t)``:
     the squared and cross terms come from the doubled frequency."""
-    total = np.sum(w2, axis=-1)[:, None]
+    total = w2.sum(axis=-1)[:, None]
     return _normal_solve(
         w2, p, z1.real, -z1.imag, 0.5 * (total + z2.real), -0.5 * z2.imag,
         0.5 * (total - z2.real), zp.real, -zp.imag,
@@ -196,16 +203,15 @@ def _grid_ssr(T, p, weights, step, count):
 
 def _periodogram_ssr(p, weights, size):
     """The same SSR on a uniform grid at the ``size // 2 + 1`` frequencies
-    ``k / (size * dt)``, with every sum read off a real FFT of each row
-    zero-padded to ``size``; bin ``2k`` past the half spectrum is the
-    conjugate of bin ``size - 2k``."""
+    ``k / (size * dt)``, with every sum read off one real FFT of the rows
+    ``w2`` and ``w2 * p`` zero-padded to ``size``; bin ``2k`` past the half
+    spectrum is the conjugate of bin ``size - 2k``."""
     w2 = weights * weights
-    z1 = np.fft.rfft(w2, size)  # sum of w2 * exp(-i * omega_k * (T - T[0]))
-    zp = np.fft.rfft(w2 * p, size)
+    z1, zp = np.fft.rfft(np.stack([w2, w2 * p]), size)  # sums of w2 * exp(-i * omega_k * t)
     doubled = 2 * np.arange(z1.shape[-1])
-    folded = doubled > size // 2
-    z2 = z1[:, np.where(folded, size - doubled, doubled)]
-    return _spectral_ssr(w2, p, z1, np.where(folded, z2.conj(), z2), zp)
+    z2 = z1[:, np.minimum(doubled, size - doubled)]
+    z2[:, size // 4 + 1:].imag *= -1.0  # conjugate the folded bins
+    return _spectral_ssr(w2, p, z1, z2, zp)
 
 
 def _coarse_frequency(T, p, weights):
@@ -220,20 +226,20 @@ def _coarse_frequency(T, p, weights):
     non-uniform grid evaluates it directly at COARSE_GRID_SIZE frequencies
     up to ``0.5 / min(dt)``."""
     dt = np.diff(T)
-    step = float(np.min(dt))
-    if np.all(np.abs(dt - step) <= UNIFORM_TOLERANCE * step):
+    step = float(dt.min())
+    if (np.abs(dt - step) <= UNIFORM_TOLERANCE * step).all():
         size = max(PAD_FACTOR * T.size, 2 * COARSE_GRID_SIZE)
         scale = size * step
         ssr = _periodogram_ssr(p, weights, size)
     else:
         scale = 2 * (COARSE_GRID_SIZE - 1) * step
         ssr = _grid_ssr(T, p, weights, 1.0 / scale, COARSE_GRID_SIZE)
-    rows, k, last = np.arange(len(p)), np.argmin(ssr, axis=-1), ssr.shape[-1] - 1
+    rows, k, last = np.arange(len(p)), ssr.argmin(axis=-1), ssr.shape[-1] - 1
     left, mid = ssr[rows, np.abs(k - 1)], ssr[rows, k]
     right = ssr[rows, last - np.abs(last - k - 1)]
     curv = left - 2.0 * mid + right
     shift = np.divide(left - right, 2.0 * curv, out=np.zeros_like(mid), where=curv > 0.0)
-    return (k + np.clip(shift, -0.5, 0.5)) / scale
+    return (k + shift.clip(-0.5, 0.5)) / scale
 
 
 def _rate_seeds(T, p, weights, freq):
@@ -245,13 +251,16 @@ def _rate_seeds(T, p, weights, freq):
     arg = TWO_PI * freq[:, None] * T
     cos_t, sin_t = np.cos(arg), np.sin(arg)
     w2 = weights * weights
-    wc, ws = w2 * cos_t, w2 * sin_t
-    c, s, cp, sp = (np.stack([wc, ws, wc * p, ws * p], axis=1) @ env.T).transpose(1, 0, 2)
-    cc, cs, ss = (
-        np.stack([wc * cos_t, wc * sin_t, ws * sin_t], axis=1) @ (env * env).T
-    ).transpose(1, 0, 2)
+    terms = np.empty((len(p), 7, T.size))  # w2 * (cos, sin, p cos, p sin, cos^2, cos sin, sin^2)
+    wc, ws = np.multiply(w2, cos_t, out=terms[:, 0]), np.multiply(w2, sin_t, out=terms[:, 1])
+    np.multiply(terms[:, :2], p[:, None], out=terms[:, 2:4])
+    np.multiply(wc, cos_t, out=terms[:, 4])
+    np.multiply(wc, sin_t, out=terms[:, 5])
+    np.multiply(ws, sin_t, out=terms[:, 6])
+    c, s, cp, sp = (terms[:, :4] @ env.T).transpose(1, 0, 2)
+    cc, cs, ss = (terms[:, 4:] @ (env * env).T).transpose(1, 0, 2)
     offset, a, b, ssr = _normal_solve(w2, p, c, s, cc, cs, ss, cp, sp)
-    rows, pick = np.arange(len(p)), np.argmin(ssr, axis=-1)
+    rows, pick = np.arange(len(p)), ssr.argmin(axis=-1)
     return np.stack(
         [offset[rows, pick], a[rows, pick], b[rows, pick], rates[pick], freq], axis=-1
     )
@@ -279,47 +288,47 @@ def _gauss_newton(T, p, weights, params):
     reasons = np.full(len(params), "max_iter", dtype=object)
     rows, x, evaluated = np.arange(len(params)), params.copy(), None
     neg_T, two_pi_T = -T, TWO_PI * T
+    columns = np.empty((5, *p.shape))  # d(resid)/d(offset, a, b, rate, freq) of the live rows
     for iteration in range(1, MAX_ITERATIONS + 1):
         if not rows.size:
             break
         env, cos_t, sin_t, osc, resid, ssr = evaluated or _evaluate(T, p, weights, x)
-        ew = env * weights
-        jac = np.stack(
-            [
-                weights,
-                ew * cos_t,
-                ew * sin_t,
-                neg_T * ew * osc,
-                two_pi_T * ew * (x[:, 2:3] * cos_t - x[:, 1:2] * sin_t),
-            ],
-            axis=-1,
-        )
+        jac = columns[:, :len(x)]
+        ew = np.multiply(env, weights, out=env)
+        jac[0] = weights
+        np.multiply(ew, cos_t, out=jac[1])
+        np.multiply(ew, sin_t, out=jac[2])
+        np.multiply(neg_T * ew, osc, out=jac[3])
+        np.multiply(two_pi_T * ew, x[:, 2:3] * cos_t - x[:, 1:2] * sin_t, out=jac[4])
         # a row whose residual is not finite has no least-squares step
         singular = ~np.isfinite(ssr)
         if singular.any():
-            jac[singular] = 0.0
+            jac[:, singular] = 0.0
             resid[singular] = 0.0
         try:
-            step = _lstsq_steps(jac, resid)
+            step = _lstsq_steps(jac.transpose(1, 2, 0), resid)
         except np.linalg.LinAlgError:  # the SVD did not converge: no row gets a step
             singular[:] = True
             step = np.zeros_like(x)
-        rel_step = np.max(np.abs(step) / np.maximum(np.abs(x), 1.0), axis=1)
+        rel_step = (np.abs(step) / np.maximum(np.abs(x), 1.0)).max(axis=1)
 
         # plain Gauss-Newton with step halving as a guard against overshoot;
-        # ``taken`` is the shrink of the step each row took
+        # ``taken`` is the shrink of the step each row took.  Rows are
+        # gathered with ``take``, cheaper than fancy indexing on few rows.
         taken = np.full(len(x), np.nan)
-        pending = np.flatnonzero(~singular)
+        pending = (~singular).nonzero()[0]
         shrink, evaluated = 1.0, None
         for attempt in range(30):
-            trial = x[pending] + shrink * step[pending]
-            ok = rel_step[pending] * shrink < STEP_TOLERANCE  # taken whatever its SSR
-            if not ok.all():
-                tried = pending[~ok]
-                evaluated = _evaluate(T, p[tried], weights[tried], trial[~ok])
-                ok[~ok] = evaluated[5] <= ssr[tried]
-            x[pending[ok]] = trial[ok]
-            taken[pending[ok]] = shrink
+            trial = x.take(pending, 0) + shrink * step.take(pending, 0)
+            ok = rel_step.take(pending) * shrink < STEP_TOLERANCE  # taken whatever its SSR
+            tried = (~ok).nonzero()[0]
+            if tried.size:
+                at = pending.take(tried)
+                evaluated = _evaluate(T, p.take(at, 0), weights.take(at, 0), trial.take(tried, 0))
+                ok[tried] = evaluated[5] <= ssr.take(at)
+            accepted = pending[ok]
+            x[accepted] = trial[ok]
+            taken[accepted] = shrink
             pending = pending[~ok]
             if not pending.size:
                 break
@@ -333,9 +342,9 @@ def _gauss_newton(T, p, weights, params):
             stopped = rows[done]
             params[stopped] = x[done]
             iterations[stopped] = iteration
-            reasons[stopped] = np.select(
-                [singular[done], converged[done]], ["singular", "step_tol"], "halving_exhausted"
-            )
+            reasons[rows[pending]] = "halving_exhausted"  # neither singular nor converged
+            reasons[rows[converged]] = "step_tol"
+            reasons[rows[singular]] = "singular"
             keep = ~done
             rows, x, p, weights = rows[keep], x[keep], p[keep], weights[keep]
     params[rows] = x
@@ -363,8 +372,8 @@ def fit_many(scan: FringeScan) -> list[FitResult]:
         [0, 2*pi); frequencies in Hz; ``decay_time`` in seconds (``inf``
         when no damping is resolved, negative for a growing envelope).
         Amplitude and phase refer to T = 0: the fit runs on the scan's own
-        clock, ``T - T[0]``, and carries them back; an amplitude that
-        overflows on the way reads ``inf`` and keeps a finite phase.
+        clock, ``T - T[0]``, and carries them back; an amplitude that over-
+        or underflows on the way reads ``inf`` or 0 and keeps a finite phase.
     """
     if len(scan) < 8:
         raise FitError(f"need at least 8 points to fit, got {len(scan)}")
@@ -374,21 +383,21 @@ def fit_many(scan: FringeScan) -> list[FitResult]:
     sd = np.asarray(scan.sd, dtype=float).reshape(p.shape)
 
     # a constant row keeps these: offset p[0], no fringe, zero_variance
-    live = np.ptp(p, axis=-1) > FLAT_TOLERANCE * np.max(np.abs(p), axis=-1)
+    live = np.ptp(p, axis=-1) > FLAT_TOLERANCE * np.abs(p).max(axis=-1)
     params = np.zeros((len(p), 5))
     params[:, 0] = p[:, 0]
     iterations = np.zeros(len(p), dtype=int)
     reasons = np.full(len(p), "zero_variance", dtype=object)
     rms = np.zeros(len(p))
     scales = np.ones(len(p))
-    thresholds = np.where(live, np.std(p, axis=-1), 0.0)
+    thresholds = np.where(live, p.std(axis=-1), 0.0)
     if live.any():
         p_live, sd_live = p[live], sd[live]
-        weighted = np.all(sd_live > 0.0, axis=-1, keepdims=True)
+        weighted = (sd_live > 0.0).all(axis=-1, keepdims=True)
         weights = np.divide(1.0, sd_live, out=np.ones_like(sd_live), where=weighted)
         seeds = _rate_seeds(T, p_live, weights, _coarse_frequency(T, p_live, weights))
         params[live], iterations[live], reasons[live] = _gauss_newton(T, p_live, weights, seeds)
-        rms[live] = np.sqrt(np.mean(_evaluate(T, p_live, 1.0, params[live])[4] ** 2, axis=-1))
+        rms[live] = np.sqrt((_evaluate(T, p_live, 1.0, params[live])[4] ** 2).mean(axis=-1))
         if T0:  # carry (a, b) from T = T0 back to T = 0: turn them, then scale the amplitude
             a, b, rate, freq = params[:, 1:].T
             ab = (a + 1j * b) * np.exp(1j * TWO_PI * freq * T0)
@@ -410,7 +419,8 @@ def fit_many(scan: FringeScan) -> list[FitResult]:
         # an envelope that changes by < 1e-9 over the scanned window is
         # indistinguishable from no damping
         decay_time = math.inf if abs(rate) * span < 1e-9 else 1.0 / rate
-        if reason == "step_tol" and not (amplitude > 0.0 and residual <= threshold):
+        # whether there is a fringe is read off (a, b) before the scale, which can underflow
+        if reason == "step_tol" and not ((a or b) and residual <= threshold):
             reason = "residual"
         results.append(FitResult(
             amplitude=amplitude,

@@ -267,11 +267,12 @@ class TestScan:
 
 
 def _builder_templates(
-    write_key, scramble_key, frame, clock, write_phase=0.0, phi=1.3, phi_1=0.7, phi_2=2.9
+    write_key, scramble_key, frame, clock, write_phase=0.0, phi=1.3, phi_1=0.7, phi_2=2.9,
+    fast=FieldParams(TWO_PI * 5000.0, TWO_PI * 100.0, "S"),
 ):
-    """One template per builder; any phase may be an array of key phases."""
+    """One template per builder; any phase may be an array of key phases.
+    The stacked builders scramble with 0.8*pi-area pulses of ``fast``."""
     write_key = replace(write_key, phase=write_phase)
-    fast = FieldParams(TWO_PI * 5000.0, TWO_PI * 100.0, "S")
     tau = 0.8 * math.pi / fast.rabi
     plan_2 = plan_double_retrieval(
         fast.detuning, fast.detuning, tau, min_T3=1e-3, min_T2_plus_T4=1e-3,
@@ -568,6 +569,32 @@ _KEY_ARGS = {
 }
 
 
+def _rebuild(template, grid, phases):
+    """P on ``grid`` at the key phases ``phases`` (one array per argument of
+    ``template``, broadcast together), rebuilt from one scan at 4k + 1 equal
+    phases of each key, which ``template`` takes as ``(K, 1)`` arrays.  A key
+    phase held by k pulses enters P(T) as a trigonometric polynomial of
+    degree 2k in it, so those scans fix P at every phase."""
+    counts = []
+    for i in range(len(phases)):
+        probe = [0.0] * len(phases)
+        probe[i] = np.zeros((1, 1))
+        held = template(*probe).events
+        k = sum(isinstance(e, PulseSpec) and np.ndim(e.phase_offset) > 0 for e in held)
+        assert k >= 1
+        counts.append(4 * k + 1)
+    mesh = np.meshgrid(*(TWO_PI * np.arange(n) / n for n in counts), indexing="ij")
+    p = scan(template(*(m.reshape(-1, 1) for m in mesh)), grid).p.reshape(*counts, len(grid))
+    coefficients = np.fft.fftn(p, axes=range(len(counts))) / math.prod(counts)
+    rebuilt = 0.0
+    for index in np.ndindex(*counts):
+        # bin h of an n-point DFT holds harmonic h up to n // 2, h - n above
+        turn = sum((h if h <= n // 2 else h - n) * np.asarray(phase)
+                   for h, n, phase in zip(index, counts, phases))
+        rebuilt = rebuilt + (np.exp(1j * turn)[..., None] * coefficients[index]).real
+    return rebuilt
+
+
 class TestKeyPhaseAxis:
     @settings(max_examples=80, deadline=None)
     @given(data=st.data())
@@ -600,24 +627,72 @@ class TestKeyPhaseAxis:
     def test_key_phase_harmonics_rebuild_every_other_phase(
         self, write_key, scramble_key, builder, arg, frame, clock
     ):
-        # a key phase held by k pulses enters P(T) as a trigonometric
-        # polynomial of degree 2k, so a scan at 4k + 1 equal phases fixes it
         def template(phases):
             keyed = _builder_templates(write_key, scramble_key, frame, clock, **{arg: phases})
             return keyed[builder]
 
         grid = np.linspace(0.0, 20e-3, 41)
-        keyed = template(np.zeros((1, 1))).events
-        k = sum(isinstance(e, PulseSpec) and np.ndim(e.phase_offset) > 0 for e in keyed)
-        assert k >= 1
-        sampled = TWO_PI * np.arange(4 * k + 1) / (4 * k + 1)
-        harmonics = np.arange(-2 * k, 2 * k + 1)
-        coefficients = np.exp(-1j * np.outer(harmonics, sampled)) @ scan(
-            template(sampled[:, None]), grid
-        ).p / sampled.size
         phases = np.random.default_rng(17).uniform(0.0, TWO_PI, 50)
-        rebuilt = (np.exp(1j * np.outer(phases, harmonics)) @ coefficients).real
+        rebuilt = _rebuild(template, grid, [phases])
         assert np.max(np.abs(rebuilt - scan(template(phases[:, None]), grid).p)) <= ENGINE_TOL
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_key_phase_harmonics_rebuild_over_random_fields(self, data):
+        # the identity above for random fields, keys and lab frequencies
+        def field(label, rabi_hz, detuning_hz):
+            return FieldParams(TWO_PI * data.draw(st.floats(*rabi_hz)),
+                               TWO_PI * data.draw(st.floats(*detuning_hz)), label)
+
+        write_key = WriteKey(field("W", (100.0, 2000.0), (20.0, 500.0)),
+                             tau=data.draw(st.floats(0.1e-3, 1e-3)))
+        scramble_key = ScrambleKey(field("S", (50.0, 1000.0), (20.0, 500.0)),
+                                   data.draw(st.floats(0.2e-3, 2e-3)), 0.0,
+                                   data.draw(st.floats(1e-3, 8e-3)))
+        fast = field("S", (1000.0, 8000.0), (20.0, 500.0))
+        builder = data.draw(st.sampled_from(_BUILDERS))
+        arg = data.draw(st.sampled_from(_KEY_ARGS[builder]))
+        frame = data.draw(st.sampled_from(
+            [ROTATING, FrameConvention("lab", TWO_PI * data.draw(st.floats(0.0, 1e4)))]
+        ))
+        clock = data.draw(st.booleans())
+
+        def template(phases):
+            return _builder_templates(write_key, scramble_key, frame, clock, fast=fast,
+                                      **{arg: phases})[builder]
+
+        grid = np.linspace(0.0, 20e-3, 41)
+        phases = np.array(data.draw(st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=8)))
+        rebuilt = _rebuild(template, grid, [phases])
+        assert np.max(np.abs(rebuilt - scan(template(phases[:, None]), grid).p)) <= ENGINE_TOL
+
+    def test_retrieval_holds_over_the_whole_circle(self, write_key, scramble_key, readout_grid):
+        # table 1's retrieve, against its key phase at 0, at 4,096 phases
+        # (0.017246 here) rather than at 8; the bound is the 8-phase one
+        def template(phi):
+            return _builder_templates(write_key, scramble_key, ROTATING, False, phi=phi)["retrieved"]
+
+        phases = np.arange(4096) * TWO_PI / 4096
+        rebuilt = _rebuild(template, readout_grid, [phases])
+        reference = scan(template(0.0), readout_grid).p
+        assert np.max(np.abs(rebuilt[0] - reference)) <= ENGINE_TOL
+        assert np.max(np.abs(rebuilt - reference)) <= 0.02
+
+    def test_stacked_retrieval_holds_over_the_whole_torus(
+        self, write_key, scramble_key, readout_grid
+    ):
+        # both keys of the 0.8*pi-area stacked scheme on a 64 x 64 grid
+        def template(phi_1, phi_2):
+            keyed = _builder_templates(write_key, scramble_key, ROTATING, False,
+                                       phi_1=phi_1, phi_2=phi_2)
+            return keyed["double_retrieved"]
+
+        side = np.arange(64) * TWO_PI / 64
+        rebuilt = _rebuild(template, readout_grid, [side[:, None], side[None, :]])
+        assert rebuilt.shape == (64, 64, readout_grid.size)
+        reference = scan(template(0.0, 0.0), readout_grid).p
+        assert np.max(np.abs(rebuilt[0, 0] - reference)) <= ENGINE_TOL
+        assert np.max(np.abs(rebuilt - reference)) <= 0.05
 
     def test_one_phase_per_grid_point(self, write_key, scramble_key, readout_grid):
         def template(phase):
