@@ -129,8 +129,10 @@ def _normal_solve(w2, p, c, s, cc, cs, ss, cp, sp):
     equations.  ``w2`` and ``p`` hold one fringe per row; each later
     argument holds, per row, one weighted sum (of cos, sin, cos^2, cos*sin,
     sin^2, p*cos, p*sin) for each of its trial models.  Returns the
-    coefficients ``offset``, ``a`` and ``b`` and the residual sum of
-    squares (SSR), each of that shape, written over ``cc`` .. ``sp``."""
+    ``(K, 1)`` sums ``P`` of ``w2 * p`` and ``g00`` of the ridged weights,
+    then ``a``, ``b`` and the residual sum of squares (SSR) of each model,
+    written over ``cc`` .. ``sp``.  A model's offset is
+    ``(P - c*a - s*b) / g00``; only the caller that keeps one forms it."""
     total = w2.sum(axis=-1)[:, None]
     wp = w2 * p
     P = wp.sum(axis=-1)[:, None]
@@ -154,11 +156,8 @@ def _normal_solve(w2, p, c, s, cc, cs, ss, cp, sp):
     a /= det
     b = np.subtract(np.multiply(a11, b2, out=a11), np.multiply(a12, b1, out=t), out=a11)
     b /= det
-    offset = np.subtract(P, np.multiply(c, a, out=t), out=a12)
-    offset -= np.multiply(s, b, out=t)
-    offset /= g00
     ssr = np.add(np.multiply(a, b1, out=b1), np.multiply(b, b2, out=b2), out=b1)
-    return offset, a, b, np.subtract(Q - P * P / g00, ssr, out=ssr)
+    return P, g00, a, b, np.subtract(Q - P * P / g00, ssr, out=ssr)
 
 
 def _spectral_ssr(w2, p, z1, z2, zp):
@@ -170,7 +169,7 @@ def _spectral_ssr(w2, p, z1, z2, zp):
     return _normal_solve(
         w2, p, z1.real, -z1.imag, 0.5 * (total + z2.real), -0.5 * z2.imag,
         0.5 * (total - z2.real), zp.real, -zp.imag,
-    )[3]
+    )[-1]
 
 
 def _powers(r, count):
@@ -259,11 +258,11 @@ def _rate_seeds(T, p, weights, freq):
     np.multiply(ws, sin_t, out=terms[:, 6])
     c, s, cp, sp = (terms[:, :4] @ env.T).transpose(1, 0, 2)
     cc, cs, ss = (terms[:, 4:] @ (env * env).T).transpose(1, 0, 2)
-    offset, a, b, ssr = _normal_solve(w2, p, c, s, cc, cs, ss, cp, sp)
+    P, g00, a, b, ssr = _normal_solve(w2, p, c, s, cc, cs, ss, cp, sp)
     rows, pick = np.arange(len(p)), ssr.argmin(axis=-1)
-    return np.stack(
-        [offset[rows, pick], a[rows, pick], b[rows, pick], rates[pick], freq], axis=-1
-    )
+    a, b = a[rows, pick], b[rows, pick]
+    offset = (P[:, 0] - c[rows, pick] * a - s[rows, pick] * b) / g00[:, 0]
+    return np.stack([offset, a, b, rates[pick], freq], axis=-1)
 
 
 def _lstsq_steps(jac, resid):

@@ -67,38 +67,28 @@ def _frame(cfg: ExperimentConfig) -> FrameConvention:
         raise ConfigError(f"frame: {exc}") from exc
 
 
-def _pulse_def(cfg: ExperimentConfig, name: str):
+def _key(cfg: ExperimentConfig, fields, name: str, rng, phi=None):
+    """``(field, tau, phase)`` of pulse ``name``: the phase is ``phi`` when
+    given, else the declared one, else a ``random`` draw from ``rng``."""
     if name not in cfg.pulses:
         raise ConfigError(f"protocol {cfg.protocol!r} needs a pulse named {name!r}")
-    return cfg.pulses[name]
-
-
-def _write_key(cfg: ExperimentConfig, fields) -> WriteKey:
-    p = _pulse_def(cfg, "write")
-    phase = 0.0 if p.phase_rad is None else p.phase_rad
-    return WriteKey(fields[p.field], tau=p.tau_s, phase=phase)
-
-
-def _scramble_key(cfg, fields, name: str, wait: str | float, rng, phi=None) -> ScrambleKey:
-    """Key of pulse ``name`` after ``wait``: an interval name or a planned
-    wait in seconds.  ``phi`` replaces the pulse's phase; without it a
-    ``random`` phase is drawn from ``rng``."""
-    p = _pulse_def(cfg, name)
-    if isinstance(wait, str):
-        if wait not in cfg.intervals:
-            raise ConfigError(f"protocol {cfg.protocol!r} needs interval {wait}=")
-        wait = cfg.intervals[wait]
+    p = cfg.pulses[name]
     if phi is None:
         phi = p.phase_rad if p.phase_rad is not None else float(rng.uniform(0.0, TWO_PI))
-    return ScrambleKey(fields[p.field], p.tau_s, phi, wait)
+    return fields[p.field], p.tau_s, phi
+
+
+def _interval(cfg: ExperimentConfig, name: str) -> float:
+    if name not in cfg.intervals:
+        raise ConfigError(f"protocol {cfg.protocol!r} needs interval {name}=")
+    return cfg.intervals[name]
 
 
 def _grid_values(cfg: ExperimentConfig) -> np.ndarray:
     spec = cfg.grid
     if spec is None:
         # default: two fringe periods of the recording field in 201 points
-        p = _pulse_def(cfg, "write")
-        detuning_hz = abs(cfg.fields[p.field].detuning_hz)
+        detuning_hz = abs(cfg.fields[cfg.pulses["write"].field].detuning_hz)
         if detuning_hz == 0.0:
             raise ConfigError("no grid given and the write field has zero detuning; add a grid")
         spec = GridSpec(0.0, 2.0 / detuning_hz, (2.0 / detuning_hz) / 200.0)
@@ -221,27 +211,24 @@ def _template(cfg, fields, write_key, rng, frame, phi=None) -> Sequence:
     ``scramble`` one.
 
     ``phi`` (a float or a ``(K, 1)`` array of key phases) replaces the first
-    scramble key's phase; without it a ``random`` phase is drawn from
-    ``rng``.  Keys resolve in timeline order (scramble-1, the timing plan,
-    scramble-2), which fixes the order of the draws.
+    scramble key's phase.  Keys resolve in pulse order, scramble-1 then
+    scramble-2, which fixes the order of their ``random`` draws.
     """
     opts = dict(frame=frame, scanned=True)
     if cfg.protocol == "ramsey":
         return build_write_read(write_key, 0.0, clock_during_pulses=cfg.clock_during_pulses, **opts)
     first = "scramble1" if cfg.protocol.startswith("double-") else "scramble"
-    s1 = _scramble_key(cfg, fields, first, "T1", rng, phi)
+    s1 = ScrambleKey(*_key(cfg, fields, first, rng, phi), _interval(cfg, "T1"))
     if cfg.protocol == "double-retrieve":
-        s2_def = _pulse_def(cfg, "scramble2")
+        field2, tau2, phi2 = _key(cfg, fields, "scramble2", rng)
         plan = plan_double_retrieval(
-            s1.field.detuning,
-            fields[s2_def.field].detuning,
-            s2_def.tau_s,
+            s1.field.detuning, field2.detuning, tau2,
             min_T3=cfg.intervals.get("T3", 0.0),
             min_T2_plus_T4=cfg.intervals.get("T2", 0.0) + cfg.intervals.get("T4", 0.0),
             clock_during_pulses=cfg.clock_during_pulses,
             T2=cfg.intervals.get("T2"),
         )
-        s2 = _scramble_key(cfg, fields, "scramble2", plan.T2, rng)
+        s2 = ScrambleKey(field2, tau2, phi2, plan.T2)
         return build_double_retrieved(write_key, s1, s2, plan, 0.0, **opts)
     opts["clock_during_pulses"] = cfg.clock_during_pulses
     if cfg.protocol in ("scramble", "attack"):
@@ -249,7 +236,7 @@ def _template(cfg, fields, write_key, rng, frame, phi=None) -> Sequence:
     if cfg.protocol == "retrieve":
         plan = plan_retrieval(s1.field.detuning, cfg.intervals.get("T2", 0.0))
         return build_retrieved(write_key, s1, plan, 0.0, **opts)
-    s2 = _scramble_key(cfg, fields, "scramble2", "T2", rng)
+    s2 = ScrambleKey(*_key(cfg, fields, "scramble2", rng), _interval(cfg, "T2"))
     return build_double_scrambled(write_key, s1, s2, 0.0, **opts)
 
 
@@ -264,10 +251,14 @@ def run(
 
     ``seed`` overrides the noise-block seed (and seeds random key phases
     for otherwise noiseless runs).  ``input_stream`` supplies the scan CSV
-    for the ``fit`` protocol.  A negative seed, or a key-phase sweep of
-    ``ramsey``, ``attack`` or ``fit``, raises ``ConfigError``.
+    for the ``fit`` protocol.  A negative seed, a ``sweep_phis`` that is not
+    an integer >= 1, or a key-phase sweep of ``ramsey``, ``attack`` or
+    ``fit``, raises ``ConfigError``.
     """
-    if cfg.sweep_phis and cfg.protocol not in _SWEPT:
+    n = cfg.sweep_phis
+    if n is not None and not (isinstance(n, (int, np.integer)) and n >= 1):
+        raise ConfigError(f"sweep_phis must be an integer >= 1, got {n!r}")
+    if n and cfg.protocol not in _SWEPT:
         raise ConfigError(f"protocol {cfg.protocol!r} does not support a key-phase sweep")
     if cfg.protocol == "fit":
         stream = input_stream if input_stream is not None else sys.stdin
@@ -280,11 +271,11 @@ def run(
     if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
-    write_key = _write_key(cfg, fields)
+    write_key = WriteKey(*_key(cfg, fields, "write", rng))
     grid = _grid_values(cfg)
     phases = phi = None
-    if cfg.sweep_phis:  # one scan on the key-phase axis, one row per phase
-        phases = np.linspace(0.0, TWO_PI, cfg.sweep_phis, endpoint=False)
+    if n:  # one scan on the key-phase axis, one row per phase
+        phases = np.linspace(0.0, TWO_PI, n, endpoint=False)
         phi = phases[:, None]
     elif cfg.protocol == "attack":  # the reader does not hold the key phase
         phi = float(rng.uniform(0.0, TWO_PI))

@@ -83,11 +83,12 @@ class FieldParams:
 class FrameConvention:
     """Reference frame for phase bookkeeping.
 
-    ``rotating`` sets the atomic frequency to zero so pulse phases advance
-    at the detunings and free evolution is the identity.  ``lab`` keeps an
-    explicit atomic frequency ``atomic_frequency`` (rad/s); each field then
-    oscillates at ``atomic_frequency + detuning`` and free evolution winds
-    the two amplitudes at ``+/- atomic_frequency/2``.  Populations agree
+    ``rotating`` has atomic frequency zero (any other is a ``ValueError``),
+    so pulse phases advance at the detunings and free evolution is the
+    identity.  ``lab`` keeps an explicit atomic frequency
+    ``atomic_frequency`` (rad/s); each field then oscillates at
+    ``atomic_frequency + detuning`` and free evolution winds the two
+    amplitudes at ``+/- atomic_frequency/2``.  Populations agree
     between the two modes for any pulse sequence whose clock advances only
     during waits.
     """
@@ -100,6 +101,8 @@ class FrameConvention:
             raise ValueError(f"mode must be 'rotating' or 'lab', got {self.mode!r}")
         if not math.isfinite(self.atomic_frequency):
             raise ValueError("atomic_frequency must be finite")
+        if self.mode == "rotating" and self.atomic_frequency != 0.0:
+            raise ValueError(f"rotating frame needs atomic_frequency 0, got {self.atomic_frequency}")
 
     @property
     def free_rate(self) -> float:

@@ -262,6 +262,45 @@ class TestRun:
             assert main([str(scramble), "--protocol", "scramble"]) == 0
             assert drawn == capsys.readouterr().out
 
+    def test_random_write_phase_is_drawn_from_the_seed(self, tmp_path, capsys):
+        # noiseless scramble with a declared key phase: the write phase is the only draw
+        path = tmp_path / "write.cfg"
+        path.write_text(table1_text().replace("phase_rad=random", "phase_rad=0.3")
+                        .replace("phase_rad=0\n", "phase_rad=random\n"))
+        scans = []
+        for seed in (1, 2, 1):
+            assert main([str(path), "--protocol", "scramble", "--seed", str(seed)]) == 0
+            scans.append(capsys.readouterr().out)
+        assert scans[0] != scans[1] and scans[0] == scans[2]
+
+    @pytest.mark.parametrize("protocol", ["double-scramble", "double-retrieve"])
+    def test_random_phases_are_drawn_in_pulse_order(self, tmp_path, capsys, protocol):
+        # write, then scramble-1, then scramble-2; noiseless, so nothing else draws
+        text = table1_text().replace("protocol ramsey", f"protocol {protocol}").replace(
+            "pulse scramble field=S tau_s=0.00148 phase_rad=random",
+            "pulse scramble1 field=S tau_s=0.00148 phase_rad=random\n"
+            "pulse scramble2 field=S tau_s=0.0012 phase_rad=random",
+        ).replace("phase_rad=0", "phase_rad=random")
+        drawn, declared = tmp_path / "drawn.cfg", tmp_path / "declared.cfg"
+        drawn.write_text(text)
+        for phi in np.random.default_rng(6).uniform(0.0, TWO_PI, 3):
+            text = text.replace("phase_rad=random", f"phase_rad={float(phi)!r}", 1)
+        declared.write_text(text)
+        assert main([str(drawn), "--seed", "6"]) == 0
+        first = capsys.readouterr().out
+        assert main([str(declared)]) == 0
+        assert first == capsys.readouterr().out
+
+    def test_default_grid_is_two_fringe_periods_of_the_write_field(self, tmp_path, capsys):
+        path = tmp_path / "nogrid.cfg"
+        path.write_text(table1_text().replace("grid 0:20ms:0.1ms\n", ""))
+        assert main([str(path)]) == 0
+        T = np.array([float(line.split(",")[0])
+                      for line in capsys.readouterr().out.strip().split("\n")[1:]])
+        assert len(T) == 201 and T[0] == 0.0
+        assert T[-1] == pytest.approx(2.0 / 110.0, rel=1e-12)
+        assert np.diff(T) == pytest.approx(np.full(200, 0.01 / 110.0), rel=1e-9)
+
     def test_sweep_reports_one_phase_spread_and_a_fit_none(self, table1_path, tmp_path, capsys):
         assert main([table1_path, "--protocol", "scramble", "--sweep-phis", "4"]) == 0
         err = capsys.readouterr().err
@@ -627,7 +666,8 @@ class TestExitCodes:
         target.write_bytes(b"earlier output\n")
         assert main([table1_path, "--output", str(target), *argv]) == 2
         assert target.read_bytes() == b"earlier output\n"
-        assert capsys.readouterr().out == ""
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"config error: {argv[0]} " in captured.err
 
     def test_unparsable_description_leaves_the_output_file_alone(self, tmp_path, capsys):
         path, target = tmp_path / "bad.cfg", tmp_path / "kept.csv"
@@ -645,6 +685,33 @@ class TestExitCodes:
         with pytest.raises(ConfigError, match=f"seed must be >= 0, got {bad}"):
             run(cfg, out, seed=seed)
         assert out.getvalue() == ""
+
+    @pytest.mark.parametrize("phis", [0, -2, 2.5])
+    def test_sweep_phis_in_run_must_be_a_positive_integer(self, phis):
+        # a sweep_phis set in code; main checks --sweep-phis itself, with its own message
+        cfg = parse_config(table1_text().replace("protocol ramsey", "protocol scramble"))
+        cfg.sweep_phis = phis
+        out = io.StringIO()
+        with pytest.raises(ConfigError, match=f"sweep_phis must be an integer >= 1, got {phis!r}"):
+            run(cfg, out)
+        assert out.getvalue() == ""
+
+    def test_rotating_frame_with_an_atomic_frequency_is_a_config_error(self):
+        cfg = parse_config(table1_text())
+        cfg.frame_omega_a_hz = 123.0
+        out = io.StringIO()
+        with pytest.raises(ConfigError, match="frame: rotating frame needs atomic_frequency 0"):
+            run(cfg, out)
+        assert out.getvalue() == ""
+
+    def test_default_grid_with_zero_write_detuning_is_2(self, tmp_path, capsys):
+        path = tmp_path / "flat_write.cfg"
+        path.write_text(table1_text().replace("grid 0:20ms:0.1ms\n", "")
+                        .replace("rabi_hz=565 detuning_hz=110", "rabi_hz=565 detuning_hz=0"))
+        assert main([str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "no grid given and the write field has zero detuning" in captured.err
 
     @pytest.mark.parametrize("grid", ["0:20ms:nan", "0:inf:0.1ms", "1:0:1", "0:1:0", "0:1"])
     def test_bad_grid_option_is_2(self, table1_path, capsys, grid):

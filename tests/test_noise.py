@@ -290,6 +290,32 @@ class TestMonteCarloScramble:
         assert float(np.max(sd)) / float(np.min(sd)) < 1.6
         assert float(np.min(sd)) > 20.0 * math.sqrt(0.25 / (5e4 * 5))
 
+    @staticmethod
+    def _pooled_z(write_key, scramble_key, grid, linewidth, seed):
+        """z-score at each point of the pooled mean of 400 trials against
+        the zeroth key-phase harmonic c0(T): the mean of a scan at 5 equal
+        key phases, exact because the scrambled fringe has degree <= 2 in
+        the key phase."""
+        phases = TWO_PI * np.arange(5)[:, None] / 5
+        keyed = ScrambleKey(scramble_key.field, scramble_key.tau, phases, scramble_key.T1)
+        c0 = scan(build_scrambled(write_key, keyed, 0.0, scanned=True), grid).p.mean(axis=0)
+        model = NoiseModel(linewidth=linewidth, run_interval=47.0, seed=seed)
+        pooled = monte_carlo_scramble(write_key, scramble_key, grid, 400, model).pooled
+        return (pooled.p - c0) / (pooled.sd / math.sqrt(400))
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_pooled_mean_of_a_diffused_key_is_the_zeroth_harmonic(
+        self, write_key, scramble_key, readout_grid, seed
+    ):
+        # 47 rad^2 of diffusion: the wrapped key phase is uniform to about 1e-10
+        z = self._pooled_z(write_key, scramble_key, readout_grid, 1.0, seed)
+        assert float(np.max(np.abs(z))) <= 5.0
+
+    def test_pooled_mean_of_an_undiffused_key_is_not(self, write_key, scramble_key, readout_grid):
+        # the check has power: 0.235 rad^2 leaves the key near its declared phase
+        z = self._pooled_z(write_key, scramble_key, readout_grid, 5e-3, 0)
+        assert float(np.max(np.abs(z))) >= 10.0
+
     @pytest.mark.parametrize("phi_S", [None, 1.0])
     def test_matches_one_scan_and_readout_per_trial(
         self, write_key, scramble_key, readout_grid, phi_S, monkeypatch

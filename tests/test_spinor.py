@@ -111,6 +111,13 @@ class TestFreeUnitary:
         for t in (0.0, 1e-6, 0.5, 47.0):
             assert_matrix_close(free_unitary(ROTATING, t), (1.0, 0.0, 0.0, 1.0))
 
+    @pytest.mark.parametrize("omega", [123.0, -1e-300])
+    def test_rotating_frame_rejects_an_atomic_frequency(self, omega):
+        # a rotating frame winds nothing, so a frequency given to it would be ignored
+        with pytest.raises(ValueError, match="rotating frame needs atomic_frequency 0"):
+            FrameConvention("rotating", omega)
+        assert FrameConvention("rotating", 0.0).free_rate == 0.0
+
     def test_lab_mode_quarter_turn(self):
         frame = FrameConvention("lab", TWO_PI * 1000.0)
         u = free_unitary(frame, 0.5e-3)  # atomic phase/2 = pi/2
