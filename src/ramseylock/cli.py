@@ -5,8 +5,9 @@ Scan output columns are ``T_s,P_e,sd``; key-phase sweep output columns are
 fitted row per swept phase).  All output is plain CSV with a header row,
 ``\\n`` newlines and ``.`` decimal points, suitable for any plotter.
 
-Exit codes: 0 success, 2 config error (a non-finite number in a
-description file or ``--grid`` is one), 3 timing-planner failure, 4 fit
+Exit codes: 0 success, 1 internal fault, 2 config error (every description
+value the model rejects, read from a file or an option or set in code, is
+one: ``run`` raises ``ConfigError``), 3 timing-planner failure, 4 fit
 non-convergence where a fit is required (standard error then names each
 failed fit's ``reason`` and iteration count).
 """
@@ -17,6 +18,7 @@ import argparse
 import contextlib
 import math
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -50,32 +52,30 @@ def _angular(hz: float) -> float:
     return TWO_PI * hz
 
 
-def _build_fields(cfg: ExperimentConfig) -> dict[str, FieldParams]:
-    fields = {}
-    for label, f in cfg.fields.items():
-        try:
-            fields[label] = FieldParams(_angular(f.rabi_hz), _angular(f.detuning_hz), label)
-        except ValueError as exc:
-            raise ConfigError(f"field {label!r}: {exc}") from exc
-    return fields
-
-
-def _frame(cfg: ExperimentConfig) -> FrameConvention:
+def _checked(what: str, make, *args, **kwargs):
+    """``make(*args, **kwargs)``; a ``ValueError``, ``ArithmeticError`` or
+    ``MemoryError`` (a value the model rejects, cannot compute with or cannot
+    allocate) becomes a ``ConfigError`` named ``what``."""
     try:
-        return FrameConvention(cfg.frame_mode, _angular(cfg.frame_omega_a_hz))
-    except ValueError as exc:
-        raise ConfigError(f"frame: {exc}") from exc
+        return make(*args, **kwargs)
+    except (ConfigError, PlannerError):
+        raise
+    except (ValueError, ArithmeticError, MemoryError) as exc:
+        raise ConfigError(f"{what}: {exc}") from exc
 
 
-def _key(cfg: ExperimentConfig, fields, name: str, rng, phi=None):
-    """``(field, tau, phase)`` of pulse ``name``: the phase is ``phi`` when
-    given, else the declared one, else a ``random`` draw from ``rng``."""
+def _key(cfg: ExperimentConfig, fields, name: str, rng, make, *args, phi=None):
+    """``make(field, tau, phase, *args)``, the key of pulse ``name``: the
+    phase is ``phi`` when given, else the declared one, else a ``random``
+    draw from ``rng``."""
     if name not in cfg.pulses:
         raise ConfigError(f"protocol {cfg.protocol!r} needs a pulse named {name!r}")
     p = cfg.pulses[name]
+    if p.field not in fields:
+        raise ConfigError(f"pulse {name!r} references undefined field {p.field!r}")
     if phi is None:
         phi = p.phase_rad if p.phase_rad is not None else float(rng.uniform(0.0, TWO_PI))
-    return fields[p.field], p.tau_s, phi
+    return _checked(f"pulse {name!r}", make, fields[p.field], p.tau_s, phi, *args)
 
 
 def _interval(cfg: ExperimentConfig, name: str) -> float:
@@ -106,8 +106,9 @@ def _measure(ideal: FringeScan, cfg: ExperimentConfig, rng) -> FringeScan:
     if noise is None:
         return ideal
     if noise.contrast_wri_s is not None:
-        ideal = apply_contrast_decay(ideal, noise.contrast_wri_s)
-    return measure_scan(ideal, NoiseModel(atom_count=noise.atoms, repeats=noise.repeats), rng)
+        ideal = _checked("noise", apply_contrast_decay, ideal, noise.contrast_wri_s)
+    model = _checked("noise", NoiseModel, atom_count=noise.atoms, repeats=noise.repeats)
+    return _checked("noise", measure_scan, ideal, model, rng)
 
 
 def _write_scan(scan_data: FringeScan, out) -> None:
@@ -218,25 +219,24 @@ def _template(cfg, fields, write_key, rng, frame, phi=None) -> Sequence:
     if cfg.protocol == "ramsey":
         return build_write_read(write_key, 0.0, clock_during_pulses=cfg.clock_during_pulses, **opts)
     first = "scramble1" if cfg.protocol.startswith("double-") else "scramble"
-    s1 = ScrambleKey(*_key(cfg, fields, first, rng, phi), _interval(cfg, "T1"))
+    s1 = _key(cfg, fields, first, rng, ScrambleKey, _interval(cfg, "T1"), phi=phi)
     if cfg.protocol == "double-retrieve":
-        field2, tau2, phi2 = _key(cfg, fields, "scramble2", rng)
-        plan = plan_double_retrieval(
-            s1.field.detuning, field2.detuning, tau2,
+        s2 = _key(cfg, fields, "scramble2", rng, ScrambleKey, 0.0)  # its wait is the plan's T2
+        plan = _checked(
+            "interval", plan_double_retrieval, s1.field.detuning, s2.field.detuning, s2.tau,
             min_T3=cfg.intervals.get("T3", 0.0),
             min_T2_plus_T4=cfg.intervals.get("T2", 0.0) + cfg.intervals.get("T4", 0.0),
             clock_during_pulses=cfg.clock_during_pulses,
             T2=cfg.intervals.get("T2"),
         )
-        s2 = ScrambleKey(field2, tau2, phi2, plan.T2)
-        return build_double_retrieved(write_key, s1, s2, plan, 0.0, **opts)
+        return build_double_retrieved(write_key, s1, replace(s2, T1=plan.T2), plan, 0.0, **opts)
     opts["clock_during_pulses"] = cfg.clock_during_pulses
     if cfg.protocol in ("scramble", "attack"):
         return build_scrambled(write_key, s1, 0.0, **opts)
     if cfg.protocol == "retrieve":
-        plan = plan_retrieval(s1.field.detuning, cfg.intervals.get("T2", 0.0))
+        plan = _checked("interval", plan_retrieval, s1.field.detuning, cfg.intervals.get("T2", 0.0))
         return build_retrieved(write_key, s1, plan, 0.0, **opts)
-    s2 = ScrambleKey(*_key(cfg, fields, "scramble2", rng), _interval(cfg, "T2"))
+    s2 = _key(cfg, fields, "scramble2", rng, ScrambleKey, _interval(cfg, "T2"))
     return build_double_scrambled(write_key, s1, s2, 0.0, **opts)
 
 
@@ -251,10 +251,13 @@ def run(
 
     ``seed`` overrides the noise-block seed (and seeds random key phases
     for otherwise noiseless runs).  ``input_stream`` supplies the scan CSV
-    for the ``fit`` protocol.  A negative seed, a ``sweep_phis`` that is not
-    an integer >= 1, or a key-phase sweep of ``ramsey``, ``attack`` or
-    ``fit``, raises ``ConfigError``.
+    for the ``fit`` protocol.  A value of ``cfg`` the model rejects raises
+    ``ConfigError`` naming its statement, as do an unknown protocol, a
+    negative seed, a ``sweep_phis`` that is not an integer >= 1 and a
+    key-phase sweep of ``ramsey``, ``attack`` or ``fit``.
     """
+    if cfg.protocol not in PROTOCOLS:
+        raise ConfigError(f"protocol must be one of {', '.join(PROTOCOLS)}")
     n = cfg.sweep_phis
     if n is not None and not (isinstance(n, (int, np.integer)) and n >= 1):
         raise ConfigError(f"sweep_phis must be an integer >= 1, got {n!r}")
@@ -264,22 +267,24 @@ def run(
         stream = input_stream if input_stream is not None else sys.stdin
         return _write_fits(out, [fit_damped_sinusoid(_read_scan_csv(stream))])
 
-    fields = _build_fields(cfg)
-    frame = _frame(cfg)
+    fields = {label: _checked(f"field {label!r}", FieldParams, _angular(f.rabi_hz),
+                              _angular(f.detuning_hz), label) for label, f in cfg.fields.items()}
+    frame = _checked("frame", FrameConvention, cfg.frame_mode, _angular(cfg.frame_omega_a_hz))
     if seed is None:
         seed = cfg.noise.seed if cfg.noise is not None else 0
     if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
-    write_key = WriteKey(*_key(cfg, fields, "write", rng))
-    grid = _grid_values(cfg)
+    write_key = _key(cfg, fields, "write", rng, WriteKey)
+    grid = _checked("grid", _grid_values, cfg)
     phases = phi = None
     if n:  # one scan on the key-phase axis, one row per phase
-        phases = np.linspace(0.0, TWO_PI, n, endpoint=False)
+        phases = _checked("sweep", np.linspace, 0.0, TWO_PI, n, endpoint=False)
         phi = phases[:, None]
     elif cfg.protocol == "attack":  # the reader does not hold the key phase
         phi = float(rng.uniform(0.0, TWO_PI))
-    measured = _measure(scan(_template(cfg, fields, write_key, rng, frame, phi), grid), cfg, rng)
+    ideal = _checked("grid", scan, _template(cfg, fields, write_key, rng, frame, phi), grid)
+    measured = _measure(ideal, cfg, rng)
     if phases is None:
         _write_scan(measured, out)
         return 0

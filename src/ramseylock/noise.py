@@ -41,6 +41,8 @@ class NoiseModel:
             raise ValueError(f"linewidth must be >= 0, got {self.linewidth}")
         if self.atom_count < 1:
             raise ValueError(f"atom_count must be >= 1, got {self.atom_count}")
+        if self.atom_count > 2**63 - 1:  # the most a binomial draw takes, a C int64
+            raise ValueError(f"atom_count must be <= {2**63 - 1}, got {self.atom_count}")
         if self.repeats < 1:
             raise ValueError(f"repeats must be >= 1, got {self.repeats}")
         if self.run_interval < 0.0:

@@ -117,6 +117,10 @@ class WriteKey(_ValueEq):
             area = self.field.rabi * tau
         if not (tau > 0.0) or not math.isfinite(tau):
             raise InvalidDurationError(f"write pulse tau must be > 0, got {tau}")
+        if not math.isfinite(self.field.rabi * tau):
+            raise InvalidDurationError("write pulse area rabi*tau must be finite")
+        if not np.all(np.isfinite(self.phase)):
+            raise ValueError("write pulse phase must be finite")
         if abs(area - self.field.rabi * tau) > 1e-9:
             raise ValueError(
                 f"declared pulse area {area} inconsistent with rabi*tau = {self.field.rabi * tau}"
@@ -149,6 +153,8 @@ class ScrambleKey(_ValueEq):
     def __post_init__(self):
         if not (self.tau > 0.0) or not math.isfinite(self.tau):
             raise InvalidDurationError(f"scramble pulse tau must be > 0, got {self.tau}")
+        if not math.isfinite(self.field.rabi * self.tau):
+            raise InvalidDurationError("scramble pulse area rabi*tau must be finite")
         if self.T1 < 0.0 or not math.isfinite(self.T1):
             raise InvalidDurationError(f"T1 must be >= 0, got {self.T1}")
         if self.phi_S is not None:

@@ -2,6 +2,8 @@
 
 import io
 import math
+import re
+from dataclasses import replace
 from importlib import resources
 
 import numpy as np
@@ -21,6 +23,7 @@ from ramseylock import (
 from ramseylock import analysis, cli
 from ramseylock.cli import main, run
 from ramseylock.config import (
+    PROTOCOLS,
     ExperimentConfig,
     FieldDef,
     GridSpec,
@@ -473,6 +476,110 @@ def _fit_csv_exit(tmp_path, rows: list[str]) -> int:
     return main([str(cfg), "--input", str(data)])
 
 
+#: Description errors as ``(text replaced, replacement, message, on_line)``:
+#: the reader reports the message on the replacement's last line; the run's
+#: own checks (``on_line`` false) name no line.
+_DESCRIPTION_FAULTS = [
+    pytest.param("rabi_hz=565", "rabi_hz=abc", "bad number for rabi_hz: 'abc'", True,
+                 id="bad-number"),
+    pytest.param("grid 0:20ms:0.1ms", "grid 0:20ms:0.1ms\nnoise atoms=1.5",
+                 "bad integer for atoms: '1.5'", True, id="bad-integer"),
+    pytest.param("grid 0:20ms:0.1ms", "grid 0:20ms:0.1ms\nnoise atoms",
+                 "noise expects key=value, got 'atoms'", True, id="no-equals"),
+    pytest.param("protocol ramsey", "protocol ramsey\nprotocol ramsey",
+                 "duplicate protocol statement", True, id="duplicate-statement"),
+    pytest.param("frame rotating", "frame bogus",
+                 "frame must be 'rotating' or 'lab <omega_a_hz>'", True, id="frame-mode"),
+    pytest.param("frame rotating", "frame lab", "lab frame needs the atomic frequency in Hz",
+                 True, id="lab-frame-frequency"),
+    pytest.param("frame rotating", "frame rotating 5", "rotating frame takes no arguments", True,
+                 id="rotating-frame-argument"),
+    pytest.param("clock_during_pulses off", "clock_during_pulses maybe",
+                 "clock_during_pulses must be 'on' or 'off'", True, id="clock"),
+    pytest.param("grid 0:20ms:0.1ms", "grid 0:20ms:0.1ms\nfield", "field needs a name", True,
+                 id="field-name"),
+    pytest.param("grid 0:20ms:0.1ms", "grid 0:20ms:0.1ms\npulse", "pulse needs a name", True,
+                 id="pulse-name"),
+    pytest.param("field S rabi", "field W rabi", "field 'W' already defined", True,
+                 id="field-twice"),
+    pytest.param("pulse scramble", "pulse write", "pulse 'write' already defined", True,
+                 id="pulse-twice"),
+    pytest.param("protocol ramsey", "protocol bogus",
+                 f"protocol must be one of {', '.join(PROTOCOLS)}", True, id="protocol"),
+    pytest.param("grid 0:20ms:0.1ms", "grid 0:20ms 0.1ms",
+                 "grid takes one <start>:<stop>:<step> token", True, id="grid-tokens"),
+    pytest.param("pulse write field=W tau_s=0.00044 phase_rad=0\n", "",
+                 "protocol 'ramsey' needs a pulse named 'write'", False, id="no-write-pulse"),
+    pytest.param("protocol ramsey\ninterval T1=0.005", "protocol scramble\ninterval",
+                 "protocol 'scramble' needs interval T1=", False, id="no-T1"),
+]
+
+
+def _pulse(name: str, **changes):
+    """A change to ``cfg`` that replaces fields of pulse ``name``."""
+    def change(cfg):
+        cfg.pulses[name] = replace(cfg.pulses[name], **changes)
+    return change
+
+
+def _grid(*spec):
+    return lambda cfg: setattr(cfg, "grid", GridSpec(*spec))
+
+
+def _noise(**spec):
+    return lambda cfg: setattr(cfg, "noise", NoiseSpec(**spec))
+
+
+def _intervals(**values):
+    return lambda cfg: cfg.intervals.update(values)
+
+
+#: Values a config built in code can hand to ``run`` that ``parse_config``
+#: would refuse, as ``(protocol, change to table 1, message)``; the message
+#: starts with the statement that holds the value.
+_CODE_FAULTS = [
+    pytest.param("ramsey", _noise(atoms=0), "noise: atom_count must be >= 1", id="noise-atoms"),
+    pytest.param("ramsey", _noise(repeats=0), "noise: repeats must be >= 1", id="noise-repeats"),
+    pytest.param("ramsey", _noise(contrast_wri_s=0.0), "noise: contrast time must be > 0",
+                 id="noise-contrast"),
+    pytest.param("ramsey", _grid(0.0, 1e-3, -1e-4), "grid: scan grid must not be empty",
+                 id="grid-negative-step"),
+    pytest.param("ramsey", _grid(0.0, 1e-3, 0.0), "grid: float division by zero",
+                 id="grid-zero-step"),
+    pytest.param("ramsey", _grid(-1e-3, 1e-3, 1e-4), "grid: scan grid values must be >= 0",
+                 id="grid-negative-start"),
+    pytest.param("ramsey", _grid(0.0, math.nan, 1e-4), "grid: cannot convert float NaN",
+                 id="grid-nan"),
+    pytest.param("ramsey", _grid(0.0, math.inf, 1e-4), "grid: cannot convert float infinity",
+                 id="grid-inf"),
+    pytest.param("ramsey", _pulse("write", tau_s=0.0), "pulse 'write': write pulse tau must be > 0",
+                 id="write-tau"),
+    pytest.param("scramble", _pulse("scramble", tau_s=0.0),
+                 "pulse 'scramble': scramble pulse tau must be > 0", id="scramble-tau"),
+    pytest.param("scramble", _intervals(T1=-1.0), "pulse 'scramble': T1 must be >= 0",
+                 id="scramble-T1"),
+    pytest.param("retrieve", _intervals(T2=-1.0), "interval: min_T2 must be >= 0",
+                 id="retrieve-T2"),
+    pytest.param("double-retrieve", _intervals(T3=-1.0),
+                 "interval: minimum intervals must be >= 0", id="double-retrieve-T3"),
+    pytest.param("ramsey", _pulse("write", phase_rad=math.nan),
+                 "pulse 'write': write pulse phase must be finite", id="write-phase"),
+    pytest.param("ramsey", _pulse("write", tau_s=1e308),
+                 "pulse 'write': write pulse area rabi*tau must be finite", id="write-area"),
+    pytest.param("scramble", _pulse("scramble", tau_s=1e308),
+                 "pulse 'scramble': scramble pulse area rabi*tau must be finite",
+                 id="scramble-area"),
+    pytest.param("ramsey", _pulse("write", field="X"),
+                 "pulse 'write' references undefined field 'X'", id="undefined-field"),
+    pytest.param("bogus", lambda cfg: None, f"protocol must be one of {', '.join(PROTOCOLS)}",
+                 id="unknown-protocol"),
+]
+
+#: The stacked pulses, for the protocols that need them.
+_STACKED_PULSES = ("pulse scramble1 field=S tau_s=0.00148 phase_rad=0.5\n"
+                   "pulse scramble2 field=S tau_s=0.00148 phase_rad=1.0\n")
+
+
 class TestExitCodes:
     @pytest.mark.parametrize(
         "row",
@@ -703,6 +810,66 @@ class TestExitCodes:
         with pytest.raises(ConfigError, match="frame: rotating frame needs atomic_frequency 0"):
             run(cfg, out)
         assert out.getvalue() == ""
+
+    @pytest.mark.parametrize("protocol, change, message", _CODE_FAULTS)
+    def test_value_the_model_rejects_in_run_is_a_config_error(self, protocol, change, message):
+        cfg = parse_config(table1_text() + _STACKED_PULSES)
+        cfg.protocol = protocol
+        change(cfg)
+        out = io.StringIO()
+        with pytest.raises(ConfigError, match="^" + re.escape(message)):
+            run(cfg, out)
+        assert out.getvalue() == ""
+
+    @pytest.mark.parametrize("old, new, message, on_line", _DESCRIPTION_FAULTS)
+    def test_description_error_is_2_and_names_the_line(self, tmp_path, capsys, old, new,
+                                                       message, on_line):
+        text = table1_text()
+        assert text.count(old) == 1
+        lineno = 1 + text[: text.index(old)].count("\n") + new.count("\n")
+        path = tmp_path / "faulty.cfg"
+        path.write_text(text.replace(old, new))
+        assert main([str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        where = f"line {lineno}: " if on_line else ""
+        assert captured.err == f"config error: {where}{message}\n"
+
+    @pytest.mark.parametrize("pulse, protocol", [("write", "ramsey"), ("scramble", "scramble")])
+    def test_pulse_area_that_overflows_is_2_and_names_the_pulse(self, tmp_path, capsys, pulse,
+                                                                protocol):
+        # 1e308 s is a finite duration that parses; rabi * 1e308 is not a finite area
+        text = re.sub(f"(pulse {pulse} .*tau_s=)[^ ]*", r"\g<1>1e308", table1_text())
+        path = tmp_path / "long_pulse.cfg"
+        path.write_text(text.replace("protocol ramsey", f"protocol {protocol}"))
+        assert main([str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert (f"config error: pulse {pulse!r}: {pulse} pulse area rabi*tau must be finite\n"
+                == captured.err)
+
+    @pytest.mark.parametrize(
+        "statement, message",
+        [
+            ("noise atoms=100000000000000000000", "noise: atom_count must be <= "),
+            # 201 points x 1e12 repeats of 8-byte counts, 1.6 PB
+            ("noise repeats=1000000000000", "noise: "),
+            # 1e14 phases of 8 bytes, 800 TB
+            ("sweep phis=100000000000000", "sweep: "),
+        ],
+        ids=["atoms", "repeats", "phis"],
+    )
+    def test_count_too_large_to_draw_or_allocate_is_2(self, tmp_path, capsys, statement,
+                                                      message):
+        # each allocation is beyond the user address space of a 64-bit
+        # process, so it fails at once
+        path = tmp_path / "huge_count.cfg"
+        path.write_text(table1_text().replace("protocol ramsey", "protocol scramble")
+                        + statement + "\n")
+        assert main([str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"config error: {message}")
 
     def test_default_grid_with_zero_write_detuning_is_2(self, tmp_path, capsys):
         path = tmp_path / "flat_write.cfg"

@@ -121,6 +121,13 @@ class TestSimulateMeasurement:
         with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
             NoiseModel(seed=-1)
 
+    def test_atom_count_is_bounded_by_what_a_binomial_draw_takes(self):
+        rng = np.random.default_rng(0)
+        mean, _ = simulate_measurement(1.0, NoiseModel(atom_count=2**63 - 1, repeats=2), rng)
+        assert mean == 1.0
+        with pytest.raises(ValueError, match=f"atom_count must be <= {2**63 - 1}, got {2**63}"):
+            NoiseModel(atom_count=2**63)
+
 
 def per_point_readout(p, model, rng):
     """The scalar readout, one point at a time: the reference the one-draw

@@ -69,6 +69,19 @@ class TestKeys:
         with pytest.raises(ValueError):
             key.pulse()
 
+    @pytest.mark.parametrize("phase", [math.nan, math.inf, np.array([[0.5], [math.nan]])])
+    def test_write_key_rejects_a_non_finite_phase(self, write_field, phase):
+        # the pulse it builds would refuse the phase later, naming no key
+        with pytest.raises(ValueError, match="write pulse phase must be finite"):
+            WriteKey(write_field, tau=0.44e-3, phase=phase)
+
+    def test_keys_reject_a_pulse_area_that_overflows(self, write_field, scramble_field):
+        # 1e308 s is a finite duration; rabi * 1e308 is not a finite area
+        with pytest.raises(InvalidDurationError, match=r"write pulse area rabi\*tau must be"):
+            WriteKey(write_field, tau=1e308)
+        with pytest.raises(InvalidDurationError, match=r"scramble pulse area rabi\*tau must be"):
+            ScrambleKey(scramble_field, 1e308, 0.5, 5e-3)
+
 
 class TestPlanReadout:
     def test_first_readout_time(self):
