@@ -18,26 +18,15 @@ import argparse
 import contextlib
 import math
 import sys
-from dataclasses import replace
 
 import numpy as np
 
 from .analysis import FitResult, fit_damped_sinusoid, fit_many, phase_spread
-from .config import PROTOCOLS, ExperimentConfig, GridSpec, parse_config, parse_grid
+from .config import PROTOCOLS, ExperimentConfig, GridSpec, _read, parse_config, parse_grid
 from .errors import ConfigError, FitError, PlannerError, RamseyLockError
 from .noise import NoiseModel, apply_contrast_decay, measure_scan
-from .protocol import (
-    ScrambleKey,
-    WriteKey,
-    build_double_retrieved,
-    build_double_scrambled,
-    build_retrieved,
-    build_scrambled,
-    build_write_read,
-    plan_double_retrieval,
-    plan_retrieval,
-)
-from .sequence import FringeScan, Sequence, _scan_fault, scan
+from .protocol import ScrambleKey, WriteKey, _template
+from .sequence import FringeScan, _scan_fault, scan
 from .spinor import TWO_PI, FieldParams, FrameConvention
 
 _SCAN_HEADER = "T_s,P_e,sd"
@@ -46,10 +35,6 @@ _FIT_HEADER = "phi_S,amplitude,frequency_Hz,phase_rad,offset,decay_s,residual"
 
 def _fmt(x: float) -> str:
     return repr(float(x))
-
-
-def _angular(hz: float) -> float:
-    return TWO_PI * hz
 
 
 def _checked(what: str, make, *args, **kwargs):
@@ -76,12 +61,6 @@ def _key(cfg: ExperimentConfig, fields, name: str, rng, make, *args, phi=None):
     if phi is None:
         phi = p.phase_rad if p.phase_rad is not None else float(rng.uniform(0.0, TWO_PI))
     return _checked(f"pulse {name!r}", make, fields[p.field], p.tau_s, phi, *args)
-
-
-def _interval(cfg: ExperimentConfig, name: str) -> float:
-    if name not in cfg.intervals:
-        raise ConfigError(f"protocol {cfg.protocol!r} needs interval {name}=")
-    return cfg.intervals[name]
 
 
 def _grid_values(cfg: ExperimentConfig) -> np.ndarray:
@@ -207,37 +186,23 @@ def _read_scan_csv(stream) -> FringeScan:
 _SWEPT = ("scramble", "retrieve", "double-scramble", "double-retrieve")
 
 
-def _template(cfg, fields, write_key, rng, frame, phi=None) -> Sequence:
-    """The configured protocol's scan template; ``attack`` scans the
-    ``scramble`` one.
+def _keys(cfg, fields, intervals: dict, rng, phi=None) -> tuple:
+    """The configured protocol's scramble keys in pulse order, which fixes
+    the order of their ``random`` draws; ``phi`` (a float or a ``(K, 1)``
+    array of key phases) replaces the first key's phase."""
+    def wait(name: str) -> float:
+        if name not in intervals:
+            raise ConfigError(f"protocol {cfg.protocol!r} needs interval {name}=")
+        return intervals[name]
 
-    ``phi`` (a float or a ``(K, 1)`` array of key phases) replaces the first
-    scramble key's phase.  Keys resolve in pulse order, scramble-1 then
-    scramble-2, which fixes the order of their ``random`` draws.
-    """
-    opts = dict(frame=frame, scanned=True)
     if cfg.protocol == "ramsey":
-        return build_write_read(write_key, 0.0, clock_during_pulses=cfg.clock_during_pulses, **opts)
+        return ()
     first = "scramble1" if cfg.protocol.startswith("double-") else "scramble"
-    s1 = _key(cfg, fields, first, rng, ScrambleKey, _interval(cfg, "T1"), phi=phi)
-    if cfg.protocol == "double-retrieve":
-        s2 = _key(cfg, fields, "scramble2", rng, ScrambleKey, 0.0)  # its wait is the plan's T2
-        plan = _checked(
-            "interval", plan_double_retrieval, s1.field.detuning, s2.field.detuning, s2.tau,
-            min_T3=cfg.intervals.get("T3", 0.0),
-            min_T2_plus_T4=cfg.intervals.get("T2", 0.0) + cfg.intervals.get("T4", 0.0),
-            clock_during_pulses=cfg.clock_during_pulses,
-            T2=cfg.intervals.get("T2"),
-        )
-        return build_double_retrieved(write_key, s1, replace(s2, T1=plan.T2), plan, 0.0, **opts)
-    opts["clock_during_pulses"] = cfg.clock_during_pulses
-    if cfg.protocol in ("scramble", "attack"):
-        return build_scrambled(write_key, s1, 0.0, **opts)
-    if cfg.protocol == "retrieve":
-        plan = _checked("interval", plan_retrieval, s1.field.detuning, cfg.intervals.get("T2", 0.0))
-        return build_retrieved(write_key, s1, plan, 0.0, **opts)
-    s2 = _key(cfg, fields, "scramble2", rng, ScrambleKey, _interval(cfg, "T2"))
-    return build_double_scrambled(write_key, s1, s2, 0.0, **opts)
+    keys = (_key(cfg, fields, first, rng, ScrambleKey, wait("T1"), phi=phi),)
+    if first == "scramble1":  # double-retrieve's scramble-2 wait is its plan's T2
+        T2 = wait("T2") if cfg.protocol == "double-scramble" else 0.0
+        keys += (_key(cfg, fields, "scramble2", rng, ScrambleKey, T2),)
+    return keys
 
 
 def run(
@@ -252,9 +217,10 @@ def run(
     ``seed`` overrides the noise-block seed (and seeds random key phases
     for otherwise noiseless runs).  ``input_stream`` supplies the scan CSV
     for the ``fit`` protocol.  A value of ``cfg`` the model rejects raises
-    ``ConfigError`` naming its statement, as do an unknown protocol, a
-    negative seed, a ``sweep_phis`` that is not an integer >= 1 and a
-    key-phase sweep of ``ramsey``, ``attack`` or ``fit``.
+    ``ConfigError`` naming its statement, as do an unknown protocol, an
+    interval ``parse_config`` would refuse, a negative seed, a ``sweep_phis``
+    that is not an integer >= 1 and a key-phase sweep of ``ramsey``,
+    ``attack`` or ``fit``.
     """
     if cfg.protocol not in PROTOCOLS:
         raise ConfigError(f"protocol must be one of {', '.join(PROTOCOLS)}")
@@ -267,9 +233,13 @@ def run(
         stream = input_stream if input_stream is not None else sys.stdin
         return _write_fits(out, [fit_damped_sinusoid(_read_scan_csv(stream))])
 
-    fields = {label: _checked(f"field {label!r}", FieldParams, _angular(f.rabi_hz),
-                              _angular(f.detuning_hz), label) for label, f in cfg.fields.items()}
-    frame = _checked("frame", FrameConvention, cfg.frame_mode, _angular(cfg.frame_omega_a_hz))
+    fields = {label: _checked(f"field {label!r}", FieldParams, TWO_PI * f.rabi_hz,
+                              TWO_PI * f.detuning_hz, label) for label, f in cfg.fields.items()}
+    frame = _checked("frame", FrameConvention, cfg.frame_mode, TWO_PI * cfg.frame_omega_a_hz)
+    try:  # read as parse_config reads an interval statement
+        intervals = _read("interval", [f"{k}={float(v)!r}" for k, v in cfg.intervals.items()], None)
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(f"interval: {exc}") from None
     if seed is None:
         seed = cfg.noise.seed if cfg.noise is not None else 0
     if seed < 0:
@@ -283,7 +253,10 @@ def run(
         phi = phases[:, None]
     elif cfg.protocol == "attack":  # the reader does not hold the key phase
         phi = float(rng.uniform(0.0, TWO_PI))
-    ideal = _checked("grid", scan, _template(cfg, fields, write_key, rng, frame, phi), grid)
+    template = _checked("interval", _template, cfg.protocol, write_key,
+                        _keys(cfg, fields, intervals, rng, phi), intervals, frame=frame,
+                        clock_during_pulses=cfg.clock_during_pulses)
+    ideal = _checked("grid", scan, template, grid)
     measured = _measure(ideal, cfg, rng)
     if phases is None:
         _write_scan(measured, out)

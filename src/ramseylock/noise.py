@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidDurationError
-from .protocol import ScrambleKey, WriteKey, build_scrambled
+from .protocol import ScrambleKey, WriteKey, _template
 from .sequence import FringeScan, _scan_fault, scan
 from .spinor import ROTATING, TWO_PI, FrameConvention
 
@@ -39,6 +39,9 @@ class NoiseModel:
     def __post_init__(self):
         if self.linewidth < 0.0:
             raise ValueError(f"linewidth must be >= 0, got {self.linewidth}")
+        for name in ("atom_count", "repeats"):
+            if not isinstance(getattr(self, name), (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.atom_count < 1:
             raise ValueError(f"atom_count must be >= 1, got {self.atom_count}")
         if self.atom_count > 2**63 - 1:  # the most a binomial draw takes, a C int64
@@ -191,8 +194,9 @@ def monte_carlo_scramble(
          for rng in rngs]
     )
     keyed = ScrambleKey(scramble_key.field, scramble_key.tau, phases[:, None], scramble_key.T1)
+    template = _template("attack", write_key, (keyed,), frame=frame, clock_during_pulses=False)
     # scan checks the grid and clips p; the shot statistics are valid by construction
-    ideal = scan(build_scrambled(write_key, keyed, 0.0, frame=frame, scanned=True), list(T_grid))
+    ideal = scan(template, list(T_grid))
     counts = np.stack([_counts(row, model, rng) for row, rng in zip(ideal.p, rngs)])
     means, sds = _shot_stats(counts, model)
     measured = FringeScan._trusted(ideal.T, means, sds)

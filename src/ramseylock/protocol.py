@@ -378,6 +378,33 @@ def build_double_retrieved(
     return _recorded(write_key, middle, T, frame, plan.clock_during_pulses, scanned)
 
 
+def _template(protocol: str, write_key: WriteKey, keys: tuple = (), intervals=None, *,
+              frame: FrameConvention, clock_during_pulses: bool) -> Sequence:
+    """The scan template of ``protocol`` from its scramble ``keys`` in pulse
+    order, planned from the ``T2``-``T4`` minimums in ``intervals`` (0 where
+    absent); ``attack`` scans the ``scramble`` one."""
+    intervals = intervals or {}
+    opts = dict(frame=frame, clock_during_pulses=clock_during_pulses, scanned=True)
+    if protocol == "ramsey":
+        return build_write_read(write_key, 0.0, **opts)
+    if protocol in ("scramble", "attack"):
+        return build_scrambled(write_key, *keys, 0.0, **opts)
+    if protocol == "double-scramble":
+        return build_double_scrambled(write_key, *keys, 0.0, **opts)
+    if protocol == "retrieve":
+        plan = plan_retrieval(keys[0].field.detuning, intervals.get("T2", 0.0))
+        return build_retrieved(write_key, *keys, plan, 0.0, **opts)
+    if protocol != "double-retrieve":
+        raise ValueError(f"unknown protocol {protocol!r}")
+    s1, s2 = keys
+    plan = plan_double_retrieval(
+        s1.field.detuning, s2.field.detuning, s2.tau, min_T3=intervals.get("T3", 0.0),
+        min_T2_plus_T4=intervals.get("T2", 0.0) + intervals.get("T4", 0.0),
+        clock_during_pulses=clock_during_pulses, T2=intervals.get("T2"))
+    return build_double_retrieved(write_key, s1, replace(s2, T1=plan.T2), plan, 0.0,
+                                  frame=frame, scanned=True)
+
+
 def secret_readout(
     write_key: WriteKey,
     scramble_key: ScrambleKey,
@@ -401,15 +428,12 @@ def secret_readout(
     timeline conventions of both sequences.
     """
     grid = list(T_grid)
-    opts = dict(frame=frame, clock_during_pulses=clock_during_pulses, scanned=True)
-    if scramble_key.has_phase:
-        plan = plan_retrieval(scramble_key.field.detuning, 0.0)
-        template = build_retrieved(write_key, scramble_key, plan, 0.0, **opts)
-    elif rng is None:
-        raise ValueError("blind readout needs a random generator for the unknown key phase")
-    else:
+    protocol, key = "retrieve", scramble_key
+    if not scramble_key.has_phase:
+        if rng is None:
+            raise ValueError("blind readout needs a random generator for the unknown key phase")
         # one draw of N phases reads the stream as N scalar draws would
         size = len(grid) if fresh_phase_per_point else None
-        blind = replace(scramble_key, phi_S=rng.uniform(0.0, TWO_PI, size=size))
-        template = build_scrambled(write_key, blind, 0.0, **opts)
-    return scan(template, grid)
+        protocol, key = "attack", replace(scramble_key, phi_S=rng.uniform(0.0, TWO_PI, size=size))
+    return scan(_template(protocol, write_key, (key,), frame=frame,
+                          clock_during_pulses=clock_during_pulses), grid)

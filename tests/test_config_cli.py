@@ -13,11 +13,15 @@ from hypothesis import strategies as st
 
 from ramseylock import (
     ConfigError,
+    FieldParams,
     FitError,
     FringeScan,
+    ScrambleKey,
+    WriteKey,
     fit_damped_sinusoid,
     parse_config,
     scan,
+    secret_readout,
     serialize_config,
 )
 from ramseylock import analysis, cli
@@ -252,6 +256,33 @@ class TestRun:
         assert main([table1_path, "--protocol", "attack", "--seed", "2"]) == 0
         second = capsys.readouterr().out
         assert first != second
+
+    @pytest.mark.parametrize("clock", [False, True], ids=["clock-off", "clock-on"])
+    @pytest.mark.parametrize("protocol", ["attack", "retrieve"])
+    def test_attack_and_retrieve_are_secret_readout(self, protocol, clock):
+        # table 1 without T2: the CLI's attack is the blind secret_readout
+        # with the run's generator, and its retrieve the cooperative one with
+        # the key phase the generator draws first, bit for bit
+        cfg = parse_config(table1_text().replace("interval T1=0.005 T2=0.005",
+                                                 "interval T1=0.005"))
+        cfg.protocol, cfg.clock_during_pulses = protocol, clock
+        W, S = (FieldParams(TWO_PI * f.rabi_hz, TWO_PI * f.detuning_hz, f.label)
+                for f in (cfg.fields["W"], cfg.fields["S"]))
+        write_key = WriteKey(W, cfg.pulses["write"].tau_s, cfg.pulses["write"].phase_rad)
+        tau, T1 = cfg.pulses["scramble"].tau_s, cfg.intervals["T1"]
+        for seed in range(10):
+            out = io.StringIO()
+            assert run(cfg, out, seed=seed) == 0
+            T, p = np.array([[float(x) for x in line.split(",")[:2]]
+                             for line in out.getvalue().splitlines()[1:]]).T
+            rng = np.random.default_rng(seed)
+            if protocol == "attack":
+                expected = secret_readout(write_key, ScrambleKey(S, tau, None, T1), T, rng,
+                                          clock_during_pulses=clock)
+            else:
+                key = ScrambleKey(S, tau, float(rng.uniform(0.0, TWO_PI)), T1)
+                expected = secret_readout(write_key, key, T, clock_during_pulses=clock)
+            assert np.array_equal(p, expected.p)
 
     def test_attack_scans_the_scramble_template_with_a_drawn_key_phase(self, tmp_path, capsys):
         # noiseless, the key phase is the run's only draw; the declared one is ignored
@@ -556,12 +587,30 @@ _CODE_FAULTS = [
                  id="write-tau"),
     pytest.param("scramble", _pulse("scramble", tau_s=0.0),
                  "pulse 'scramble': scramble pulse tau must be > 0", id="scramble-tau"),
-    pytest.param("scramble", _intervals(T1=-1.0), "pulse 'scramble': T1 must be >= 0",
+    pytest.param("scramble", _intervals(T1=-1.0), "interval: T1 must be >= 0, got '-1.0'",
                  id="scramble-T1"),
-    pytest.param("retrieve", _intervals(T2=-1.0), "interval: min_T2 must be >= 0",
+    pytest.param("retrieve", _intervals(T2=-1.0), "interval: T2 must be >= 0, got '-1.0'",
                  id="retrieve-T2"),
-    pytest.param("double-retrieve", _intervals(T3=-1.0),
-                 "interval: minimum intervals must be >= 0", id="double-retrieve-T3"),
+    pytest.param("double-retrieve", _intervals(T3=-1.0), "interval: T3 must be >= 0, got '-1.0'",
+                 id="double-retrieve-T3"),
+    pytest.param("double-scramble", _intervals(T2=-1.0), "interval: T2 must be >= 0, got '-1.0'",
+                 id="double-scramble-T2"),
+    pytest.param("double-retrieve", _intervals(T2=-1.0), "interval: T2 must be >= 0, got '-1.0'",
+                 id="double-retrieve-T2"),
+    pytest.param("double-retrieve", _intervals(T4=math.nan),
+                 "interval: T4 must be finite, got 'nan'", id="double-retrieve-T4-nan"),
+    pytest.param("retrieve", _intervals(T2=math.inf), "interval: T2 must be finite, got 'inf'",
+                 id="retrieve-T2-inf"),
+    pytest.param("ramsey", _intervals(T1=-1.0), "interval: T1 must be >= 0, got '-1.0'",
+                 id="ramsey-T1"),
+    pytest.param("retrieve", _intervals(T3=-1.0), "interval: T3 must be >= 0, got '-1.0'",
+                 id="retrieve-T3"),
+    pytest.param("retrieve", _intervals(T9=1.0), "interval: unknown interval key 'T9'",
+                 id="unknown-interval"),
+    pytest.param("ramsey", _noise(atoms=2.5), "noise: atom_count must be an integer, got 2.5",
+                 id="noise-atoms-fraction"),
+    pytest.param("ramsey", _noise(repeats=2.5), "noise: repeats must be an integer, got 2.5",
+                 id="noise-repeats-fraction"),
     pytest.param("ramsey", _pulse("write", phase_rad=math.nan),
                  "pulse 'write': write pulse phase must be finite", id="write-phase"),
     pytest.param("ramsey", _pulse("write", tau_s=1e308),

@@ -128,6 +128,14 @@ class TestSimulateMeasurement:
         with pytest.raises(ValueError, match=f"atom_count must be <= {2**63 - 1}, got {2**63}"):
             NoiseModel(atom_count=2**63)
 
+    @pytest.mark.parametrize("value", [2.5, 3.0, math.nan, "5"])
+    @pytest.mark.parametrize("count", ["atom_count", "repeats"])
+    def test_counts_must_be_integers(self, count, value):
+        # a fractional atom count would draw with its floor and divide by itself
+        with pytest.raises(ValueError, match=f"^{count} must be an integer, got {value!r}$"):
+            NoiseModel(**{count: value})
+        assert getattr(NoiseModel(**{count: np.int64(3)}), count) == 3  # a numpy integer is one
+
 
 def per_point_readout(p, model, rng):
     """The scalar readout, one point at a time: the reference the one-draw

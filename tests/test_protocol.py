@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 
 from ramseylock import (
     GROUND,
+    ROTATING,
     FieldParams,
+    FrameConvention,
     InfeasiblePlanError,
     InvalidDurationError,
     InvalidFieldError,
@@ -40,7 +42,7 @@ from ramseylock import (
     scan,
     secret_readout,
 )
-from ramseylock.protocol import MAX_PLAN_INDEX
+from ramseylock.protocol import MAX_PLAN_INDEX, _template
 
 TWO_PI = 2.0 * math.pi
 
@@ -619,3 +621,53 @@ class TestSecretReadout:
         assert got.p.shape == grid.shape and np.array_equal(got.T, grid)
         assert np.max(np.abs(got.p - np.array(expected))) <= 1e-12
         assert rng_axis.random() == rng_loop.random()
+
+
+#: The six protocols the scan-template mapping simulates.
+_PROTOCOLS = ("ramsey", "scramble", "attack", "retrieve", "double-scramble", "double-retrieve")
+
+
+class TestTemplate:
+    def test_unknown_protocol_is_refused(self, write_key, scramble_key):
+        for protocol in ("fit", "bogus"):
+            with pytest.raises(ValueError, match=f"unknown protocol {protocol!r}"):
+                _template(protocol, write_key, (scramble_key,), frame=ROTATING,
+                          clock_during_pulses=False)
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_fringe_in_T_is_one_harmonic_of_the_write_detuning(self, data):
+        # the read pulse is the only pulse after the scanned wait and repeats
+        # the write pulse, so P(T) = c0 + Re(c1 exp(i delta_W T)) exactly:
+        # a scan at delta_W T = 0, 2pi/3 and 4pi/3 fixes it at every T
+        def field(label):
+            sign = data.draw(st.sampled_from([-1.0, 1.0]))
+            return FieldParams(TWO_PI * data.draw(st.floats(50.0, 5000.0)),
+                               sign * TWO_PI * data.draw(st.floats(20.0, 500.0)), label)
+
+        def key(label):
+            return ScrambleKey(field(label), data.draw(st.floats(0.1e-3, 2e-3)),
+                               data.draw(st.floats(0.0, TWO_PI)), data.draw(st.floats(0.0, 8e-3)))
+
+        protocol = data.draw(st.sampled_from(_PROTOCOLS))
+        write_key = WriteKey(field("W"), tau=data.draw(st.floats(0.1e-3, 1e-3)),
+                             phase=data.draw(st.floats(0.0, TWO_PI)))
+        count = 0 if protocol == "ramsey" else 2 if protocol.startswith("double-") else 1
+        keys = tuple(key(f"S{i}") for i in range(1, count + 1))
+        intervals = data.draw(st.dictionaries(st.sampled_from(["T2", "T3", "T4"]),
+                                              st.floats(0.0, 5e-3)))
+        frame = data.draw(st.sampled_from(
+            [ROTATING, FrameConvention("lab", TWO_PI * data.draw(st.floats(0.0, 1e4)))]
+        ))
+        template = _template(protocol, write_key, keys, intervals, frame=frame,
+                             clock_during_pulses=data.draw(st.booleans()))
+
+        delta = write_key.field.detuning
+        probes = np.arange(3) * (TWO_PI / 3.0) / abs(delta)
+        turns = delta * probes
+        basis = np.stack([np.ones(3), np.cos(turns), -np.sin(turns)], axis=1)
+        c0, re_c1, im_c1 = np.linalg.solve(basis, scan(template, probes).p)
+        grid = np.array(sorted(data.draw(
+            st.lists(st.floats(0.0, 40e-3), min_size=1, max_size=30, unique=True))))
+        rebuilt = c0 + ((re_c1 + 1j * im_c1) * np.exp(1j * delta * grid)).real
+        assert np.max(np.abs(rebuilt - scan(template, grid).p)) <= 1e-12
