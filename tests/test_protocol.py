@@ -640,34 +640,64 @@ class TestTemplate:
         # the read pulse is the only pulse after the scanned wait and repeats
         # the write pulse, so P(T) = c0 + Re(c1 exp(i delta_W T)) exactly:
         # a scan at delta_W T = 0, 2pi/3 and 4pi/3 fixes it at every T
-        def field(label):
-            sign = data.draw(st.sampled_from([-1.0, 1.0]))
-            return FieldParams(TWO_PI * data.draw(st.floats(50.0, 5000.0)),
-                               sign * TWO_PI * data.draw(st.floats(20.0, 500.0)), label)
-
-        def key(label):
-            return ScrambleKey(field(label), data.draw(st.floats(0.1e-3, 2e-3)),
-                               data.draw(st.floats(0.0, TWO_PI)), data.draw(st.floats(0.0, 8e-3)))
-
-        protocol = data.draw(st.sampled_from(_PROTOCOLS))
-        write_key = WriteKey(field("W"), tau=data.draw(st.floats(0.1e-3, 1e-3)),
-                             phase=data.draw(st.floats(0.0, TWO_PI)))
-        count = 0 if protocol == "ramsey" else 2 if protocol.startswith("double-") else 1
-        keys = tuple(key(f"S{i}") for i in range(1, count + 1))
-        intervals = data.draw(st.dictionaries(st.sampled_from(["T2", "T3", "T4"]),
-                                              st.floats(0.0, 5e-3)))
-        frame = data.draw(st.sampled_from(
-            [ROTATING, FrameConvention("lab", TWO_PI * data.draw(st.floats(0.0, 1e4)))]
-        ))
-        template = _template(protocol, write_key, keys, intervals, frame=frame,
-                             clock_during_pulses=data.draw(st.booleans()))
-
-        delta = write_key.field.detuning
-        probes = np.arange(3) * (TWO_PI / 3.0) / abs(delta)
-        turns = delta * probes
-        basis = np.stack([np.ones(3), np.cos(turns), -np.sin(turns)], axis=1)
-        c0, re_c1, im_c1 = np.linalg.solve(basis, scan(template, probes).p)
+        template, delta = _draw_template(data)
+        c0, c1 = _one_harmonic(template, delta)
         grid = np.array(sorted(data.draw(
             st.lists(st.floats(0.0, 40e-3), min_size=1, max_size=30, unique=True))))
-        rebuilt = c0 + ((re_c1 + 1j * im_c1) * np.exp(1j * delta * grid)).real
+        rebuilt = c0 + (c1 * np.exp(1j * delta * grid)).real
         assert np.max(np.abs(rebuilt - scan(template, grid).p)) <= 1e-12
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_noiseless_fit_recovers_the_exact_fringe(self, data):
+        # the same identity gives the fit's truth: f = |delta_W| / 2pi,
+        # amplitude |c1|, offset c0, phase sign(delta_W) arg c1 and no decay;
+        # the scan covers 20 ms and at least two periods
+        template, delta = _draw_template(data)
+        c0, c1 = _one_harmonic(template, delta)
+        assume(abs(c1) > 0.05)
+        span = max(20e-3, 2.0 * TWO_PI / abs(delta))
+        fit = fit_damped_sinusoid(scan(template, np.linspace(0.0, span, 201)))
+        assert fit.converged and fit.decay_time == math.inf
+        assert fit.frequency == pytest.approx(abs(delta) / TWO_PI, rel=1e-12, abs=0.0)
+        assert fit.amplitude == pytest.approx(abs(c1), rel=0.0, abs=1e-12)
+        assert fit.offset == pytest.approx(c0, rel=0.0, abs=1e-12)
+        phase = math.copysign(1.0, delta) * np.angle(c1)
+        assert abs(math.remainder(fit.phase - phase, TWO_PI)) <= 1e-12
+
+
+def _draw_template(data):
+    """A random scanned template of one of the six protocols, with random
+    fields, both frames and both clocks, and its write detuning."""
+    def field(label):
+        sign = data.draw(st.sampled_from([-1.0, 1.0]))
+        return FieldParams(TWO_PI * data.draw(st.floats(50.0, 5000.0)),
+                           sign * TWO_PI * data.draw(st.floats(20.0, 500.0)), label)
+
+    def key(label):
+        return ScrambleKey(field(label), data.draw(st.floats(0.1e-3, 2e-3)),
+                           data.draw(st.floats(0.0, TWO_PI)), data.draw(st.floats(0.0, 8e-3)))
+
+    protocol = data.draw(st.sampled_from(_PROTOCOLS))
+    write_key = WriteKey(field("W"), tau=data.draw(st.floats(0.1e-3, 1e-3)),
+                         phase=data.draw(st.floats(0.0, TWO_PI)))
+    count = 0 if protocol == "ramsey" else 2 if protocol.startswith("double-") else 1
+    keys = tuple(key(f"S{i}") for i in range(1, count + 1))
+    intervals = data.draw(st.dictionaries(st.sampled_from(["T2", "T3", "T4"]),
+                                          st.floats(0.0, 5e-3)))
+    frame = data.draw(st.sampled_from(
+        [ROTATING, FrameConvention("lab", TWO_PI * data.draw(st.floats(0.0, 1e4)))]
+    ))
+    template = _template(protocol, write_key, keys, intervals, frame=frame,
+                         clock_during_pulses=data.draw(st.booleans()))
+    return template, write_key.field.detuning
+
+
+def _one_harmonic(template, delta):
+    """``(c0, c1)`` of ``P(T) = c0 + Re(c1 exp(i delta T))`` from the scan at
+    ``delta T = 0, 2pi/3, 4pi/3``."""
+    probes = np.arange(3) * (TWO_PI / 3.0) / abs(delta)
+    turns = delta * probes
+    basis = np.stack([np.ones(3), np.cos(turns), -np.sin(turns)], axis=1)
+    c0, re_c1, im_c1 = np.linalg.solve(basis, scan(template, probes).p)
+    return c0, complex(re_c1, im_c1)
