@@ -26,6 +26,7 @@ scramble stage injects and how completely a retrieve stage removes it.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence as SequenceType
@@ -39,8 +40,9 @@ from .spinor import TWO_PI
 #: Periodogram seed resolution: the Lomb-Scargle SSR is evaluated at no
 #: fewer than COARSE_GRID_SIZE frequencies over [0, Nyquist] and refined by
 #: a parabolic vertex: on a uniform grid at the bins of an FFT zero-padded to
-#: PAD_FACTOR times the scan length (or more, to reach that count); on a
-#: non-uniform grid directly, at exactly COARSE_GRID_SIZE frequencies.
+#: about PAD_FACTOR times the scan length (or more, to reach that count),
+#: rounded to a fast length (``_fast_length``); on a non-uniform grid
+#: directly, at exactly COARSE_GRID_SIZE frequencies.
 PAD_FACTOR = 8
 COARSE_GRID_SIZE = 512
 
@@ -56,21 +58,20 @@ FLAT_TOLERANCE = 1e-12
 MAX_ITERATIONS = 200
 STEP_TOLERANCE = 1e-10
 
-#: Machine epsilon, the unit of ``numpy.linalg.lstsq``'s singular-value cutoff.
-_EPS = float(np.finfo(float).eps)
-
 #: Envelope rates tried (in units of 1/span) during initialization.
 _RATE_SEEDS = (0.0, 0.5, 1.0, 2.0, 4.0, 8.0)
 
-#: Why a fit stopped.  ``step_tol``: a step fell below STEP_TOLERANCE and
-#: the fringe explains the data (the only converged outcome);
-#: ``residual``: the step converged but the rms residual exceeds the data's
+#: Why a fit stopped.  Converged, with a fringe that explains the data:
+#: ``step_tol``, the full Gauss-Newton step fell below STEP_TOLERANCE, or
+#: ``ssr_flat``, no step promised an SSR reduction beyond rounding.
+#: ``residual``: either held, but the rms residual exceeds the data's
 #: standard deviation, or the fitted fringe is zero; ``halving_exhausted``:
 #: 30 step halvings found no decrease; ``max_iter``: MAX_ITERATIONS steps
-#: ran out; ``singular``: the least-squares step could not be solved;
-#: ``zero_variance``: the data are constant to FLAT_TOLERANCE, so no fit
-#: was attempted.
-FIT_REASONS = ("step_tol", "residual", "halving_exhausted", "max_iter", "singular", "zero_variance")
+#: ran out; ``singular``: the step could not be solved; ``zero_variance``:
+#: the data are constant to FLAT_TOLERANCE, so no fit was attempted.
+FIT_REASONS = ("step_tol", "ssr_flat", "residual", "halving_exhausted", "max_iter", "singular",
+               "zero_variance")
+_CONVERGED = FIT_REASONS[:2]
 
 
 @dataclass(frozen=True)
@@ -79,15 +80,15 @@ class FitResult:
 
     ``decay_time`` may be ``inf`` (no detectable damping) and is negative
     for a growing envelope, so ``exp(-T / decay_time)`` always reproduces
-    the fitted envelope.  ``converged``
-    is set when the iteration reached its step tolerance and the remaining
+    the fitted envelope.  ``converged`` is set when the iteration reached
+    its step tolerance or an SSR flat to rounding and the remaining
     root-mean-square residual is below ``residual_threshold``, which is
     recorded alongside (the standard deviation of the input data, i.e. the
     residual of fitting no fringe at all).
 
     ``iterations`` counts Gauss-Newton steps; ``reason`` says why they
-    stopped (see ``FIT_REASONS``) and is ``"step_tol"`` exactly when
-    ``converged`` is set.
+    stopped (see ``FIT_REASONS``) and is ``"step_tol"`` or ``"ssr_flat"``
+    exactly when ``converged`` is set.
     """
 
     amplitude: float
@@ -108,8 +109,8 @@ class FitResult:
             raise ValueError("rms_residual must be >= 0")
         if self.reason not in FIT_REASONS:
             raise ValueError(f"reason must be one of {FIT_REASONS}, got {self.reason!r}")
-        if self.converged != (self.reason == "step_tol"):
-            raise ValueError("converged must hold exactly when reason is 'step_tol'")
+        if self.converged != (self.reason in _CONVERGED):
+            raise ValueError(f"converged must hold exactly when reason is one of {_CONVERGED}")
 
 
 def _evaluate(T, p, weights, x):
@@ -213,6 +214,15 @@ def _periodogram_ssr(p, weights, size):
     return _spectral_ssr(w2, p, z1, z2, zp)
 
 
+@functools.cache
+def _fast_length(target):
+    """The 2*3*5-smooth length nearest ``target``, the longer on a tie: an
+    FFT of radix-2, -3 and -5 passes only, with bins a few percent off."""
+    powers = range(target.bit_length() + 1)
+    return min((2**i * 3**j * 5**k for i in powers for j in powers for k in powers),
+               key=lambda n: (abs(n - target), -n))
+
+
 def _coarse_frequency(T, p, weights):
     """Initial frequency of each row at the generalized Lomb-Scargle peak (the
     SSR minimum), so Gauss-Newton starts inside the right basin: the vertex
@@ -227,7 +237,7 @@ def _coarse_frequency(T, p, weights):
     dt = np.diff(T)
     step = float(dt.min())
     if (np.abs(dt - step) <= UNIFORM_TOLERANCE * step).all():
-        size = max(PAD_FACTOR * T.size, 2 * COARSE_GRID_SIZE)
+        size = _fast_length(max(PAD_FACTOR * T.size, 2 * COARSE_GRID_SIZE))
         scale = size * step
         ssr = _periodogram_ssr(p, weights, size)
     else:
@@ -265,28 +275,40 @@ def _rate_seeds(T, p, weights, freq):
     return np.stack([offset, a, b, rates[pick], freq], axis=-1)
 
 
-def _lstsq_steps(jac, resid):
-    """Gauss-Newton step of each row: the minimum-norm least-squares
-    solution of ``jac @ step = -resid``, dropping singular values at or
-    below ``numpy.linalg.lstsq``'s default cutoff."""
-    u, s, vt = np.linalg.svd(jac, full_matrices=False)
-    cutoff = _EPS * max(jac.shape[1:]) * s[:, :1]
-    inv = np.divide(1.0, s, out=np.zeros_like(s), where=s > cutoff)
-    return np.einsum("kij,ki->kj", vt, inv * np.einsum("kni,kn->ki", u, -resid))
+def _normal_steps(jac, resid):
+    """Gauss-Newton step of each row from the 5x5 normal equations of its
+    columns ``jac[:, k]``, and the SSR reduction ``|J step|^2`` it promises;
+    both NaN where the system is exactly singular or not finite."""
+    cols = jac.transpose(1, 0, 2)
+    normal = cols @ cols.transpose(0, 2, 1)
+    grad = cols @ resid[..., None]
+    diagonal = normal.reshape(len(normal), -1)[:, ::6]  # a view
+    diagonal += diagonal == 0.0  # a zero column, which no data can move, gets no step
+    try:
+        step = np.linalg.solve(normal, -grad)[..., 0]
+    except np.linalg.LinAlgError:  # some row's LU meets an exactly zero pivot
+        singular = ~(np.abs(np.linalg.det(normal)) > 0.0)
+        normal[singular] = np.eye(5)
+        step = np.linalg.solve(normal, -grad)[..., 0]
+        step[singular] = np.nan
+    return step, -np.einsum("ki,ki->k", step, grad[..., 0])
 
 
 def _gauss_newton(T, p, weights, params):
     """Refine (offset, a, b, rate, freq) of each row of ``params`` against
     the same row of ``p``; returns (params, iterations, reasons), with each
-    reason one of ``step_tol``, ``halving_exhausted``, ``max_iter`` and
-    ``singular``.  The rows step together, and a row leaves the batch when
-    it stops, so no row's outcome depends on another's.  Each iterate is
-    evaluated once, and a step below the tolerance is taken unevaluated."""
+    reason one of ``step_tol``, ``ssr_flat``, ``halving_exhausted``,
+    ``max_iter`` and ``singular``.  The rows step together, and a row leaves
+    the batch when it stops, so no row's outcome depends on another's.
+    A full step below STEP_TOLERANCE is taken unevaluated (``step_tol``);
+    any other is halved until the SSR does not rise, or until it promises
+    no reduction beyond the SSR's rounding ``N * eps * SSR``, where the row
+    stops (``ssr_flat``).  Each iterate is evaluated once."""
     params = np.array(params, dtype=float)
     iterations = np.full(len(params), MAX_ITERATIONS)
     reasons = np.full(len(params), "max_iter", dtype=object)
     rows, x, evaluated = np.arange(len(params)), params.copy(), None
-    neg_T, two_pi_T = -T, TWO_PI * T
+    neg_T, two_pi_T, rounding = -T, TWO_PI * T, T.size * np.finfo(float).eps
     columns = np.empty((5, *p.shape))  # d(resid)/d(offset, a, b, rate, freq) of the live rows
     for iteration in range(1, MAX_ITERATIONS + 1):
         if not rows.size:
@@ -304,45 +326,40 @@ def _gauss_newton(T, p, weights, params):
         if singular.any():
             jac[:, singular] = 0.0
             resid[singular] = 0.0
-        try:
-            step = _lstsq_steps(jac.transpose(1, 2, 0), resid)
-        except np.linalg.LinAlgError:  # the SVD did not converge: no row gets a step
-            singular[:] = True
-            step = np.zeros_like(x)
+        step, reduction = _normal_steps(jac, resid)
+        singular |= np.isnan(reduction)
         rel_step = (np.abs(step) / np.maximum(np.abs(x), 1.0)).max(axis=1)
+        converged = ~singular & (rel_step < STEP_TOLERANCE)
+        x[converged] += step[converged]
 
-        # plain Gauss-Newton with step halving as a guard against overshoot;
-        # ``taken`` is the shrink of the step each row took.  Rows are
-        # gathered with ``take``, cheaper than fancy indexing on few rows.
-        taken = np.full(len(x), np.nan)
-        pending = (~singular).nonzero()[0]
+        # a step scaled by s promises s * (2 - s) times the full one's
+        # reduction; rows are gathered with ``take``, cheaper than fancy
+        # indexing on few rows
+        pending = (~(singular | converged)).nonzero()[0]
+        flat, floor = np.zeros(len(x), dtype=bool), rounding * ssr
         shrink, evaluated = 1.0, None
-        for attempt in range(30):
-            trial = x.take(pending, 0) + shrink * step.take(pending, 0)
-            ok = rel_step.take(pending) * shrink < STEP_TOLERANCE  # taken whatever its SSR
-            tried = (~ok).nonzero()[0]
-            if tried.size:
-                at = pending.take(tried)
-                evaluated = _evaluate(T, p.take(at, 0), weights.take(at, 0), trial.take(tried, 0))
-                ok[tried] = evaluated[5] <= ssr.take(at)
-            accepted = pending[ok]
-            x[accepted] = trial[ok]
-            taken[accepted] = shrink
-            pending = pending[~ok]
+        while pending.size and shrink > 2.0**-30:  # at most 30 trials
+            level = shrink * (2.0 - shrink) * reduction.take(pending) <= floor.take(pending)
+            flat[pending[level]] = True
+            pending = pending[~level]
             if not pending.size:
                 break
-            shrink *= 0.5
-        # reuse holds as the rows kept below are exactly those evaluated at attempt 0
-        evaluated = None if attempt or pending.size else evaluated
-        converged = rel_step * taken < STEP_TOLERANCE
-        done = singular | converged
+            trial = x.take(pending, 0) + shrink * step.take(pending, 0)
+            result = _evaluate(T, p.take(pending, 0), weights.take(pending, 0), trial)
+            ok = result[5] <= ssr.take(pending)
+            x[pending[ok]] = trial[ok]
+            # the next iteration reuses it when every row took its first trial
+            evaluated = result if shrink == 1.0 and ok.all() else None
+            pending, shrink = pending[~ok], 0.5 * shrink
+        done = singular | converged | flat
         done[pending] = True
         if done.any():
             stopped = rows[done]
             params[stopped] = x[done]
             iterations[stopped] = iteration
-            reasons[rows[pending]] = "halving_exhausted"  # neither singular nor converged
+            reasons[rows[pending]] = "halving_exhausted"
             reasons[rows[converged]] = "step_tol"
+            reasons[rows[flat]] = "ssr_flat"
             reasons[rows[singular]] = "singular"
             keep = ~done
             rows, x, p, weights = rows[keep], x[keep], p[keep], weights[keep]
@@ -419,7 +436,7 @@ def fit_many(scan: FringeScan) -> list[FitResult]:
         # indistinguishable from no damping
         decay_time = math.inf if abs(rate) * span < 1e-9 else 1.0 / rate
         # whether there is a fringe is read off (a, b) before the scale, which can underflow
-        if reason == "step_tol" and not ((a or b) and residual <= threshold):
+        if reason in _CONVERGED and not ((a or b) and residual <= threshold):
             reason = "residual"
         results.append(FitResult(
             amplitude=amplitude,
@@ -428,7 +445,7 @@ def fit_many(scan: FringeScan) -> list[FitResult]:
             offset=offset,
             decay_time=decay_time,
             rms_residual=residual,
-            converged=reason == "step_tol",
+            converged=reason in _CONVERGED,
             residual_threshold=threshold,
             iterations=count,
             reason=reason,

@@ -218,9 +218,9 @@ def run(
     for otherwise noiseless runs).  ``input_stream`` supplies the scan CSV
     for the ``fit`` protocol.  A value of ``cfg`` the model rejects raises
     ``ConfigError`` naming its statement, as do an unknown protocol, an
-    interval ``parse_config`` would refuse, a negative seed, a ``sweep_phis``
-    that is not an integer >= 1 and a key-phase sweep of ``ramsey``,
-    ``attack`` or ``fit``.
+    interval ``parse_config`` would refuse, a seed not an integer >= 0, a
+    ``sweep_phis`` that is not an integer >= 1 and a key-phase sweep of
+    ``ramsey``, ``attack`` or ``fit``.
     """
     if cfg.protocol not in PROTOCOLS:
         raise ConfigError(f"protocol must be one of {', '.join(PROTOCOLS)}")
@@ -242,6 +242,8 @@ def run(
         raise ConfigError(f"interval: {exc}") from None
     if seed is None:
         seed = cfg.noise.seed if cfg.noise is not None else 0
+    if not isinstance(seed, (int, np.integer)):
+        raise ConfigError(f"seed must be an integer, got {seed!r}")
     if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)

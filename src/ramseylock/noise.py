@@ -39,7 +39,7 @@ class NoiseModel:
     def __post_init__(self):
         if self.linewidth < 0.0:
             raise ValueError(f"linewidth must be >= 0, got {self.linewidth}")
-        for name in ("atom_count", "repeats"):
+        for name in ("atom_count", "repeats", "seed"):
             if not isinstance(getattr(self, name), (int, np.integer)):
                 raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.atom_count < 1:

@@ -149,6 +149,10 @@ class Sequence:
                 raise SequenceError(f"unsupported event type {type(e).__name__}")
         if sum(1 for e in events if isinstance(e, Wait) and e.scanned) > 1:
             raise SequenceError("at most one wait may be marked as the scan variable")
+        # finite waits can add up to an infinite clock or pulse phase
+        with np.errstate(over="ignore", invalid="ignore"):
+            if not all(math.isfinite(s.end) and np.isfinite(s.arg).all() for s in _walk(self)):
+                raise SequenceError("the timeline clock and every pulse phase must be finite")
 
     @property
     def pulses(self) -> tuple[PulseSpec, ...]:

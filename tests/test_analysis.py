@@ -416,7 +416,8 @@ class TestPeriodogramSeed:
         weights = 1.0 / sd if weighted else np.ones(points)
         seed_frequency = analysis._coarse_frequency(T, p[None], weights[None])[0]
 
-        size = max(analysis.PAD_FACTOR * points, 2 * analysis.COARSE_GRID_SIZE)
+        size = analysis._fast_length(
+            max(analysis.PAD_FACTOR * points, 2 * analysis.COARSE_GRID_SIZE))
         if jitter:
             size = 2 * (analysis.COARSE_GRID_SIZE - 1)
         bin_width = 1.0 / (size * float(np.min(np.diff(T))))
@@ -432,12 +433,35 @@ class TestPeriodogramSeed:
         # neighbours are equal and the vertex stays on the end bin; an SSR
         # rising steeply on one side only would pull a vertex off it
         T = np.arange(201) / 8192.0  # a binary step: Nyquist is exactly 4096 Hz
-        last = max(analysis.PAD_FACTOR * T.size, 2 * analysis.COARSE_GRID_SIZE) // 2
-        rise = np.arange(last + 1.0) if end == "zero" else last - np.arange(last + 1.0)
-        ssr = (1.0 + rise**2 + rise**3)[None]
-        with mock.patch.object(analysis, "_periodogram_ssr", return_value=ssr):
+        sizes = []
+
+        def steep(p, weights, size):
+            sizes.append(size)
+            last = size // 2
+            rise = np.arange(last + 1.0) if end == "zero" else last - np.arange(last + 1.0)
+            return (1.0 + rise**2 + rise**3)[None]
+
+        with mock.patch.object(analysis, "_periodogram_ssr", steep):
             seed = analysis._coarse_frequency(T, np.full((1, T.size), 0.5), np.ones((1, T.size)))
         assert seed.tolist() == [0.0 if end == "zero" else 4096.0]
+        assert sizes == [1600]
+
+    def test_the_padded_length_is_the_nearest_fast_length(self):
+        # 201 points pad to 1,600 = 2^6 * 5^2, not 8 * 201 = 1,608 = 2^3 * 3 * 67;
+        # every target maps to the 2*3*5-smooth length nearest it, the longer
+        # on a tie, which is never below a smooth target such as 1,024
+        def smooth(n):
+            for q in (2, 3, 5):
+                while n % q == 0:
+                    n //= q
+            return n == 1
+
+        lengths = [n for n in range(1, 4100) if smooth(n)]
+        for target in range(1, 2049):
+            best = min(lengths, key=lambda n: (abs(n - target), -n))
+            assert analysis._fast_length(target) == best
+        assert analysis._fast_length(8 * 201) == 1600
+        assert analysis._fast_length(2 * analysis.COARSE_GRID_SIZE) == 1024
 
     @pytest.mark.parametrize("points, fraction", [(16, 0.99), (16, 0.97), (32, 0.97)])
     def test_a_fringe_just_below_nyquist_converges(self, points, fraction):
@@ -448,6 +472,15 @@ class TestPeriodogramSeed:
         fit = fit_damped_sinusoid(synthetic(T, 0.25, fraction * 5000.0, 0.0, 0.5, points * 1e-4))
         assert fit.converged
         assert fit.frequency == pytest.approx(fraction * 5000.0, rel=1e-9)
+
+
+def _weighted_noisy_fringe():
+    """16 points of a 110 Hz fringe with readout noise of sd 0.001 to 0.01."""
+    T = np.arange(16) * 1e-3
+    rng = np.random.default_rng(0)
+    sd = 1e-2 * rng.uniform(0.1, 1.0, 16)
+    p = 0.5 + 0.3 * np.cos(TWO_PI * 110.0 * T + 0.4) + sd * rng.standard_normal(16)
+    return FringeScan(T, p, sd)
 
 
 class TestFitDiagnostics:
@@ -491,15 +524,23 @@ class TestFitDiagnostics:
 
     def test_halving_exhausted(self):
         # started exactly at Nyquist, the sin and frequency columns of the
-        # Jacobian are rounding; on the third step one of them clears the
-        # lstsq cutoff, the step along it is ~1e10 Hz, and no halving of it
-        # lowers the SSR
+        # Jacobian are rounding; the normal equations solve them as they are,
+        # so the first step moves b by ~3e13 and the frequency by ~4e15 Hz,
+        # promises a real reduction, and no halving of it lowers the SSR:
+        # the fit stops where it started
         p = COIN[None]
         T = np.arange(COIN.size) * 1e-3
         start = np.array([[0.5, 0.5, 0.0, 0.0, 500.0]])
         params, iterations, reasons = analysis._gauss_newton(T, p, np.ones_like(p), start)
-        assert (list(reasons), list(iterations)) == (["halving_exhausted"], [3])
-        assert params[0, 4] == pytest.approx(500.0)
+        assert (list(reasons), list(iterations)) == (["halving_exhausted"], [1])
+        assert np.array_equal(params, start)
+
+    def test_ssr_flat(self):
+        # weighted noise: the minimum is flat to rounding before any full
+        # step falls below the tolerance; the fit stops there, converged
+        fit = fit_damped_sinusoid(_weighted_noisy_fringe())
+        assert (fit.converged, fit.reason, fit.iterations) == (True, "ssr_flat", 4)
+        assert fit.frequency == pytest.approx(110.0, rel=1e-2)
 
     def test_max_iter(self, monkeypatch):
         monkeypatch.setattr(analysis, "MAX_ITERATIONS", 2)
@@ -508,11 +549,72 @@ class TestFitDiagnostics:
         assert (fit.converged, fit.reason, fit.iterations) == (False, "max_iter", 2)
 
     @pytest.mark.parametrize(
-        "converged, reason", [(True, "residual"), (False, "step_tol"), (False, "diverged")]
+        "converged, reason",
+        [(True, "residual"), (False, "step_tol"), (False, "ssr_flat"), (False, "diverged")],
     )
     def test_reason_must_match_converged(self, converged, reason):
         with pytest.raises(ValueError):
             FitResult(0.5, 110.0, 0.0, 0.5, math.inf, 0.0, converged, 0.3, 3, reason)
+
+
+def _relative_full_step(T, p, weights, x):
+    """The relative size ``max |step| / max(|x|, 1)`` of the full
+    Gauss-Newton step from each row of ``x``, solved here by
+    ``numpy.linalg.lstsq`` on a Jacobian built from the model itself."""
+    sizes = []
+    for row, w, (offset, a, b, rate, freq) in zip(p, weights, x):
+        env = np.exp(-rate * T)
+        cos_t, sin_t = np.cos(TWO_PI * freq * T), np.sin(TWO_PI * freq * T)
+        osc = a * cos_t + b * sin_t
+        jac = w[:, None] * np.stack([
+            np.ones_like(T), env * cos_t, env * sin_t, -T * env * osc,
+            TWO_PI * T * env * (b * cos_t - a * sin_t),
+        ], axis=1)
+        step = np.linalg.lstsq(jac, -(offset + env * osc - row) * w, rcond=None)[0]
+        sizes.append(np.max(np.abs(step) / np.maximum(np.abs([offset, a, b, rate, freq]), 1.0)))
+    return np.array(sizes)
+
+
+class TestStopRule:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        points=st.integers(16, 201),
+        cycles=st.floats(0.0, 1.0),
+        amplitude=st.floats(0.05, 0.4),
+        rate=st.floats(0.0, 3.0),
+        phase=st.floats(0.0, TWO_PI),
+        noise=st.sampled_from([1e-3, 1e-2, 0.1]),
+        weighted=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_step_tol_ends_on_a_full_step_below_the_tolerance(
+        self, points, cycles, amplitude, rate, phase, noise, weighted, seed
+    ):
+        # noisy fringes from 2 periods to 0.4 points; a fit may stop on
+        # step_tol only where the next full step is below STEP_TOLERANCE, not
+        # where a halved step was, and the minimum flat to rounding gets
+        # its own reason
+        rng = np.random.default_rng(seed)
+        T = 1e-4 * np.arange(points)
+        span = points * 1e-4
+        n_cycles = 2.0 + cycles * (0.4 * points - 2.0)
+        p = 0.5 + amplitude * np.exp(-rate * T / span) * np.cos(
+            TWO_PI * n_cycles / span * T + phase)
+        sd = amplitude * noise * 10.0 ** -rng.uniform(0.0, 1.0, points)
+        p = np.clip(p + sd * rng.standard_normal(points), 0.0, 1.0)[None]
+        weights = (1.0 / sd if weighted else np.ones(points))[None]
+        seeds = analysis._rate_seeds(T, p, weights, analysis._coarse_frequency(T, p, weights))
+        params, _, reasons = analysis._gauss_newton(T, p, weights, seeds)
+        if reasons[0] == "step_tol":
+            assert _relative_full_step(T, p, weights, params)[0] < analysis.STEP_TOLERANCE
+
+    def test_a_fringe_on_the_f_0_ridge_is_not_converged_elsewhere(self):
+        # 3e-6 of fringe on 0.5 seeds at f = 0, where the sin and frequency
+        # columns of the Jacobian vanish: the fit either climbs off the
+        # ridge to 110 Hz or is not converged, never converged at f ~ 0
+        T = np.linspace(0.0, 20e-3, 201)
+        fit = fit_damped_sinusoid(synthetic(T, 3e-6, 110.0, 1.0, 0.5, math.inf))
+        assert not fit.converged or fit.frequency == pytest.approx(110.0, rel=1e-6)
 
 
 def _assert_same_fit(batched, alone):
@@ -575,17 +677,22 @@ class TestFitMany:
 
     def test_every_stop_reason_in_one_batch(self):
         # the coin pattern seeds just below Nyquist, where the sin column
-        # fades, and runs out of iterations; halving_exhausted and singular
-        # need an explicit start (see TestFitDiagnostics and below)
+        # fades, and runs out of iterations; the 3e-6 fringe seeds at f = 0
+        # with no envelope, where the offset and cos columns are equal and the
+        # normal equations exactly singular; halving_exhausted needs an
+        # explicit start (see TestFitDiagnostics)
         T = np.arange(16) * 1e-3
         rng = np.random.default_rng(6)
         noise, noise_sd = rng.uniform(0, 1, 16), rng.uniform(1e-4, 1, 16)
         clean = 0.5 + 0.3 * np.cos(TWO_PI * 110.0 * T + 0.4)
-        P = np.array([COIN, noise, np.full(16, 0.5), clean])
-        SD = np.array([np.zeros(16), noise_sd, np.zeros(16), np.zeros(16)])
+        noisy = _weighted_noisy_fringe()
+        ridge = 0.5 + 3e-6 * np.cos(TWO_PI * 110.0 * T + 1.0)
+        P = np.array([COIN, noise, np.full(16, 0.5), clean, noisy.p, ridge])
+        SD = np.array([np.zeros(16), noise_sd, np.zeros(16), np.zeros(16), noisy.sd, np.zeros(16)])
         batched = analysis.fit_many(FringeScan(T, P, SD))
-        assert [f.reason for f in batched] == [
-            "max_iter", "residual", "zero_variance", "step_tol"
+        assert [(f.reason, f.iterations) for f in batched] == [
+            ("max_iter", 200), ("residual", 13), ("zero_variance", 0), ("step_tol", 3),
+            ("ssr_flat", 4), ("singular", 1),
         ]
         for b, a in zip(batched, _fits_alone(T, P, SD)):
             _assert_same_fit(b, a)

@@ -543,6 +543,10 @@ _DESCRIPTION_FAULTS = [
                  "protocol 'ramsey' needs a pulse named 'write'", False, id="no-write-pulse"),
     pytest.param("protocol ramsey\ninterval T1=0.005", "protocol scramble\ninterval",
                  "protocol 'scramble' needs interval T1=", False, id="no-T1"),
+    pytest.param("protocol ramsey\ninterval T1=0.005 T2=0.005",
+                 "protocol scramble\ninterval T1=1e308 T2=0.005",
+                 "interval: the timeline clock and every pulse phase must be finite", False,
+                 id="huge-T1"),
 ]
 
 
@@ -564,6 +568,8 @@ def _noise(**spec):
 def _intervals(**values):
     return lambda cfg: cfg.intervals.update(values)
 
+
+_OVERFLOW = "interval: the timeline clock and every pulse phase must be finite"
 
 #: Values a config built in code can hand to ``run`` that ``parse_config``
 #: would refuse, as ``(protocol, change to table 1, message)``; the message
@@ -607,6 +613,11 @@ _CODE_FAULTS = [
                  id="retrieve-T3"),
     pytest.param("retrieve", _intervals(T9=1.0), "interval: unknown interval key 'T9'",
                  id="unknown-interval"),
+    # finite waits whose pulse phase (1e308 s times the phase rate) or clock overflows
+    pytest.param("scramble", _intervals(T1=1e308), _OVERFLOW, id="scramble-T1-huge"),
+    pytest.param("retrieve", _intervals(T1=1e308), _OVERFLOW, id="retrieve-T1-huge"),
+    pytest.param("double-scramble", _intervals(T1=1e308, T2=1e308), _OVERFLOW,
+                 id="double-scramble-T1-T2-huge"),
     pytest.param("ramsey", _noise(atoms=2.5), "noise: atom_count must be an integer, got 2.5",
                  id="noise-atoms-fraction"),
     pytest.param("ramsey", _noise(repeats=2.5), "noise: repeats must be an integer, got 2.5",
@@ -842,6 +853,16 @@ class TestExitCodes:
             run(cfg, out, seed=seed)
         assert out.getvalue() == ""
 
+    @pytest.mark.parametrize("seed, noise_seed", [(2.5, 0), (None, 2.5)])
+    def test_non_integer_seed_in_run_is_a_config_error(self, seed, noise_seed):
+        # as a negative one: SeedSequence would end in a TypeError traceback
+        cfg = parse_config(table1_text())
+        cfg.noise = NoiseSpec(seed=noise_seed)
+        out = io.StringIO()
+        with pytest.raises(ConfigError, match="^seed must be an integer, got 2.5$"):
+            run(cfg, out, seed=seed)
+        assert out.getvalue() == ""
+
     @pytest.mark.parametrize("phis", [0, -2, 2.5])
     def test_sweep_phis_in_run_must_be_a_positive_integer(self, phis):
         # a sweep_phis set in code; main checks --sweep-phis itself, with its own message
@@ -870,6 +891,7 @@ class TestExitCodes:
             run(cfg, out)
         assert out.getvalue() == ""
 
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("old, new, message, on_line", _DESCRIPTION_FAULTS)
     def test_description_error_is_2_and_names_the_line(self, tmp_path, capsys, old, new,
                                                        message, on_line):

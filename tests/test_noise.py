@@ -129,7 +129,7 @@ class TestSimulateMeasurement:
             NoiseModel(atom_count=2**63)
 
     @pytest.mark.parametrize("value", [2.5, 3.0, math.nan, "5"])
-    @pytest.mark.parametrize("count", ["atom_count", "repeats"])
+    @pytest.mark.parametrize("count", ["atom_count", "repeats", "seed"])
     def test_counts_must_be_integers(self, count, value):
         # a fractional atom count would draw with its floor and divide by itself
         with pytest.raises(ValueError, match=f"^{count} must be an integer, got {value!r}$"):

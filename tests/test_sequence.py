@@ -74,6 +74,15 @@ class TestValidation:
         with pytest.raises(ValueError):
             Wait(-1e-6)
 
+    @pytest.mark.parametrize("waits", [(1e308,), (1e308, 1e308)])
+    @pytest.mark.filterwarnings("error")
+    def test_a_clock_or_pulse_phase_that_overflows_is_refused(self, write_field, waits):
+        # each wait is finite; 1e308 s times the phase rate is not, and
+        # neither is the clock after two of them
+        with pytest.raises(SequenceError, match="every pulse phase must be finite"):
+            Sequence((PulseSpec(write_field, 1e-4), *map(Wait, waits),
+                      PulseSpec(write_field, 1e-4)))
+
     def test_at_most_one_scan_mark(self, write_field):
         with pytest.raises(SequenceError):
             Sequence(
