@@ -130,21 +130,20 @@ def _normal_solve(w2, p, c, s, cc, cs, ss, cp, sp):
     equations.  ``w2`` and ``p`` hold one fringe per row; each later
     argument holds, per row, one weighted sum (of cos, sin, cos^2, cos*sin,
     sin^2, p*cos, p*sin) for each of its trial models.  Returns the
-    ``(K, 1)`` sums ``P`` of ``w2 * p`` and ``g00`` of the ridged weights,
+    ``(K, 1)`` sums ``P`` of ``w2 * p`` and ``total`` of ``w2``,
     then ``a``, ``b`` and the residual sum of squares (SSR) of each model,
     written over ``cc`` .. ``sp``.  A model's offset is
-    ``(P - c*a - s*b) / g00``; only the caller that keeps one forms it."""
+    ``(P - c*a - s*b) / total``; only the caller that keeps one forms it."""
     total = w2.sum(axis=-1)[:, None]
     wp = w2 * p
     P = wp.sum(axis=-1)[:, None]
     Q = (wp * p).sum(axis=-1)[:, None]
-    # a ridge proportional to the gram scale keeps the degenerate systems
-    # (f = 0 and f = Nyquist have a vanishing sin column) solvable;
-    # selection is unaffected elsewhere
+    # a ridge proportional to the gram scale keeps the degenerate cos/sin
+    # systems (f = 0 and f = Nyquist have a vanishing sin column) solvable;
+    # the offset is solved exactly, so its SSR carries no ridge bias
     ridge = 1e-9 * np.maximum(total, 1.0)
-    g00 = total + ridge
     # eliminate the offset, then solve the remaining 2x2 system
-    u, v = c / g00, s / g00
+    u, v = c / total, s / total
     # the 2x2 system and its solution overwrite the sums; ``t`` holds each product
     t = u * c
     a11 = np.subtract(np.add(cc, ridge, out=cc), t, out=cc)
@@ -158,7 +157,7 @@ def _normal_solve(w2, p, c, s, cc, cs, ss, cp, sp):
     b = np.subtract(np.multiply(a11, b2, out=a11), np.multiply(a12, b1, out=t), out=a11)
     b /= det
     ssr = np.add(np.multiply(a, b1, out=b1), np.multiply(b, b2, out=b2), out=b1)
-    return P, g00, a, b, np.subtract(Q - P * P / g00, ssr, out=ssr)
+    return P, total, a, b, np.subtract(Q - P * P / total, ssr, out=ssr)
 
 
 def _spectral_ssr(w2, p, z1, z2, zp):
@@ -268,10 +267,10 @@ def _rate_seeds(T, p, weights, freq):
     np.multiply(ws, sin_t, out=terms[:, 6])
     c, s, cp, sp = (terms[:, :4] @ env.T).transpose(1, 0, 2)
     cc, cs, ss = (terms[:, 4:] @ (env * env).T).transpose(1, 0, 2)
-    P, g00, a, b, ssr = _normal_solve(w2, p, c, s, cc, cs, ss, cp, sp)
+    P, total, a, b, ssr = _normal_solve(w2, p, c, s, cc, cs, ss, cp, sp)
     rows, pick = np.arange(len(p)), ssr.argmin(axis=-1)
     a, b = a[rows, pick], b[rows, pick]
-    offset = (P[:, 0] - c[rows, pick] * a - s[rows, pick] * b) / g00[:, 0]
+    offset = (P[:, 0] - c[rows, pick] * a - s[rows, pick] * b) / total[:, 0]
     return np.stack([offset, a, b, rates[pick], freq], axis=-1)
 
 

@@ -37,8 +37,9 @@ class NoiseModel:
     seed: int = 0
 
     def __post_init__(self):
-        if self.linewidth < 0.0:
-            raise ValueError(f"linewidth must be >= 0, got {self.linewidth}")
+        for name in ("linewidth", "run_interval"):
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
         for name in ("atom_count", "repeats", "seed"):
             if not isinstance(getattr(self, name), (int, np.integer)):
                 raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
@@ -48,8 +49,6 @@ class NoiseModel:
             raise ValueError(f"atom_count must be <= {2**63 - 1}, got {self.atom_count}")
         if self.repeats < 1:
             raise ValueError(f"repeats must be >= 1, got {self.repeats}")
-        if self.run_interval < 0.0:
-            raise ValueError(f"run_interval must be >= 0, got {self.run_interval}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 
@@ -61,10 +60,10 @@ def sample_phase_increment(linewidth: float, elapsed: float, rng: np.random.Gene
     zero-mean normal with variance ``linewidth * elapsed``.  Returns 0.0
     exactly (without consuming a variate) when the variance is zero.
     """
-    if elapsed < 0.0:
-        raise InvalidDurationError(f"elapsed time must be >= 0, got {elapsed}")
-    if linewidth < 0.0:
-        raise ValueError(f"linewidth must be >= 0, got {linewidth}")
+    if not 0.0 <= elapsed < math.inf:
+        raise InvalidDurationError(f"elapsed time must be finite and >= 0, got {elapsed}")
+    if not 0.0 <= linewidth < math.inf:
+        raise ValueError(f"linewidth must be finite and >= 0, got {linewidth}")
     variance = linewidth * elapsed
     if variance == 0.0:
         return 0.0

@@ -113,18 +113,11 @@ class WriteKey(_ValueEq):
             area = 0.5 * math.pi
         if tau is None:
             tau = area / self.field.rabi
-        if area is None:
-            area = self.field.rabi * tau
-        if not (tau > 0.0) or not math.isfinite(tau):
-            raise InvalidDurationError(f"write pulse tau must be > 0, got {tau}")
-        if not math.isfinite(self.field.rabi * tau):
-            raise InvalidDurationError("write pulse area rabi*tau must be finite")
-        if not np.all(np.isfinite(self.phase)):
-            raise ValueError("write pulse phase must be finite")
-        if abs(area - self.field.rabi * tau) > 1e-9:
-            raise ValueError(
-                f"declared pulse area {area} inconsistent with rabi*tau = {self.field.rabi * tau}"
-            )
+        PulseSpec(self.field, tau, self.phase)  # refuses a bad duration, area or phase
+        rabi_tau = self.field.rabi * tau
+        area = rabi_tau if area is None else area
+        if abs(area - rabi_tau) > 1e-9:
+            raise ValueError(f"declared pulse area {area} inconsistent with rabi*tau = {rabi_tau}")
         object.__setattr__(self, "tau", float(tau))
         object.__setattr__(self, "pulse_area", float(area))
 
@@ -151,16 +144,11 @@ class ScrambleKey(_ValueEq):
     T1: float
 
     def __post_init__(self):
-        if not (self.tau > 0.0) or not math.isfinite(self.tau):
-            raise InvalidDurationError(f"scramble pulse tau must be > 0, got {self.tau}")
-        if not math.isfinite(self.field.rabi * self.tau):
-            raise InvalidDurationError("scramble pulse area rabi*tau must be finite")
-        if self.T1 < 0.0 or not math.isfinite(self.T1):
-            raise InvalidDurationError(f"T1 must be >= 0, got {self.T1}")
-        if self.phi_S is not None:
-            phi = np.asarray(self.phi_S, dtype=float)
-            if not np.all(np.isfinite(phi)):
-                raise ValueError("phi_S must be finite or None")
+        phi = None if self.phi_S is None else np.asarray(self.phi_S, dtype=float)
+        # the pulse (a withheld phase checked as 0) and the wait before it refuse bad values
+        PulseSpec(self.field, self.tau, 0.0 if phi is None else phi)
+        Wait(self.T1)
+        if phi is not None:
             if phi.ndim == 0:
                 phi = float(phi) % TWO_PI
             else:

@@ -25,10 +25,12 @@ clock, the later pulse phases and the state become arrays of the grid's
 shape, and every later event costs one numpy operation over the grid.
 
 Inputs are checked once, where they enter.  :class:`Wait` checks its
-duration, so the walker skips ``free_unitary``'s check.  Scan data has one
-checker, ``_scan_fault``, which :class:`FringeScan`, :func:`scan`, the scan
-CSV reader and the readout run and raise their own errors from; it never
-clips.  Scan data made valid by construction skips it via ``_trusted``.
+duration, so the walker skips ``free_unitary``'s check, and one overflow
+rule (``_check_finite``) guards the clock and pulse phases of a timeline
+and of each scan.  Scan data has one checker, ``_scan_fault``, which
+:class:`FringeScan`, :func:`scan`, the scan CSV reader and the readout run
+and raise their own errors from; it never clips.  Scan data made valid by
+construction skips it via ``_trusted``.
 
 Key-phase axis: a pulse's ``phase_offset`` may also be an array, which
 broadcasts against the grid the same way.  Shape ``(K, 1)`` adds a leading
@@ -149,10 +151,7 @@ class Sequence:
                 raise SequenceError(f"unsupported event type {type(e).__name__}")
         if sum(1 for e in events if isinstance(e, Wait) and e.scanned) > 1:
             raise SequenceError("at most one wait may be marked as the scan variable")
-        # finite waits can add up to an infinite clock or pulse phase
-        with np.errstate(over="ignore", invalid="ignore"):
-            if not all(math.isfinite(s.end) and np.isfinite(s.arg).all() for s in _walk(self)):
-                raise SequenceError("the timeline clock and every pulse phase must be finite")
+        _check_finite(self)
 
     @property
     def pulses(self) -> tuple[PulseSpec, ...]:
@@ -196,6 +195,18 @@ def _walk(
             if seq.clock_during_pulses:
                 t = t + e.tau
         yield _Step(e, start, t, arg)
+
+
+def _check_finite(seq: Sequence, scan_value: float | None = None) -> None:
+    """The one overflow rule: finite waits can add up to a clock or pulse
+    phase that is not.  Each grows in size with the scanned wait, so a grid's
+    last value ``scan_value`` stands for the whole grid; scalars skip numpy."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        for s in _walk(seq, 0.0, scan_value):
+            arg = s.arg
+            finite = np.isfinite(arg).all() if isinstance(arg, np.ndarray) else math.isfinite(arg)
+            if not (finite and math.isfinite(s.end)):
+                raise SequenceError("the timeline clock and every pulse phase must be finite")
 
 
 def _run(
@@ -345,6 +356,7 @@ def scan(template: Sequence, grid: SequenceType[float]) -> FringeScan:
     if T[0] < 0.0:  # the least value of an increasing grid
         raise SequenceError("scan grid values must be >= 0")
     _scan_mark(template)
+    _check_finite(template, float(T[-1]))
     offsets = [e.phase_offset for e in template.pulses]
     keyed = [o.shape for o in offsets if isinstance(o, np.ndarray)]
     shape = T.shape

@@ -589,10 +589,13 @@ _CODE_FAULTS = [
                  id="grid-nan"),
     pytest.param("ramsey", _grid(0.0, math.inf, 1e-4), "grid: cannot convert float infinity",
                  id="grid-inf"),
-    pytest.param("ramsey", _pulse("write", tau_s=0.0), "pulse 'write': write pulse tau must be > 0",
+    pytest.param("retrieve", _grid(0.0, 1e308, 1e307),
+                 "grid: the timeline clock and every pulse phase must be finite",
+                 id="grid-overflow"),
+    pytest.param("ramsey", _pulse("write", tau_s=0.0), "pulse 'write': pulse tau must be > 0",
                  id="write-tau"),
     pytest.param("scramble", _pulse("scramble", tau_s=0.0),
-                 "pulse 'scramble': scramble pulse tau must be > 0", id="scramble-tau"),
+                 "pulse 'scramble': pulse tau must be > 0", id="scramble-tau"),
     pytest.param("scramble", _intervals(T1=-1.0), "interval: T1 must be >= 0, got '-1.0'",
                  id="scramble-T1"),
     pytest.param("retrieve", _intervals(T2=-1.0), "interval: T2 must be >= 0, got '-1.0'",
@@ -623,11 +626,11 @@ _CODE_FAULTS = [
     pytest.param("ramsey", _noise(repeats=2.5), "noise: repeats must be an integer, got 2.5",
                  id="noise-repeats-fraction"),
     pytest.param("ramsey", _pulse("write", phase_rad=math.nan),
-                 "pulse 'write': write pulse phase must be finite", id="write-phase"),
+                 "pulse 'write': pulse phase offset must be finite", id="write-phase"),
     pytest.param("ramsey", _pulse("write", tau_s=1e308),
-                 "pulse 'write': write pulse area rabi*tau must be finite", id="write-area"),
+                 "pulse 'write': pulse area must be finite", id="write-area"),
     pytest.param("scramble", _pulse("scramble", tau_s=1e308),
-                 "pulse 'scramble': scramble pulse area rabi*tau must be finite",
+                 "pulse 'scramble': pulse area must be finite",
                  id="scramble-area"),
     pytest.param("ramsey", _pulse("write", field="X"),
                  "pulse 'write' references undefined field 'X'", id="undefined-field"),
@@ -916,8 +919,7 @@ class TestExitCodes:
         assert main([str(path)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert (f"config error: pulse {pulse!r}: {pulse} pulse area rabi*tau must be finite\n"
-                == captured.err)
+        assert captured.err == f"config error: pulse {pulse!r}: pulse area must be finite\n"
 
     @pytest.mark.parametrize(
         "statement, message",
@@ -973,6 +975,15 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "config error: --grid has too many points" in captured.err
+
+    @pytest.mark.filterwarnings("error")
+    def test_grid_option_that_overflows_a_pulse_phase_is_2(self, table1_path, capsys):
+        # 11 finite points; the read pulse's phase at T = 1e308 s is not finite
+        assert main([table1_path, "--grid", "0:1e308:1e307"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("config error: grid: the timeline clock and every pulse phase "
+                                "must be finite\n")
 
     def test_grid_option_too_large_to_allocate_is_2(self, table1_path, capsys):
         # 1e16 points, 80 PB: more than the user address space of a 64-bit

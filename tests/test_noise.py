@@ -60,6 +60,18 @@ class TestPhaseDiffusion:
         with pytest.raises(InvalidDurationError):
             sample_relative_phase(1.0, -1.0, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("elapsed", [math.nan, math.inf])
+    def test_non_finite_elapsed_rejected(self, elapsed):
+        # a NaN or infinite elapsed time would return a NaN or infinite phase
+        with pytest.raises(InvalidDurationError, match="elapsed time must be finite and >= 0"):
+            sample_phase_increment(1.0, elapsed, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("linewidth", [-1.0, math.nan, math.inf])
+    def test_linewidth_must_be_finite_and_non_negative(self, linewidth):
+        # a NaN or infinite linewidth would return a NaN or infinite phase
+        with pytest.raises(ValueError, match="linewidth must be finite and >= 0"):
+            sample_phase_increment(linewidth, 1.0, np.random.default_rng(0))
+
     def test_variance_after_one_shot_interval(self):
         # 1 kHz angular linewidth over the 47 s between shots gives a
         # variance of linewidth * elapsed = 2.95e5 rad^2
@@ -116,6 +128,13 @@ class TestSimulateMeasurement:
     def test_out_of_range_probability_rejected(self):
         with pytest.raises(ValueError):
             simulate_measurement(1.5, NoiseModel(), np.random.default_rng(0))
+
+    @pytest.mark.parametrize("value", [-1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("name", ["linewidth", "run_interval"])
+    def test_rates_and_intervals_must_be_finite_and_non_negative(self, name, value):
+        # refused where they enter, not as a non-finite key phase much later
+        with pytest.raises(ValueError, match=f"^{name} must be finite and >= 0, got {value}$"):
+            NoiseModel(**{name: value})
 
     def test_negative_seed_rejected(self):
         with pytest.raises(ValueError, match="seed must be >= 0, got -1"):

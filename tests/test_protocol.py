@@ -2,6 +2,7 @@
 
 import math
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -34,6 +35,7 @@ from ramseylock import (
     evolve,
     excitation_probability,
     fit_damped_sinusoid,
+    fit_many,
     phase_spread,
     plan_double_retrieval,
     plan_readout,
@@ -73,15 +75,15 @@ class TestKeys:
 
     @pytest.mark.parametrize("phase", [math.nan, math.inf, np.array([[0.5], [math.nan]])])
     def test_write_key_rejects_a_non_finite_phase(self, write_field, phase):
-        # the pulse it builds would refuse the phase later, naming no key
-        with pytest.raises(ValueError, match="write pulse phase must be finite"):
+        # refused when the key is made, by the pulse it stands for
+        with pytest.raises(InvalidDurationError, match="pulse phase offset must be finite"):
             WriteKey(write_field, tau=0.44e-3, phase=phase)
 
     def test_keys_reject_a_pulse_area_that_overflows(self, write_field, scramble_field):
         # 1e308 s is a finite duration; rabi * 1e308 is not a finite area
-        with pytest.raises(InvalidDurationError, match=r"write pulse area rabi\*tau must be"):
+        with pytest.raises(InvalidDurationError, match="pulse area must be finite"):
             WriteKey(write_field, tau=1e308)
-        with pytest.raises(InvalidDurationError, match=r"scramble pulse area rabi\*tau must be"):
+        with pytest.raises(InvalidDurationError, match="pulse area must be finite"):
             ScrambleKey(scramble_field, 1e308, 0.5, 5e-3)
 
 
@@ -665,6 +667,37 @@ class TestTemplate:
         phase = math.copysign(1.0, delta) * np.angle(c1)
         assert abs(math.remainder(fit.phase - phase, TWO_PI)) <= 1e-12
 
+    def test_dense_sweep_fit_matches_the_exact_sweep_spread(self, write_key, scramble_key,
+                                                             readout_grid):
+        # criterion 3's keys.  A key held by one pulse enters c1 as a
+        # trigonometric polynomial of degree 2 in its phase, so the (4k + 1) x 3
+        # scan at 5 key phases fixes c1 on the whole key circle, and the exact
+        # spread of a sweep is the spread of arg c1 there (delta_W > 0)
+        def template(phases):
+            return build_scrambled(write_key, replace(scramble_key, phi_S=phases[:, None]),
+                                   0.0, scanned=True)
+
+        def spread(phases):
+            return phase_spread([SimpleNamespace(converged=True, phase=x) for x in phases])
+
+        harmonics = np.fft.fft(_one_harmonic(template(TWO_PI * np.arange(5) / 5),
+                                             write_key.field.detuning)[1]) / 5
+
+        def c1(phases):
+            return np.exp(1j * np.outer(phases, [0, 1, 2, -2, -1])) @ harmonics
+
+        circle = TWO_PI * np.arange(65536) / 65536
+        assert np.min(np.abs(c1(circle))) > 0.02  # the fringe never vanishes
+        exact = spread(np.angle(c1(circle)))
+        assert exact == pytest.approx(0.70631 * math.pi, abs=1e-5 * math.pi)
+        # the fit is exact at each swept phase; the sweep misses only the
+        # extremes between its phases, by 6.4e-5 pi at 512 phases
+        sweep = np.linspace(0.0, TWO_PI, 512, endpoint=False)
+        fits = fit_many(scan(template(sweep), readout_grid))
+        residual = np.array([f.phase for f in fits]) - np.angle(c1(sweep))
+        assert np.max(np.abs(np.remainder(residual + math.pi, TWO_PI) - math.pi)) <= 1e-12
+        assert 0.0 <= exact - phase_spread(fits) <= 1e-3 * math.pi
+
 
 def _draw_template(data):
     """A random scanned template of one of the six protocols, with random
@@ -695,9 +728,9 @@ def _draw_template(data):
 
 def _one_harmonic(template, delta):
     """``(c0, c1)`` of ``P(T) = c0 + Re(c1 exp(i delta T))`` from the scan at
-    ``delta T = 0, 2pi/3, 4pi/3``."""
+    ``delta T = 0, 2pi/3, 4pi/3``; arrays over the key axis of a batch."""
     probes = np.arange(3) * (TWO_PI / 3.0) / abs(delta)
     turns = delta * probes
     basis = np.stack([np.ones(3), np.cos(turns), -np.sin(turns)], axis=1)
-    c0, re_c1, im_c1 = np.linalg.solve(basis, scan(template, probes).p)
-    return c0, complex(re_c1, im_c1)
+    c0, re_c1, im_c1 = np.linalg.solve(basis, scan(template, probes).p.T)
+    return c0, re_c1 + 1j * im_c1

@@ -232,6 +232,14 @@ class TestScan:
         with pytest.raises(InvalidDurationError):
             scan(build_write_read(write_key, 0.0, scanned=True), grid)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("phase", [0.0, np.array([[0.5], [1.5]])], ids=["scalar", "keyed"])
+    def test_a_grid_that_overflows_a_pulse_phase_is_refused(self, write_key, phase):
+        # every grid value is finite; the read pulse's phase rate times 1e308 s is not
+        template = build_write_read(replace(write_key, phase=phase), 0.0, scanned=True)
+        with pytest.raises(SequenceError, match="every pulse phase must be finite"):
+            scan(template, np.arange(11) * 1e307)
+
     def test_caller_grid_stays_writeable(self, write_key, readout_grid):
         grid = readout_grid.copy()
         result = scan(build_write_read(write_key, 0.0, scanned=True), grid)
