@@ -22,7 +22,8 @@ import sys
 import numpy as np
 
 from .analysis import FitResult, fit_damped_sinusoid, fit_many, phase_spread
-from .config import PROTOCOLS, ExperimentConfig, GridSpec, _read, parse_config, parse_grid
+from .config import (PROTOCOLS, _SCRAMBLES, ExperimentConfig, GridSpec, _check_grid, _read,
+                     parse_config, parse_grid)
 from .errors import ConfigError, FitError, PlannerError, RamseyLockError
 from .noise import NoiseModel, apply_contrast_decay, measure_scan
 from .protocol import ScrambleKey, WriteKey, _template
@@ -64,13 +65,14 @@ def _key(cfg: ExperimentConfig, fields, name: str, rng, make, *args, phi=None):
 
 
 def _grid_values(cfg: ExperimentConfig) -> np.ndarray:
-    spec = cfg.grid
+    spec, name = cfg.grid, "grid"
     if spec is None:
         # default: two fringe periods of the recording field in 201 points
         detuning_hz = abs(cfg.fields[cfg.pulses["write"].field].detuning_hz)
         if detuning_hz == 0.0:
             raise ConfigError("no grid given and the write field has zero detuning; add a grid")
-        spec = GridSpec(0.0, 2.0 / detuning_hz, (2.0 / detuning_hz) / 200.0)
+        spec, name = GridSpec(0.0, 2.0 / detuning_hz, (2.0 / detuning_hz) / 200.0), "default grid"
+    _check_grid(spec, name)
     count = int(round((spec.stop - spec.start) / spec.step))
     try:
         grid = spec.start + spec.step * np.arange(count + 1)
@@ -135,9 +137,14 @@ def _read_scan_csv(stream) -> FringeScan:
     it starts with ``T``.  A malformed row, a field with ``_`` or a
     non-ASCII character, a non-finite value, ``P_e`` outside [0, 1], a
     negative ``sd`` or non-increasing ``T`` raises ``FitError`` naming the
-    line.  A body of same-width rows is one numpy pass.
+    line; a stream that does not decode raises it too.  A body of
+    same-width rows is one numpy pass.
     """
-    text = stream.read()
+    try:
+        text = stream.read()
+    except UnicodeDecodeError as exc:
+        byte = exc.object[exc.start]
+        raise FitError(f"scan CSV is not {exc.encoding} text: byte {byte:#04x}") from None
     lines = text.removesuffix("\n").split("\n")
     header = lines[0].strip().lower().startswith("t")
     data = None
@@ -181,28 +188,18 @@ def _read_scan_csv(stream) -> FringeScan:
     return FringeScan._trusted(T, p, sd)
 
 
-#: The protocols a key-phase sweep runs on: the sweep replaces the phase of
-#: their first scramble pulse (``scramble``, or ``scramble1`` when stacked).
-_SWEPT = ("scramble", "retrieve", "double-scramble", "double-retrieve")
-
-
 def _keys(cfg, fields, intervals: dict, rng, phi=None) -> tuple:
     """The configured protocol's scramble keys in pulse order, which fixes
     the order of their ``random`` draws; ``phi`` (a float or a ``(K, 1)``
-    array of key phases) replaces the first key's phase."""
-    def wait(name: str) -> float:
-        if name not in intervals:
-            raise ConfigError(f"protocol {cfg.protocol!r} needs interval {name}=")
-        return intervals[name]
-
-    if cfg.protocol == "ramsey":
-        return ()
-    first = "scramble1" if cfg.protocol.startswith("double-") else "scramble"
-    keys = (_key(cfg, fields, first, rng, ScrambleKey, wait("T1"), phi=phi),)
-    if first == "scramble1":  # double-retrieve's scramble-2 wait is its plan's T2
-        T2 = wait("T2") if cfg.protocol == "double-scramble" else 0.0
-        keys += (_key(cfg, fields, "scramble2", rng, ScrambleKey, T2),)
-    return keys
+    array of key phases) replaces the first key's phase.  A wait its plan
+    sets is 0 here."""
+    keys = []
+    for name, interval in _SCRAMBLES[cfg.protocol]:
+        if interval is not None and interval not in intervals:
+            raise ConfigError(f"protocol {cfg.protocol!r} needs interval {interval}=")
+        wait = 0.0 if interval is None else intervals[interval]
+        keys.append(_key(cfg, fields, name, rng, ScrambleKey, wait, phi=None if keys else phi))
+    return tuple(keys)
 
 
 def run(
@@ -220,14 +217,14 @@ def run(
     ``ConfigError`` naming its statement, as do an unknown protocol, an
     interval ``parse_config`` would refuse, a seed not an integer >= 0, a
     ``sweep_phis`` that is not an integer >= 1 and a key-phase sweep of
-    ``ramsey``, ``attack`` or ``fit``.
+    ``attack`` or of a protocol without a scramble pulse.
     """
     if cfg.protocol not in PROTOCOLS:
         raise ConfigError(f"protocol must be one of {', '.join(PROTOCOLS)}")
     n = cfg.sweep_phis
     if n is not None and not (isinstance(n, (int, np.integer)) and n >= 1):
         raise ConfigError(f"sweep_phis must be an integer >= 1, got {n!r}")
-    if n and cfg.protocol not in _SWEPT:
+    if n and (cfg.protocol == "attack" or not _SCRAMBLES.get(cfg.protocol)):
         raise ConfigError(f"protocol {cfg.protocol!r} does not support a key-phase sweep")
     if cfg.protocol == "fit":
         stream = input_stream if input_stream is not None else sys.stdin
@@ -303,9 +300,14 @@ def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
 def main(argv=None) -> int:
     args = build_arg_parser().parse_args(argv)
     try:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            cfg = parse_config(fh.read())
-        cfg = _apply_overrides(cfg, args)
+        with open(args.config, "rb") as fh:
+            data = fh.read()
+        try:
+            text = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            line = data.count(b"\n", 0, exc.start) + 1
+            raise ConfigError(f"byte {data[exc.start]:#04x} is not UTF-8 text", line) from None
+        cfg = _apply_overrides(parse_config(text), args)
 
         with contextlib.ExitStack() as files:
             input_stream = (files.enter_context(open(args.input, "r", encoding="utf-8"))

@@ -29,15 +29,19 @@ from dataclasses import dataclass, field as dataclass_field
 
 from .errors import ConfigError
 
-PROTOCOLS = (
-    "ramsey",
-    "scramble",
-    "retrieve",
-    "double-scramble",
-    "double-retrieve",
-    "attack",
-    "fit",
-)
+#: Each simulated protocol's scramble pulses in pulse order, as ``(pulse
+#: name, interval before it)``; the interval is ``None`` where the
+#: protocol's plan sets that wait.
+_SCRAMBLES = {
+    "ramsey": (),
+    "scramble": (("scramble", "T1"),),
+    "retrieve": (("scramble", "T1"),),
+    "double-scramble": (("scramble1", "T1"), ("scramble2", "T2")),
+    "double-retrieve": (("scramble1", "T1"), ("scramble2", None)),
+    "attack": (("scramble", "T1"),),
+}
+
+PROTOCOLS = (*_SCRAMBLES, "fit")
 
 _INTERVAL_NAMES = ("T1", "T2", "T3", "T4")
 
@@ -97,20 +101,32 @@ def parse_duration(token: str, line: int | None = None) -> float:
 
 
 def parse_grid(text: str, line: int | None = None, name: str = "grid") -> GridSpec:
-    """``<start>:<stop>:<step>`` durations with ``start >= 0``, ``stop >=
-    start`` and ``step > 0``; ``name`` is the statement or option they came
-    from."""
+    """``<start>:<stop>:<step>`` durations that pass :func:`_check_grid`;
+    ``name`` is the statement or option they came from."""
     parts = text.split(":")
     if len(parts) != 3:
         raise ConfigError(f"{name} must be <start>:<stop>:<step>", line)
-    start, stop, step = (parse_duration(part, line) for part in parts)
+    return _check_grid(GridSpec(*(parse_duration(part, line) for part in parts)), name, line)
+
+
+def _check_grid(spec: GridSpec, name: str, line: int | None = None) -> GridSpec:
+    """``spec`` if its values are finite with ``start >= 0``, ``stop >=
+    start``, ``step > 0`` and a finite point count; every grid, read or
+    built in code, passes here.  ``name`` is where it came from."""
+    start, stop, step = spec.start, spec.stop, spec.step
+    try:
+        finite = all(map(math.isfinite, (start, stop, step)))
+    except TypeError:  # not a real number
+        finite = False
+    if not finite:
+        raise ConfigError(f"{name} values must be finite, got {start!r}:{stop!r}:{step!r}", line)
     if step <= 0 or stop < start:
         raise ConfigError(f"{name} needs stop >= start and step > 0", line)
     if not math.isfinite((stop - start) / step):
         raise ConfigError(f"{name} has too many points: (stop - start) / step overflows", line)
     if start < 0:
-        raise ConfigError(f"{name} start must be >= 0, got {parts[0]!r}", line)
-    return GridSpec(start, stop, step)
+        raise ConfigError(f"{name} start must be >= 0, got {start!r}", line)
+    return spec
 
 
 def _parse_float(token: str, key: str, line: int | None) -> float:

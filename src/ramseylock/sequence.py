@@ -26,11 +26,11 @@ shape, and every later event costs one numpy operation over the grid.
 
 Inputs are checked once, where they enter.  :class:`Wait` checks its
 duration, so the walker skips ``free_unitary``'s check, and one overflow
-rule (``_check_finite``) guards the clock and pulse phases of a timeline
-and of each scan.  Scan data has one checker, ``_scan_fault``, which
-:class:`FringeScan`, :func:`scan`, the scan CSV reader and the readout run
-and raise their own errors from; it never clips.  Scan data made valid by
-construction skips it via ``_trusted``.
+rule (``_check_finite``) guards the clock, pulse phases and free phases of
+a timeline and of each scan.  Scan data has one checker, ``_scan_fault``,
+which :class:`FringeScan`, :func:`scan`, the scan CSV reader and the
+readout run and raise their own errors from; it never clips.  Scan data
+made valid by construction skips it via ``_trusted``.
 
 Key-phase axis: a pulse's ``phase_offset`` may also be an array, which
 broadcasts against the grid the same way.  Shape ``(K, 1)`` adds a leading
@@ -199,11 +199,14 @@ def _walk(
 
 def _check_finite(seq: Sequence, scan_value: float | None = None) -> None:
     """The one overflow rule: finite waits can add up to a clock or pulse
-    phase that is not.  Each grows in size with the scanned wait, so a grid's
-    last value ``scan_value`` stands for the whole grid; scalars skip numpy."""
+    phase that is not, and a finite wait can have a lab-frame free phase
+    ``0.5 * free_rate * duration`` that is not.  Each grows in size with the
+    scanned wait, so a grid's last value ``scan_value`` stands for the whole
+    grid; scalars skip numpy."""
+    half_rate = 0.5 * seq.frame.free_rate
     with np.errstate(over="ignore", invalid="ignore"):
         for s in _walk(seq, 0.0, scan_value):
-            arg = s.arg
+            arg = half_rate * s.arg if isinstance(s.event, Wait) else s.arg
             finite = np.isfinite(arg).all() if isinstance(arg, np.ndarray) else math.isfinite(arg)
             if not (finite and math.isfinite(s.end)):
                 raise SequenceError("the timeline clock and every pulse phase must be finite")

@@ -28,6 +28,7 @@ from ramseylock import analysis, cli
 from ramseylock.cli import main, run
 from ramseylock.config import (
     PROTOCOLS,
+    _SCRAMBLES,
     ExperimentConfig,
     FieldDef,
     GridSpec,
@@ -561,6 +562,14 @@ def _grid(*spec):
     return lambda cfg: setattr(cfg, "grid", GridSpec(*spec))
 
 
+def _default_grid(detuning_hz: float):
+    """A change to ``cfg`` that drops its grid and sets the write detuning."""
+    def change(cfg):
+        cfg.grid = None
+        cfg.fields["W"] = replace(cfg.fields["W"], detuning_hz=detuning_hz)
+    return change
+
+
 def _noise(**spec):
     return lambda cfg: setattr(cfg, "noise", NoiseSpec(**spec))
 
@@ -579,16 +588,21 @@ _CODE_FAULTS = [
     pytest.param("ramsey", _noise(repeats=0), "noise: repeats must be >= 1", id="noise-repeats"),
     pytest.param("ramsey", _noise(contrast_wri_s=0.0), "noise: contrast time must be > 0",
                  id="noise-contrast"),
-    pytest.param("ramsey", _grid(0.0, 1e-3, -1e-4), "grid: scan grid must not be empty",
+    pytest.param("ramsey", _grid(0.0, 1e-3, -1e-4), "grid needs stop >= start and step > 0",
                  id="grid-negative-step"),
-    pytest.param("ramsey", _grid(0.0, 1e-3, 0.0), "grid: float division by zero",
+    pytest.param("ramsey", _grid(0.0, 1e-3, 0.0), "grid needs stop >= start and step > 0",
                  id="grid-zero-step"),
-    pytest.param("ramsey", _grid(-1e-3, 1e-3, 1e-4), "grid: scan grid values must be >= 0",
+    pytest.param("ramsey", _grid(-1e-3, 1e-3, 1e-4), "grid start must be >= 0, got -0.001",
                  id="grid-negative-start"),
-    pytest.param("ramsey", _grid(0.0, math.nan, 1e-4), "grid: cannot convert float NaN",
-                 id="grid-nan"),
-    pytest.param("ramsey", _grid(0.0, math.inf, 1e-4), "grid: cannot convert float infinity",
-                 id="grid-inf"),
+    pytest.param("ramsey", _grid(0.0, math.nan, 1e-4),
+                 "grid values must be finite, got 0.0:nan:0.0001", id="grid-nan"),
+    pytest.param("ramsey", _grid(0.0, math.inf, 1e-4),
+                 "grid values must be finite, got 0.0:inf:0.0001", id="grid-inf"),
+    pytest.param("ramsey", _grid("0", 1e-3, 1e-4),
+                 "grid values must be finite, got '0':0.001:0.0001", id="grid-str"),
+    # two periods of a 1e-310 Hz write detuning are not a finite duration
+    pytest.param("ramsey", _default_grid(1e-310), "default grid values must be finite, got "
+                 "0.0:inf:inf", id="default-grid-inf"),
     pytest.param("retrieve", _grid(0.0, 1e308, 1e307),
                  "grid: the timeline clock and every pulse phase must be finite",
                  id="grid-overflow"),
@@ -643,6 +657,16 @@ _STACKED_PULSES = ("pulse scramble1 field=S tau_s=0.00148 phase_rad=0.5\n"
                    "pulse scramble2 field=S tau_s=0.00148 phase_rad=1.0\n")
 
 
+def _scramble_needs():
+    """``(protocol, "pulse" or "interval", name)`` for every scramble pulse of
+    the protocol table and every interval before one."""
+    for protocol, pulses in _SCRAMBLES.items():
+        for pulse, interval in pulses:
+            yield pytest.param(protocol, "pulse", pulse, id=f"{protocol}-{pulse}")
+            if interval is not None:
+                yield pytest.param(protocol, "interval", interval, id=f"{protocol}-{interval}")
+
+
 class TestExitCodes:
     @pytest.mark.parametrize(
         "row",
@@ -670,6 +694,31 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "increasing" in err
         assert "line 7" in err
+
+    @pytest.mark.parametrize("source", ["input", "stdin"])
+    def test_scan_csv_that_is_not_utf8_is_4(self, tmp_path, capsys, monkeypatch, source):
+        csv = b"T_s,P_e,sd\n0.0,0.5,0.01\n0.001,0.6,0.01 # caf\xe9\n"
+        cfg = tmp_path / "fit.cfg"
+        cfg.write_text("protocol fit\n")
+        argv = [str(cfg)]
+        if source == "input":
+            data = tmp_path / "latin1.csv"
+            data.write_bytes(csv)
+            argv += ["--input", str(data)]
+        else:
+            monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(csv), encoding="utf-8"))
+        assert main(argv) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "fit error: scan CSV is not utf-8 text: byte 0xe9\n"
+
+    def test_description_that_is_not_utf8_is_2_and_names_the_line(self, tmp_path, capsys):
+        path = tmp_path / "latin1.cfg"
+        path.write_bytes(b"protocol ramsey\n# caf\xe9\n")
+        assert main([str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "config error: line 2: byte 0xe9 is not UTF-8 text\n"
 
 
     def test_unconverged_fit_is_4_and_names_the_reason(self, tmp_path, capsys):
@@ -909,6 +958,24 @@ class TestExitCodes:
         where = f"line {lineno}: " if on_line else ""
         assert captured.err == f"config error: {where}{message}\n"
 
+    @pytest.mark.parametrize("protocol, kind, name", _scramble_needs())
+    def test_missing_scramble_pulse_or_interval_is_2(self, tmp_path, capsys, protocol, kind,
+                                                     name):
+        text = (table1_text() + _STACKED_PULSES).replace("protocol ramsey", f"protocol {protocol}")
+        if kind == "pulse":
+            text, dropped = re.subn(f"pulse {name} .*\n", "", text)
+            needs = f"a pulse named {name!r}"
+        else:
+            text, dropped = re.subn(f" {name}=[^ \n]*", "", text)
+            needs = f"interval {name}="
+        assert dropped == 1
+        path = tmp_path / "dropped.cfg"
+        path.write_text(text)
+        assert main([str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"config error: protocol {protocol!r} needs {needs}\n"
+
     @pytest.mark.parametrize("pulse, protocol", [("write", "ramsey"), ("scramble", "scramble")])
     def test_pulse_area_that_overflows_is_2_and_names_the_pulse(self, tmp_path, capsys, pulse,
                                                                 protocol):
@@ -980,6 +1047,19 @@ class TestExitCodes:
     def test_grid_option_that_overflows_a_pulse_phase_is_2(self, table1_path, capsys):
         # 11 finite points; the read pulse's phase at T = 1e308 s is not finite
         assert main([table1_path, "--grid", "0:1e308:1e307"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("config error: grid: the timeline clock and every pulse phase "
+                                "must be finite\n")
+
+    @pytest.mark.filterwarnings("error")
+    def test_grid_option_that_overflows_a_lab_frame_free_phase_is_2(self, tmp_path, capsys):
+        # the write detuning cancels the atomic frequency: every pulse phase is 0
+        # and the clock finite, but 0.5 * free_rate * 1e308 s is not finite
+        path = tmp_path / "lab.cfg"
+        path.write_text(table1_text().replace("frame rotating", "frame lab 1000")
+                        .replace("rabi_hz=565 detuning_hz=110", "rabi_hz=565 detuning_hz=-1000"))
+        assert main([str(path), "--grid", "0:1e308:1e307"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == ("config error: grid: the timeline clock and every pulse phase "

@@ -83,6 +83,18 @@ class TestValidation:
             Sequence((PulseSpec(write_field, 1e-4), *map(Wait, waits),
                       PulseSpec(write_field, 1e-4)))
 
+    @pytest.mark.filterwarnings("error")
+    def test_a_lab_frame_free_phase_that_overflows_is_refused(self):
+        # the detuning cancels the atomic frequency, so the pulse phases stay 0
+        # and the clock finite; 0.5 * free_rate * 1e308 s is not finite
+        frame = FrameConvention("lab", TWO_PI * 1e3)
+        pulse = PulseSpec(FieldParams(TWO_PI * 565.0, -TWO_PI * 1e3, "W"), 1e-4)
+        with pytest.raises(SequenceError, match="must be finite"):
+            Sequence((pulse, Wait(1e308)), frame=frame)
+        template = Sequence((pulse, Wait(0.0, scanned=True), pulse), frame=frame)
+        with pytest.raises(SequenceError, match="must be finite"):
+            scan(template, np.arange(11) * 1e307)
+
     def test_at_most_one_scan_mark(self, write_field):
         with pytest.raises(SequenceError):
             Sequence(
