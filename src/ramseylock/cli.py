@@ -141,7 +141,7 @@ def _read_scan_csv(stream) -> FringeScan:
     same-width rows is one numpy pass.
     """
     try:
-        text = stream.read()
+        text = stream.read().removeprefix("\ufeff")  # a byte-order mark
     except UnicodeDecodeError as exc:
         byte = exc.object[exc.start]
         raise FitError(f"scan CSV is not {exc.encoding} text: byte {byte:#04x}") from None
@@ -303,7 +303,7 @@ def main(argv=None) -> int:
         with open(args.config, "rb") as fh:
             data = fh.read()
         try:
-            text = data.decode("utf-8")
+            text = data.decode("utf-8").removeprefix("\ufeff")  # a byte-order mark
         except UnicodeDecodeError as exc:
             line = data.count(b"\n", 0, exc.start) + 1
             raise ConfigError(f"byte {data[exc.start]:#04x} is not UTF-8 text", line) from None

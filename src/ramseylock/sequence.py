@@ -11,7 +11,8 @@ Phase bookkeeping: the phase argument handed to pulse ``k`` is
 the chosen frame and ``t_k`` the pulse's timeline start time.  With
 ``clock_during_pulses`` off (the default) the clock advances only through
 waits, so free phase accumulates over the declared intervals alone; with
-it on, every pulse also advances the clock by its own duration.  Both
+it on, every pulse also advances the clock by its own duration, and a lab
+frame winds freely over it, so populations do not depend on the frame.  Both
 conventions are first-class: single scramble/retrieve pairs are timed on
 intervals alone, while the stacked-retrieval sum constraint carries a
 pulse-duration term that presupposes the wall-clock convention.  This rule
@@ -56,7 +57,7 @@ from .spinor import (
     FieldParams,
     FrameConvention,
     SpinState,
-    _free_unitary,
+    _winding,
     apply_unitary,
     excitation_probability,
     pulse_unitary,
@@ -110,7 +111,7 @@ class PulseSpec(_ValueEq):
             finite = np.all(np.isfinite(offset))
         if not finite:
             raise InvalidDurationError("pulse phase offset must be finite")
-        if not math.isfinite(self.field.rabi * self.tau):
+        if not math.isfinite(self.field.effective_rabi * self.tau):  # >= rabi, abs(detuning)
             raise InvalidDurationError("pulse area must be finite")
 
 
@@ -170,6 +171,7 @@ class _Step(NamedTuple):
     start: Clock  # clock before the event
     end: Clock  # clock after the event
     arg: Clock  # a wait's duration, or a pulse's phase argument
+    span: Clock | None  # clock time the event takes; None for a pulse that stops the clock
 
 
 def _walk(
@@ -180,59 +182,63 @@ def _walk(
     A pulse gets the phase argument ``rate * start + phase_offset`` with
     ``rate`` its field's phase rate in the sequence frame.  Waits advance
     the clock by their duration; pulses advance it by ``tau`` only with
-    ``clock_during_pulses``.  With ``scan_value`` given, the scanned wait
+    ``clock_during_pulses``.  That advance is the event's ``span``, the time
+    the frame winds freely over.  With ``scan_value`` given, the scanned wait
     lasts that long instead; an array makes every later clock value and
     phase an array of its shape.
     """
     t = start_time
     for e in seq.events:
-        start = t
         if isinstance(e, Wait):
-            arg = scan_value if e.scanned and scan_value is not None else e.duration
-            t = t + arg
+            arg = span = scan_value if e.scanned and scan_value is not None else e.duration
         else:
-            arg = seq.frame.pulse_phase_rate(e.field) * start + e.phase_offset
-            if seq.clock_during_pulses:
-                t = t + e.tau
-        yield _Step(e, start, t, arg)
+            arg = seq.frame.pulse_phase_rate(e.field) * t + e.phase_offset
+            span = e.tau if seq.clock_during_pulses else None
+        start, t = t, t if span is None else t + span
+        yield _Step(e, start, t, arg, span)
 
 
 def _check_finite(seq: Sequence, scan_value: float | None = None) -> None:
     """The one overflow rule: finite waits can add up to a clock or pulse
-    phase that is not, and a finite wait can have a lab-frame free phase
-    ``0.5 * free_rate * duration`` that is not.  Each grows in size with the
-    scanned wait, so a grid's last value ``scan_value`` stands for the whole
-    grid; scalars skip numpy."""
+    phase that is not, and a finite wait, or a pulse while the clock runs,
+    can have a lab-frame free phase ``0.5 * free_rate * span`` that is not.
+    Each grows in size with the scanned wait, so a grid's last value
+    ``scan_value`` stands for the whole grid; scalars skip numpy."""
     half_rate = 0.5 * seq.frame.free_rate
     with np.errstate(over="ignore", invalid="ignore"):
         for s in _walk(seq, 0.0, scan_value):
-            arg = half_rate * s.arg if isinstance(s.event, Wait) else s.arg
+            free = 0.0 if s.span is None else half_rate * s.span
+            arg = free if isinstance(s.event, Wait) else s.arg
             finite = np.isfinite(arg).all() if isinstance(arg, np.ndarray) else math.isfinite(arg)
-            if not (finite and math.isfinite(s.end)):
+            if not (finite and math.isfinite(free) and math.isfinite(s.end)):
                 raise SequenceError("the timeline clock and every pulse phase must be finite")
 
 
 def _run(
     seq: Sequence, state: SpinState, start_time: float, scan_value: Clock | None = None
 ) -> SpinState:
-    """Apply every event's unitary to ``state`` in timeline order."""
+    """Apply every event to ``state`` in timeline order: each pulse's
+    unitary, and the frame's free winding over each event's ``span`` (the
+    diagonal of ``free_unitary``, skipped where it is the identity)."""
+    rate = seq.frame.free_rate
     for step in _walk(seq, start_time, scan_value):
         e = step.event
-        if isinstance(e, Wait):
-            u = _free_unitary(seq.frame, step.arg)
-        else:
-            u = pulse_unitary(e.field, e.tau, step.arg)
-        state = apply_unitary(u, state)
+        if isinstance(e, PulseSpec):
+            state = apply_unitary(pulse_unitary(e.field, e.tau, step.arg), state)
+        if rate != 0.0 and step.span is not None:
+            z = _winding(rate, step.span)
+            state = SpinState(z * state.c_g, z.conjugate() * state.c_e)
     return state
 
 
 def evolve(seq: Sequence, initial: SpinState = GROUND, start_time: float = 0.0) -> SpinState:
     """Run the timeline on ``initial`` and return the final state.
 
-    Applies ``free_unitary`` for each wait and ``pulse_unitary`` (with the
-    compiled phase argument) for each pulse, in timeline order, on complex
-    scalars.  Chaining: evolving sequence A and then sequence B with
-    ``start_time = A.end_time()`` equals evolving their concatenation.
+    Applies ``pulse_unitary`` (with the compiled phase argument) for each
+    pulse and ``free_unitary`` for each wait, and for each pulse while the
+    clock runs, in timeline order, on complex scalars.  Chaining: evolving
+    sequence A and then sequence B with ``start_time = A.end_time()``
+    equals evolving their concatenation.
     """
     return _run(seq, initial, start_time)
 
@@ -374,4 +380,4 @@ def scan(template: Sequence, grid: SequenceType[float]) -> FringeScan:
                 f"a {T.size}-point grid to (N,) or (K, N)"
             )
     p = np.broadcast_to(excitation_probability(_run(template, GROUND, 0.0, T)), shape)
-    return FringeScan._trusted(T, np.clip(p, 0.0, 1.0), np.zeros(shape))
+    return FringeScan._trusted(T, np.minimum(p, 1.0), np.zeros(shape))  # |c_e|^2 >= 0

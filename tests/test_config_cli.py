@@ -712,6 +712,41 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err == "fit error: scan CSV is not utf-8 text: byte 0xe9\n"
 
+    @pytest.mark.parametrize("source", ["input", "stdin"])
+    def test_scan_csv_with_a_byte_order_mark_is_read(self, tmp_path, capsys, monkeypatch, source):
+        # as Python's utf-8-sig codec and spreadsheet exports write it
+        T = np.linspace(0.0, 20e-3, 30)
+        text = "T_s,P_e,sd\n" + "".join(
+            f"{float(t)!r},{0.5 + 0.4 * math.cos(TWO_PI * 110.0 * t)!r},0.01\n" for t in T)
+        cfg = tmp_path / "fit.cfg"
+        cfg.write_text("protocol fit\n")
+
+        def fit(encoding):
+            argv = [str(cfg)]
+            if source == "input":
+                data = tmp_path / f"{encoding}.csv"
+                data.write_text(text, encoding=encoding)
+                argv += ["--input", str(data)]
+            else:
+                monkeypatch.setattr("sys.stdin", io.StringIO(text.encode(encoding).decode("utf-8")))
+            assert main(argv) == 0
+            return capsys.readouterr()
+
+        plain, marked = fit("utf-8"), fit("utf-8-sig")
+        assert (marked.out, marked.err) == (plain.out, plain.err)
+        assert marked.out.startswith("phi_S,")
+
+    def test_description_with_a_byte_order_mark_is_read(self, tmp_path, capsys):
+        text = table1_text()
+        outputs = []
+        for encoding in ("utf-8", "utf-8-sig"):
+            path = tmp_path / f"{encoding}.cfg"
+            path.write_text(text, encoding=encoding)
+            assert main([str(path)]) == 0
+            outputs.append(capsys.readouterr())
+        assert outputs[1] == outputs[0]
+        assert outputs[1].out.startswith("T_s,")
+
     def test_description_that_is_not_utf8_is_2_and_names_the_line(self, tmp_path, capsys):
         path = tmp_path / "latin1.cfg"
         path.write_bytes(b"protocol ramsey\n# caf\xe9\n")

@@ -44,6 +44,7 @@ from ramseylock import (
     simulate_measurement,
 )
 from ramseylock.cli import _read_scan_csv
+from ramseylock.protocol import _template
 from ramseylock.sequence import _scan_fault, _walk
 
 TWO_PI = 2.0 * math.pi
@@ -94,6 +95,22 @@ class TestValidation:
         template = Sequence((pulse, Wait(0.0, scanned=True), pulse), frame=frame)
         with pytest.raises(SequenceError, match="must be finite"):
             scan(template, np.arange(11) * 1e307)
+
+    @pytest.mark.filterwarnings("error")
+    def test_a_lab_frame_free_phase_over_a_running_pulse_that_overflows_is_refused(self):
+        # a resonant pulse at clock 0 has phase 0 and a finite area; while the
+        # clock runs the frame winds over it, by 0.5 * 1e300 * 1e10 rad
+        frame = FrameConvention("lab", 1e300)
+        pulse = PulseSpec(FieldParams(1.0, 0.0), 1e10)
+        Sequence((pulse,), frame=frame)
+        with pytest.raises(SequenceError, match="must be finite"):
+            Sequence((pulse,), frame=frame, clock_during_pulses=True)
+
+    def test_a_pulse_whose_detuning_phase_overflows_is_refused(self):
+        # rabi * tau is 1e10; detuning * tau, which the pulse unitary
+        # evaluates, is not finite
+        with pytest.raises(InvalidDurationError, match="pulse area must be finite"):
+            PulseSpec(FieldParams(1.0, 1e300), 1e10)
 
     def test_at_most_one_scan_mark(self, write_field):
         with pytest.raises(SequenceError):
@@ -214,6 +231,119 @@ class TestFrameInvariance:
         rot = scan(build_write_read(write_key, 0.0, scanned=True), grid)
         labbed = scan(build_write_read(write_key, 0.0, frame=lab, scanned=True), grid)
         assert np.max(np.abs(rot.p - labbed.p)) <= 1e-9
+
+    @pytest.mark.parametrize("clock", [False, True], ids=["clock-off", "clock-on"])
+    @pytest.mark.parametrize("protocol", ["ramsey", "scramble", "double-scramble", "retrieve",
+                                          "double-retrieve"])
+    def test_every_protocol_template_in_both_frames(
+        self, write_key, scramble_key, protocol, clock
+    ):
+        # the lab frame winds over each pulse while the clock runs, as over
+        # each wait, so no builder's fringe depends on the frame
+        second = ScrambleKey(FieldParams(TWO_PI * 240.0, TWO_PI * 80.0, "S2"), 0.8e-3, 2.0, 0.0)
+        keys = {"ramsey": (), "scramble": (scramble_key,), "retrieve": (scramble_key,)}.get(
+            protocol, (scramble_key, second))
+        intervals = {"T2": 1e-3, "T3": 1e-3, "T4": 1e-3}
+        grid = np.arange(41) * 5e-4
+
+        def fringe(frame):
+            return scan(_template(protocol, write_key, keys, intervals, frame=frame,
+                                  clock_during_pulses=clock), grid).p
+
+        assert np.max(np.abs(fringe(LAB) - fringe(ROTATING))) <= 1e-12
+
+
+#: The lab frame of the Schrodinger-equation oracle: 1 kHz keeps a fixed-step
+#: integration of pulses up to 1.5 ms well inside 1e-9 (it reaches 1.6e-12).
+ORACLE_LAB = FrameConvention("lab", TWO_PI * 1e3)
+#: RK4 steps per pulse.
+ORACLE_STEPS = 3000
+
+
+def _random_timeline(rng, frame, clock) -> Sequence:
+    """2-4 pulses of random fields, durations and phases, with a random
+    wait (possibly none) before, between and after them."""
+    events = []
+    for _ in range(rng.integers(2, 5)):
+        if rng.random() < 0.8:
+            events.append(Wait(rng.uniform(0.0, 3e-3)))
+        field = FieldParams(TWO_PI * rng.uniform(100.0, 1500.0), TWO_PI * rng.uniform(-500, 500))
+        events.append(PulseSpec(field, rng.uniform(0.05e-3, 1.5e-3), rng.uniform(-10.0, 10.0)))
+    events.append(Wait(rng.uniform(0.0, 3e-3)))
+    return Sequence(tuple(events), frame=frame, clock_during_pulses=clock)
+
+
+def _pulse_propagators(rabi, theta, rate, wind, tau):
+    """Propagators of i dU/ds = H(s) U over 0 <= s <= tau, one per entry of
+    the argument arrays, by classical RK4 in ``ORACLE_STEPS`` steps, with
+    ``H(s) = [[-wind/2, rabi/2 e^{i(theta + rate s)}], [h.c., wind/2]]``."""
+    step = tau / ORACLE_STEPS
+    h = step[:, None, None]
+
+    def derivative(s, U):
+        coupling = 0.5 * rabi * np.exp(1j * (theta + rate * s))
+        H = np.zeros((rabi.size, 2, 2), complex)
+        H[:, 0, 0], H[:, 1, 1] = -0.5 * wind, 0.5 * wind
+        H[:, 0, 1], H[:, 1, 0] = coupling, coupling.conjugate()
+        return -1j * H @ U
+
+    U = np.tile(np.eye(2, dtype=complex), (rabi.size, 1, 1))
+    for n in range(ORACLE_STEPS):
+        s = n * step
+        k1 = derivative(s, U)
+        k2 = derivative(s + 0.5 * step, U + 0.5 * h * k1)
+        k3 = derivative(s + 0.5 * step, U + 0.5 * h * k2)
+        k4 = derivative(s + step, U + h * k3)
+        U = U + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return U
+
+
+def _schrodinger(seqs) -> np.ndarray:
+    """``(c_g, c_e)`` of ``|g>`` after each sequence, from i dpsi/dt = H psi.
+
+    In a frame of free rate ``w`` (the atomic frequency in the lab frame, 0
+    in the rotating frame), ``H = diag(-w/2, w/2)`` over each wait, solved
+    exactly.  A pulse adds ``(rabi/2) (e^{i theta}|g><e| + h.c.)`` with
+    ``theta = (w + detuning) t + phase_offset`` on the timeline clock ``t``,
+    the lab-frame rotating-wave Hamiltonian.  With the clock stopped, a
+    pulse holds ``t`` at its start: the winding stops and only the
+    detuning advances ``theta`` over the pulse.  Every pulse of every
+    sequence is integrated at once."""
+    rows, plans = [], []
+    for seq in seqs:
+        w, clock, t, plan = seq.frame.free_rate, seq.clock_during_pulses, 0.0, []
+        for e in seq.events:
+            if isinstance(e, Wait):
+                plan.append(e.duration)
+                t += e.duration
+                continue
+            wind = w if clock else 0.0
+            rows.append((e.field.rabi, (w + e.field.detuning) * t + e.phase_offset,
+                         e.field.detuning + wind, wind, e.tau))
+            plan.append(None)
+            t += e.tau if clock else 0.0
+        plans.append((w, plan))
+    pulses = iter(_pulse_propagators(*np.array(rows).T))
+    states = []
+    for w, plan in plans:
+        psi = np.array([1.0, 0.0], complex)
+        for wait in plan:
+            if wait is None:
+                psi = next(pulses) @ psi
+            else:
+                psi = np.exp([0.5j * w * wait, -0.5j * w * wait]) * psi
+        states.append(psi)
+    return np.array(states)
+
+
+class TestSchrodingerOracle:
+    @pytest.mark.parametrize("clock", [False, True], ids=["clock-off", "clock-on"])
+    @pytest.mark.parametrize("frame", [ROTATING, ORACLE_LAB], ids=["rotating", "lab"])
+    def test_evolve_matches_the_integrated_equation(self, frame, clock):
+        rng = np.random.default_rng(1707)
+        seqs = [_random_timeline(rng, frame, clock) for _ in range(12)]
+        got = np.array([[s.c_g, s.c_e] for s in map(evolve, seqs)])
+        assert np.max(np.abs(got - _schrodinger(seqs))) <= 1e-9
 
 
 class TestScan:

@@ -190,6 +190,41 @@ class TestArrayArgumentsMatchScalarCalls:
             assert _entries(got) == _entries(free_unitary(frame, float(np.asarray(t)[idx])))
 
 
+#: 2**20 turns of the rounded ``TWO_PI``: it lies ``2**20 * (TWO_PI - 2*pi)``
+#: = sin(UNREDUCED) = -2.568e-10 rad from a whole number of exact turns,
+#: which a reduction by ``TWO_PI`` before evaluation would read as 0.
+UNREDUCED = 2.0**20 * TWO_PI
+
+
+class TestPhasesEvaluatedAsGiven:
+    def test_the_offset_is_what_a_reduction_would_lose(self):
+        assert math.sin(UNREDUCED) == pytest.approx(-2.568e-10, rel=1e-3)
+        assert UNREDUCED % TWO_PI == 0.0
+
+    @pytest.mark.parametrize("phi", [UNREDUCED, np.array([UNREDUCED])], ids=["scalar", "array"])
+    def test_pulse_phase(self, write_field, phi):
+        ratio = pulse_unitary(write_field, 0.44e-3, phi).u_ge / pulse_unitary(
+            write_field, 0.44e-3, 0.0).u_ge
+        assert abs(np.angle(ratio) - math.sin(UNREDUCED)) <= 1e-15
+
+    @pytest.mark.parametrize("t", [UNREDUCED, np.array([UNREDUCED])], ids=["scalar", "array"])
+    def test_lab_frame_free_phase(self, t):
+        # half the free phase of a 2 rad/s atom over t seconds is t rad
+        u = free_unitary(FrameConvention("lab", 2.0), t)
+        assert abs(np.angle(u.u_gg) - math.sin(UNREDUCED)) <= 1e-15
+
+    def test_closed_form_precession(self):
+        # half the precession of a 2 rad/s detuning over T seconds is T rad;
+        # to first order in its offset eps, the bracket moves by -d*eps*S
+        f = FieldParams(2.0, 2.0)
+        tau = 0.5 * math.pi / f.effective_rabi
+        d = o = f.detuning / f.effective_rabi
+        C, S = math.cos(0.25 * math.pi), math.sin(0.25 * math.pi)
+        shift = -8.0 * o * o * d * S**3 * C * math.sin(UNREDUCED)
+        got = closed_form_ramsey(f, tau, UNREDUCED) - closed_form_ramsey(f, tau, 0.0)
+        assert abs(got - shift) <= 1e-15
+
+
 class TestApplyUnitary:
     def test_identity_keeps_state(self):
         s = apply_unitary(Unitary2.identity(), GROUND)
