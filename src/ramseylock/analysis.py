@@ -344,7 +344,9 @@ def _gauss_newton(T, p, weights, params):
             if not pending.size:
                 break
             trial = x.take(pending, 0) + shrink * step.take(pending, 0)
-            result = _evaluate(T, p.take(pending, 0), weights.take(pending, 0), trial)
+            # a trial may overflow: an SSR that is not finite fails the test below
+            with np.errstate(over="ignore", invalid="ignore"):
+                result = _evaluate(T, p.take(pending, 0), weights.take(pending, 0), trial)
             ok = result[5] <= ssr.take(pending)
             x[pending[ok]] = trial[ok]
             # the next iteration reuses it when every row took its first trial

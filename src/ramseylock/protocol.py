@@ -168,16 +168,21 @@ class ScrambleKey(_ValueEq):
 
 @dataclass(frozen=True)
 class RetrievalPlan:
-    """Scramble-to-retrieve wait ``T2 = (2n+1)*pi/|detuning|``."""
+    """Scramble-to-retrieve wait ``T2 = (2n+1)*pi/|detuning|``, less the
+    scramble pulse's ``tau_S`` if the plan is for a timeline whose clock
+    runs during pulses: the retrieve pulse then starts an odd number of
+    half-turns after the scramble pulse starts."""
 
     n: int
     T2: float
+    tau_S: float = 0.0
+    clock_during_pulses: bool = False
 
     def __post_init__(self):
         if self.n < 0:
             raise ValueError(f"n must be >= 0, got {self.n}")
-        if not (self.T2 > 0.0):
-            raise ValueError(f"T2 must be > 0, got {self.T2}")
+        if not (self.T2 >= 0.0):  # 0 where tau_S spends a whole odd half-turn
+            raise ValueError(f"T2 must be >= 0, got {self.T2}")
 
 
 @dataclass(frozen=True)
@@ -237,15 +242,25 @@ def build_scrambled(
     return _recorded(write_key, middle, T, frame, clock_during_pulses, scanned)
 
 
-def plan_retrieval(delta_S: float, min_T2: float = 0.0) -> RetrievalPlan:
+def plan_retrieval(
+    delta_S: float,
+    min_T2: float = 0.0,
+    tau_S: float = 0.0,
+    clock_during_pulses: bool = False,
+) -> RetrievalPlan:
     """Smallest odd-pi precession wait: least ``n`` with
-    ``(2n+1)*pi/|delta_S| >= min_T2``."""
+    ``T2 = (2n+1)*pi/|delta_S| (- tau_S when the clock runs during pulses)
+    >= min_T2``, where ``tau_S`` is the scramble pulse's duration."""
     if delta_S == 0.0:
         raise NoPrecessionError("retrieval timing is undefined at zero detuning")
     if not min_T2 >= 0.0:
         raise ValueError(f"min_T2 must be >= 0, got {min_T2}")
-    n = _least_odd(delta_S, min_T2, "n", "T2 bound")
-    return RetrievalPlan(n=n, T2=_half_turns(n, delta_S))
+    if not tau_S >= 0.0 or not math.isfinite(tau_S):
+        raise InvalidDurationError(f"tau_S must be >= 0, got {tau_S}")
+    spent = tau_S if clock_during_pulses else 0.0
+    n = _least_odd(delta_S, min_T2, "n", "T2 bound", spent)
+    return RetrievalPlan(n=n, T2=_half_turns(n, delta_S) - spent, tau_S=tau_S,
+                         clock_during_pulses=clock_during_pulses)
 
 
 def build_retrieved(
@@ -261,14 +276,19 @@ def build_retrieved(
     """Decrypting sequence ``[write, T1, scramble, T2, retrieve, T, read]``.
 
     The retrieve pulse reuses the scramble key's field, duration and phase
-    offset; the engine's accumulated ``detuning * (T1 + T2)`` then differs
-    from the scramble pulse's phase by an odd multiple of pi, which undoes
-    the scramble for every key phase.
+    offset; the engine's accumulated phase between the two pulses'
+    starts then is an odd multiple of pi, which undoes the scramble for
+    every key phase.  That holds on the clock ``plan`` was made for, which
+    the plan is checked against (with the key's duration if the clock runs
+    during pulses); ``clock_during_pulses`` sets the timeline's own clock.
     """
     d = scramble_key.field.detuning
     if d == 0.0:
         raise NoPrecessionError("retrieval is undefined at zero detuning")
-    _check_close(plan.T2, _half_turns(plan.n, d), "retrieval wait")
+    spent = plan.tau_S if plan.clock_during_pulses else 0.0
+    _check_close(plan.T2 + spent, _half_turns(plan.n, d), "retrieval wait")
+    if plan.clock_during_pulses:
+        _check_close(plan.tau_S, scramble_key.tau, "scramble duration")
     pulse = scramble_key.pulse()
     middle = (Wait(scramble_key.T1), pulse, Wait(plan.T2), pulse)
     return _recorded(write_key, middle, T, frame, clock_during_pulses, scanned)
@@ -380,7 +400,8 @@ def _template(protocol: str, write_key: WriteKey, keys: tuple = (), intervals=No
     if protocol == "double-scramble":
         return build_double_scrambled(write_key, *keys, 0.0, **opts)
     if protocol == "retrieve":
-        plan = plan_retrieval(keys[0].field.detuning, intervals.get("T2", 0.0))
+        plan = plan_retrieval(keys[0].field.detuning, intervals.get("T2", 0.0), keys[0].tau,
+                              clock_during_pulses)
         return build_retrieved(write_key, *keys, plan, 0.0, **opts)
     if protocol != "double-retrieve":
         raise ValueError(f"unknown protocol {protocol!r}")

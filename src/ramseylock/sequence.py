@@ -13,9 +13,10 @@ the chosen frame and ``t_k`` the pulse's timeline start time.  With
 waits, so free phase accumulates over the declared intervals alone; with
 it on, every pulse also advances the clock by its own duration, and a lab
 frame winds freely over it, so populations do not depend on the frame.  Both
-conventions are first-class: single scramble/retrieve pairs are timed on
-intervals alone, while the stacked-retrieval sum constraint carries a
-pulse-duration term that presupposes the wall-clock convention.  This rule
+conventions are first-class: the retrieval planners take the clock, so a
+single scramble/retrieve pair is timed from start to start on either, and
+the stacked-retrieval sum constraint carries a pulse-duration term for
+the wall clock.  This rule
 lives in one timeline walker that :func:`evolve`, :func:`scan` and
 :meth:`Sequence.end_time` all use.
 
@@ -46,6 +47,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, fields, replace
+from itertools import islice
 from typing import Iterator, NamedTuple, Sequence as SequenceType, Union
 
 import numpy as np
@@ -58,7 +60,6 @@ from .spinor import (
     FrameConvention,
     SpinState,
     _winding,
-    apply_unitary,
     excitation_probability,
     pulse_unitary,
 )
@@ -198,15 +199,18 @@ def _walk(
         yield _Step(e, start, t, arg, span)
 
 
-def _check_finite(seq: Sequence, scan_value: float | None = None) -> None:
+def _check_finite(seq: Sequence, scan_value: float | None = None, first: int = 0) -> None:
     """The one overflow rule: finite waits can add up to a clock or pulse
     phase that is not, and a finite wait, or a pulse while the clock runs,
     can have a lab-frame free phase ``0.5 * free_rate * span`` that is not.
     Each grows in size with the scanned wait, so a grid's last value
-    ``scan_value`` stands for the whole grid; scalars skip numpy."""
+    ``scan_value`` stands for the whole grid; scalars skip numpy.  Events
+    before index ``first`` are walked but not checked: a scan checks from
+    its scanned wait on, as the events before it were checked with the
+    sequence."""
     half_rate = 0.5 * seq.frame.free_rate
     with np.errstate(over="ignore", invalid="ignore"):
-        for s in _walk(seq, 0.0, scan_value):
+        for s in islice(_walk(seq, 0.0, scan_value), first, None):
             free = 0.0 if s.span is None else half_rate * s.span
             arg = free if isinstance(s.event, Wait) else s.arg
             finite = np.isfinite(arg).all() if isinstance(arg, np.ndarray) else math.isfinite(arg)
@@ -218,17 +222,21 @@ def _run(
     seq: Sequence, state: SpinState, start_time: float, scan_value: Clock | None = None
 ) -> SpinState:
     """Apply every event to ``state`` in timeline order: each pulse's
-    unitary, and the frame's free winding over each event's ``span`` (the
-    diagonal of ``free_unitary``, skipped where it is the identity)."""
+    unitary (the product ``apply_unitary`` forms), and the frame's free
+    winding over each event's ``span`` (the diagonal of ``free_unitary``,
+    skipped where it is the identity).  The amplitudes are carried as plain
+    values, and one state is built at the end."""
     rate = seq.frame.free_rate
+    c_g, c_e = state.c_g, state.c_e
     for step in _walk(seq, start_time, scan_value):
         e = step.event
         if isinstance(e, PulseSpec):
-            state = apply_unitary(pulse_unitary(e.field, e.tau, step.arg), state)
+            u = pulse_unitary(e.field, e.tau, step.arg)
+            c_g, c_e = u.u_gg * c_g + u.u_ge * c_e, u.u_eg * c_g + u.u_ee * c_e
         if rate != 0.0 and step.span is not None:
             z = _winding(rate, step.span)
-            state = SpinState(z * state.c_g, z.conjugate() * state.c_e)
-    return state
+            c_g, c_e = z * c_g, z.conjugate() * c_e
+    return SpinState(c_g, c_e)
 
 
 def evolve(seq: Sequence, initial: SpinState = GROUND, start_time: float = 0.0) -> SpinState:
@@ -364,8 +372,7 @@ def scan(template: Sequence, grid: SequenceType[float]) -> FringeScan:
         raise error(f"scan grid point {fault.index}: {fault.invariant}, got {fault.value}")
     if T[0] < 0.0:  # the least value of an increasing grid
         raise SequenceError("scan grid values must be >= 0")
-    _scan_mark(template)
-    _check_finite(template, float(T[-1]))
+    _check_finite(template, float(T[-1]), _scan_mark(template))
     offsets = [e.phase_offset for e in template.pulses]
     keyed = [o.shape for o in offsets if isinstance(o, np.ndarray)]
     shape = T.shape
@@ -379,5 +386,7 @@ def scan(template: Sequence, grid: SequenceType[float]) -> FringeScan:
                 f"pulse phase offsets of shapes {keyed} do not broadcast against "
                 f"a {T.size}-point grid to (N,) or (K, N)"
             )
-    p = np.broadcast_to(excitation_probability(_run(template, GROUND, 0.0, T)), shape)
-    return FringeScan._trusted(T, np.minimum(p, 1.0), np.zeros(shape))  # |c_e|^2 >= 0
+    p = np.minimum(excitation_probability(_run(template, GROUND, 0.0, T)), 1.0)  # |c_e|^2 >= 0
+    if np.shape(p) != shape:  # no event after the scanned wait gave p the grid's axis
+        p = np.broadcast_to(p, shape).copy()
+    return FringeScan._trusted(T, p, np.zeros(shape))

@@ -13,9 +13,10 @@ The phase argument of :func:`pulse_unitary` and the interval of
 :func:`free_unitary` may also be float arrays; the operator entries then
 become arrays of that shape, which is how a whole scan grid is evolved
 in one pass.  Every phase is evaluated as given: ``cmath.exp``,
-``np.exp`` and ``math.cos`` reduce any finite argument exactly, while
+``np.cos`` and ``math.cos`` reduce any finite argument exactly, while
 reducing it first by the rounded ``TWO_PI`` would shift it by 2.45e-16 rad
-per turn removed.
+per turn removed.  Every phase factor ``exp(i*x)`` is built by one rule,
+``_phasor``.
 
 By default the dynamics are written in the frame co-rotating with the
 atomic transition: the atomic frequency is set to zero and all phases
@@ -190,7 +191,7 @@ def pulse_unitary(field: FieldParams, tau: float, phi: float) -> Unitary2:
         given, however many turns it holds.  An array gives one unitary per
         element: only the off-diagonal phase factors are arrays, the
         magnitudes and the detuning factor stay scalars.  The phase factors
-        cost one complex exponential and one product: ``u_eg`` takes
+        cost one ``_phasor`` and one product: ``u_eg`` takes
         ``conj(e*exp(i*phi))``, which is ``conj(e)*exp(-i*phi)`` to the bit.
 
     Returns
@@ -208,14 +209,13 @@ def pulse_unitary(field: FieldParams, tau: float, phi: float) -> Unitary2:
     if tau < 0.0 or not math.isfinite(tau):
         raise InvalidDurationError(f"pulse duration must be >= 0, got {tau}")
     w = field.effective_rabi
-    half_rot = 0.5 * w * tau
-    exp = np.exp if isinstance(phi, np.ndarray) else cmath.exp
+    half_rot = _half_angle(w, tau, "effective_rabi*tau")
     cos_r = math.cos(half_rot)
     sin_r = math.sin(half_rot)
     d = field.detuning / w
     o = field.rabi / w
-    e = cmath.exp(1j * (0.5 * field.detuning * tau))
-    ez = e * exp(1j * phi)
+    e = _phasor(0.5 * field.detuning * tau)  # |detuning| <= w, so finite
+    ez = e * _phasor(phi)
     diag = complex(cos_r, -d * sin_r)
     off = -1j * o * sin_r
     return Unitary2(e * diag, ez * off, ez.conjugate() * off, e.conjugate() * diag.conjugate())
@@ -239,8 +239,31 @@ def _winding(rate: float, t: float) -> complex:
     """``exp(i*rate*t/2)``, the phase factor of ``c_g`` over an interval ``t``
     (float or array, already checked) of free winding at ``rate``; ``c_e``
     takes its conjugate."""
+    return _phasor(0.5 * rate * t)
+
+
+def _phasor(x):
+    """``exp(i*x)`` of a float ``x``, or elementwise of a float array.
+
+    A scalar takes ``cmath.exp``.  An array takes ``cos`` and ``sin`` into
+    one complex buffer, which is what ``np.exp(1j*x)`` returns, to the bit,
+    without its ``exp(0)`` and complex product per element; its one sign
+    rule is copied too: ``exp(i*-0.0)`` has imaginary part ``+0.0``."""
+    if not isinstance(x, np.ndarray):
+        return cmath.exp(1j * x)
+    z = np.empty(x.shape, dtype=complex)
+    np.cos(x, out=z.real)
+    np.sin(x + 0.0, out=z.imag)  # -0.0 + 0.0 is +0.0; every other value is kept
+    return z
+
+
+def _half_angle(rate: float, t: float, what: str) -> float:
+    """``0.5 * rate * t`` of a finite ``rate`` and ``t``; a product that
+    overflows is refused, naming ``what`` it halves."""
     half = 0.5 * rate * t
-    return (np.exp if isinstance(half, np.ndarray) else cmath.exp)(1j * half)
+    if not math.isfinite(half):
+        raise InvalidDurationError(f"half-angle 0.5*{what} is not finite, got {half}")
+    return half
 
 
 def apply_unitary(u: Unitary2, s: SpinState) -> SpinState:
@@ -296,8 +319,8 @@ def closed_form_ramsey(field: FieldParams, tau: float, T: float) -> float:
     if T < 0.0 or not math.isfinite(T):
         raise InvalidDurationError(f"interval must be >= 0, got {T}")
     w = field.effective_rabi
-    half_rot = 0.5 * w * tau
-    half_prec = 0.5 * field.detuning * T
+    half_rot = _half_angle(w, tau, "effective_rabi*tau")
+    half_prec = _half_angle(field.detuning, T, "detuning*T")
     cos_r = math.cos(half_rot)
     sin_r = math.sin(half_rot)
     d = field.detuning / w

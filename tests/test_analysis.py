@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ramseylock import analysis
@@ -588,6 +588,9 @@ class TestStopRule:
         weighted=st.booleans(),
         seed=st.integers(0, 2**32 - 1),
     )
+    # a trial step of this draw reaches rate -2.7e6 /s, where exp(-rate*T) overflows
+    @example(points=16, cycles=0.0, amplitude=0.25, rate=3.0, phase=0.0, noise=1e-3,
+             weighted=True, seed=806365213)
     def test_step_tol_ends_on_a_full_step_below_the_tolerance(
         self, points, cycles, amplitude, rate, phase, noise, weighted, seed
     ):

@@ -326,6 +326,19 @@ class TestRun:
         assert main([str(declared)]) == 0
         assert first == capsys.readouterr().out
 
+    def test_retrieve_sweep_with_the_clock_on_is_independent_of_the_key(self, table1_path,
+                                                                       capsys):
+        # the retrieve plan spends the 1.48 ms scramble pulse when the clock
+        # runs; planned for the clock off, this sweep spread by 0.869 rad
+        spreads = {}
+        for clock in ("off", "on"):
+            assert main([table1_path, "--protocol", "retrieve", "--sweep-phis", "16",
+                         "--clock-during-pulses", clock, "--seed", "3"]) == 0
+            err = capsys.readouterr().err
+            spreads[clock] = float(re.fullmatch(r"phase spread over sweep: (\S+) rad\n", err)[1])
+        assert spreads["off"] == pytest.approx(0.0331, abs=1e-4)
+        assert spreads["on"] == pytest.approx(spreads["off"], abs=1e-3)
+
     def test_default_grid_is_two_fringe_periods_of_the_write_field(self, tmp_path, capsys):
         path = tmp_path / "nogrid.cfg"
         path.write_text(table1_text().replace("grid 0:20ms:0.1ms\n", ""))
@@ -890,6 +903,21 @@ class TestExitCodes:
         assert captured.out == ""
         lineno = 1 + text[: text.index(new.split("\n")[-1])].count("\n")
         assert f"line {lineno}: {key} must be {bound}" in captured.err
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("clock", ["off", "on"])
+    @pytest.mark.parametrize("protocol", ["ramsey", "retrieve"])
+    def test_a_grid_that_overflows_only_after_the_scanned_wait_is_2(self, tmp_path, capsys,
+                                                                    protocol, clock):
+        # every grid value and every clock value is finite; only the read
+        # pulse's phase after the scanned wait (2 pi 110 Hz x 1e306 s) is not
+        path = tmp_path / "overflow.cfg"
+        path.write_text(table1_text().replace("grid 0:20ms:0.1ms", "grid 0:1e306:1e305"))
+        assert main([str(path), "--protocol", protocol, "--clock-during-pulses", clock]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("config error: grid: the timeline clock and every pulse "
+                                "phase must be finite\n")
 
     def test_negative_grid_start_option_is_2(self, table1_path, capsys):
         assert main([table1_path, "--grid=-1ms:20ms:0.1ms"]) == 2

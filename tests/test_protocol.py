@@ -131,6 +131,28 @@ class TestPlanRetrieval:
         with pytest.raises(ValueError, match="min_T2 must be >= 0"):
             plan_retrieval(TWO_PI * 100.0, math.nan)
 
+    def test_with_the_clock_on_the_scramble_pulse_is_spent(self):
+        # the retrieve pulse starts (2n+1) half-turns after the scramble pulse starts
+        plan = plan_retrieval(TWO_PI * 100.0, 1e-3, 1.48e-3, clock_during_pulses=True)
+        assert (plan.n, plan.tau_S, plan.clock_during_pulses) == (0, 1.48e-3, True)
+        assert plan.T2 == math.pi / (TWO_PI * 100.0) - 1.48e-3
+        bumped = plan_retrieval(TWO_PI * 100.0, 5e-3, 1.48e-3, clock_during_pulses=True)
+        assert bumped.n == 1 and bumped.T2 == pytest.approx(15e-3 - 1.48e-3, rel=1e-12)
+
+    def test_with_the_clock_off_tau_S_is_not_spent(self):
+        plan = plan_retrieval(TWO_PI * 100.0, 1e-3, 1.48e-3)
+        assert (plan.n, plan.T2) == (0, math.pi / (TWO_PI * 100.0))
+        assert not plan.clock_during_pulses
+
+    def test_a_pulse_that_spends_a_whole_half_turn_leaves_no_wait(self):
+        tau = math.pi / (TWO_PI * 100.0)
+        assert plan_retrieval(TWO_PI * 100.0, 0.0, tau, clock_during_pulses=True).T2 == 0.0
+
+    @pytest.mark.parametrize("tau_S", [-1e-3, math.nan, math.inf])
+    def test_negative_or_non_finite_tau_S_rejected(self, tau_S):
+        with pytest.raises(InvalidDurationError, match="tau_S must be >= 0"):
+            plan_retrieval(TWO_PI * 100.0, 1e-3, tau_S, clock_during_pulses=True)
+
     def test_round_off_step_past_index_bound_is_infeasible(self):
         # the estimate lands exactly on MAX_PLAN_INDEX, and ceil round-off
         # makes the guard loop step one past it
@@ -272,6 +294,17 @@ class TestPlannerProperties:
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
+    def test_clocked_retrieval_is_the_least_odd_half_turn_less_the_pulse(self, data):
+        delta = data.draw(_detunings)
+        tau = data.draw(st.floats(0.0, 3.0 * math.pi / abs(delta)))
+        minimum = _draw_minimum(data, delta, less=tau)
+        plan = plan_retrieval(delta, minimum, tau, clock_during_pulses=True)
+        assert plan.T2 == _half_turns(plan.n, delta) - tau
+        assert plan.T2 >= minimum
+        assert plan.n == 0 or _half_turns(plan.n - 1, delta) - tau < minimum
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
     def test_double_retrieval_meets_both_constraints_minimally(self, data):
         delta_1, delta_2 = data.draw(_detunings), data.draw(_detunings)
         tau_S2 = data.draw(st.floats(0.0, 5e-3))
@@ -409,6 +442,40 @@ class TestBuildRetrieved:
             assert np.max(np.abs(sc.p - ref.p)) <= 0.02
             fit = fit_damped_sinusoid(sc)
             assert fit.frequency == pytest.approx(110.0, rel=0.01)
+
+    def test_a_plan_is_checked_against_its_own_clock(self, write_key, scramble_key):
+        d = scramble_key.field.detuning
+        clocked = plan_retrieval(d, 1e-3, scramble_key.tau, clock_during_pulses=True)
+        # a plan sets the retrieve timing; the timeline's clock is the caller's
+        for clock in (False, True):
+            build_retrieved(write_key, scramble_key, clocked, 0.0, clock_during_pulses=clock)
+            build_retrieved(write_key, scramble_key, plan_retrieval(d, 1e-3), 0.0,
+                            clock_during_pulses=clock)
+        with pytest.raises(PlanMismatchError, match="retrieval wait"):
+            build_retrieved(write_key, scramble_key, replace(clocked, T2=5e-3), 0.0)
+        with pytest.raises(PlanMismatchError, match="scramble duration"):
+            build_retrieved(write_key, replace(scramble_key, tau=1e-3), clocked, 0.0)
+
+    @pytest.mark.parametrize("frame", [ROTATING, FrameConvention("lab", TWO_PI * 1e4)],
+                             ids=["rotating", "lab"])
+    def test_with_the_clock_on_the_fringe_is_independent_of_the_key(
+        self, write_key, scramble_key, readout_grid, frame
+    ):
+        # 8 key phases: a plan for the clock in use retrieves as well as with
+        # the clock off (0.0177); a clock-off plan on a running clock does not
+        keys = replace(scramble_key, phi_S=np.linspace(0.0, TWO_PI, 8, endpoint=False)[:, None])
+        d, tau = scramble_key.field.detuning, scramble_key.tau
+
+        def spread(plan, clock):
+            template = build_retrieved(write_key, keys, plan, 0.0, frame=frame,
+                                       clock_during_pulses=clock, scanned=True)
+            return float(np.ptp(scan(template, readout_grid).p, axis=0).max())
+
+        clock_off = spread(plan_retrieval(d, 1e-3), False)
+        assert clock_off == pytest.approx(0.0177, abs=1e-4)
+        assert spread(plan_retrieval(d, 1e-3, tau, clock_during_pulses=True), True) == (
+            pytest.approx(clock_off, abs=1e-3))
+        assert spread(plan_retrieval(d, 1e-3), True) > 0.3
 
     def test_wrong_interval_leaks_the_key(self, write_key, scramble_key, readout_grid):
         # an even-pi wait (2*pi/detuning) violates the retrieval rule; the
@@ -564,6 +631,44 @@ class TestDoubleRetrieved:
             # scramble-1 -> scramble-2 wait disagrees with the plan
             bad_2 = replace(make_2(0.0), T1=plan.T2 / 2)
             build_double_retrieved(write_key, make_1(0.0), bad_2, plan, 1e-3)
+
+    def test_the_clock_on_stacked_residual_is_on_record(
+        self, write_key, scramble_field, readout_grid
+    ):
+        # README, next to criterion 3: with the clock on, criterion 6's rule
+        # T2 + T3 + T4 + 2*tau_S2 = (2m+1) pi/|d_S1| leaves a residual that the
+        # start-to-start rule (T3 + tau_S2 and T2 + T3 + T4 + 2*tau_S2 + tau_S1
+        # odd half-turns) does not.  The stacked keys of the key_sweep
+        # benchmark (table 1's S, and S2 at 240 Hz / 80 Hz with a 0.8 ms
+        # pulse), over 16 random key pairs: the largest spread of p over them
+        s2_field = FieldParams(TWO_PI * 240.0, TWO_PI * 80.0, "S2")
+        phis = np.random.default_rng(0).uniform(0.0, TWO_PI, (2, 16, 1))
+        key_1 = ScrambleKey(scramble_field, 1.48e-3, phis[0], 5e-3)
+        key_2 = ScrambleKey(s2_field, 0.8e-3, phis[1], 5e-3)
+
+        def spread(template):
+            return float(np.ptp(scan(template, readout_grid).p, axis=0).max())
+
+        def planned(clock):
+            return _template("double-retrieve", write_key, (key_1, key_2), {"T2": 5e-3},
+                             frame=ROTATING, clock_during_pulses=clock)
+
+        def least(delta, spent, minimum):
+            n = 0
+            while _half_turns(n, delta) - spent < minimum:
+                n += 1
+            return _half_turns(n, delta) - spent
+
+        T3 = least(s2_field.detuning, key_2.tau, 0.0)
+        T4 = least(scramble_field.detuning, T3 + 2 * key_2.tau + key_1.tau + 5e-3, 0.0)
+        s1, s2, w = key_1.pulse(), key_2.pulse(), write_key.pulse()
+        start_to_start = Sequence(
+            (w, Wait(5e-3), s1, Wait(5e-3), s2, Wait(T3), s2, Wait(T4), s1,
+             Wait(0.0, scanned=True), w),
+            clock_during_pulses=True,
+        )
+        got = (spread(planned(True)), spread(start_to_start), spread(planned(False)))
+        assert got == pytest.approx((0.5593, 0.0753, 0.0708), abs=1e-4)
 
 
 class TestSecretReadout:

@@ -24,6 +24,7 @@ from ramseylock import (
     ScrambleKey,
     Sequence,
     SequenceError,
+    SpinState,
     Wait,
     WriteKey,
     apply_unitary,
@@ -35,6 +36,7 @@ from ramseylock import (
     evolve,
     excitation_probability,
     fit_damped_sinusoid,
+    free_unitary,
     measure_scan,
     plan_double_retrieval,
     plan_retrieval,
@@ -502,6 +504,64 @@ class TestScanMatchesPerPointEvolve:
         )
         got = scan(template, grid).p
         assert np.max(np.abs(got - per_point_reference(template, grid))) <= ENGINE_TOL
+
+
+def _reference_walk(seq: Sequence, scan_value=None, start_time: float = 0.0) -> SpinState:
+    """The final state of ``GROUND`` by the operator definitions, one state
+    per event: ``apply_unitary(pulse_unitary(...))`` at the phase
+    ``(free_rate + detuning) * t + offset``, then ``free_unitary`` over each
+    wait and, while the clock runs, over each pulse."""
+    t, state = start_time, GROUND
+    for e in seq.events:
+        if isinstance(e, Wait):
+            span = scan_value if e.scanned and scan_value is not None else e.duration
+        else:
+            phi = (seq.frame.free_rate + e.field.detuning) * t + e.phase_offset
+            state = apply_unitary(pulse_unitary(e.field, e.tau, phi), state)
+            if not seq.clock_during_pulses:
+                continue
+            span = e.tau
+        state = apply_unitary(free_unitary(seq.frame, span), state)
+        t = t + span
+    return state
+
+
+#: Key phases of the reference-walk timelines: none, one per grid point, K = 3.
+_KEY_KINDS = {"scalar": None, "(N,)": (6,), "(K, 1)": (3, 1)}
+
+
+def _keyed_timeline(rng, frame, clock, key_shape) -> Sequence:
+    """A random timeline with a scanned wait among its events, whose pulse
+    phase offsets are scalars or arrays of ``key_shape``."""
+    events = list(_random_timeline(rng, frame, clock).events)
+    events.insert(rng.integers(0, len(events) + 1), Wait(0.0, scanned=True))
+    if key_shape:
+        events = [replace(e, phase_offset=rng.uniform(-10.0, 10.0, key_shape))
+                  if isinstance(e, PulseSpec) else e for e in events]
+    return Sequence(tuple(events), frame=frame, clock_during_pulses=clock)
+
+
+class TestReferenceWalk:
+    """``evolve`` and ``scan`` equal the event-by-event operator products
+    to the bit: carrying plain amplitudes changes no rounding."""
+
+    @pytest.mark.parametrize("key_kind", _KEY_KINDS)
+    @pytest.mark.parametrize("clock", [False, True], ids=["clock-off", "clock-on"])
+    @pytest.mark.parametrize("frame", [ROTATING, ORACLE_LAB], ids=["rotating", "lab"])
+    def test_evolve_and_scan(self, frame, clock, key_kind):
+        rng = np.random.default_rng([7, clock, list(_KEY_KINDS).index(key_kind)])
+        grid = np.sort(rng.uniform(0.0, 5e-3, 6))
+        for _ in range(12):
+            seq = _keyed_timeline(rng, frame, clock, _KEY_KINDS[key_kind])
+            start = float(rng.uniform(0.0, 1e-2))
+            got, want = evolve(seq, start_time=start), _reference_walk(seq, None, start)
+            assert repr((got.c_g, got.c_e)) == repr((want.c_g, want.c_e))
+            if not isinstance(got.c_g, np.ndarray):
+                assert type(got.c_g) is type(want.c_g) is complex
+            p = excitation_probability(_reference_walk(seq, grid))
+            shape = np.broadcast_shapes(grid.shape, np.shape(p))
+            want_p = np.minimum(np.broadcast_to(p, shape), 1.0)
+            assert repr(scan(seq, grid).p.tolist()) == repr(want_p.tolist())
 
 
 class TestFringeScan:

@@ -25,6 +25,7 @@ from ramseylock import (
     free_unitary,
     pulse_unitary,
 )
+from ramseylock.spinor import _phasor
 
 TWO_PI = 2.0 * math.pi
 
@@ -223,6 +224,61 @@ class TestPhasesEvaluatedAsGiven:
         shift = -8.0 * o * o * d * S**3 * C * math.sin(UNREDUCED)
         got = closed_form_ramsey(f, tau, UNREDUCED) - closed_form_ramsey(f, tau, 0.0)
         assert abs(got - shift) <= 1e-15
+
+
+#: Phases whose factors must match ``np.exp`` and ``cmath.exp`` to the bit:
+#: signed zeros, the least subnormal, 2**20 turns and the ends of the range.
+PHASOR_ARGS = [0.0, -0.0, 5e-324, -5e-324, UNREDUCED, -UNREDUCED, 1e300, -1e300, 1.0, -2.5]
+
+
+def _bits(z) -> bytes:
+    return np.asarray(z, dtype=complex).tobytes()
+
+
+class TestPhasor:
+    @pytest.mark.parametrize("x", PHASOR_ARGS)
+    def test_a_scalar_is_cmath_exp(self, x):
+        got = _phasor(x)
+        assert type(got) is complex
+        assert repr(got) == repr(cmath.exp(1j * x))  # repr tells -0.0 from 0.0
+
+    @pytest.mark.parametrize("shape", [(10,), (2, 5), (5, 2)])
+    def test_an_array_is_np_exp(self, shape):
+        x = np.array(PHASOR_ARGS).reshape(shape)
+        got = _phasor(x)
+        assert got.dtype == complex and got.shape == shape
+        assert _bits(got) == _bits(np.exp(1j * x))
+
+    def test_minus_zero_has_a_positive_imaginary_part(self):
+        # as exp(1j * -0.0) has it, for arrays and scalars alike; sin(-0.0) is -0.0
+        got = _phasor(np.array([-0.0, 0.0]))
+        assert [math.copysign(1.0, v) for v in got.imag] == [1.0, 1.0]
+        assert math.copysign(1.0, _phasor(-0.0).imag) == 1.0
+        assert math.copysign(1.0, np.sin(-0.0)) == -1.0
+
+    @pytest.mark.parametrize("x", PHASOR_ARGS)
+    def test_array_elements_are_the_scalar_factor(self, x):
+        assert _bits(_phasor(np.array([x]))[0]) == _bits(_phasor(x))
+
+    @settings(max_examples=200, deadline=None)
+    @given(x=arrays(float, array_shapes(min_dims=1, max_dims=2, max_side=8),
+                    elements=st.floats(allow_nan=False, allow_infinity=False)))
+    def test_random_arrays_are_np_exp(self, x):
+        assert _bits(_phasor(x)) == _bits(np.exp(1j * x))
+
+
+class TestOverflowingHalfAngle:
+    def test_pulse_unitary_names_its_half_angle(self):
+        with pytest.raises(InvalidDurationError,
+                           match=r"half-angle 0\.5\*effective_rabi\*tau is not finite, got inf"):
+            pulse_unitary(FieldParams(1.0, 1e300), 1e10, 0.0)
+
+    @pytest.mark.parametrize("tau, T, what", [
+        (1e-3, 1e10, "detuning\\*T"), (1e10, 1e-3, "effective_rabi\\*tau"),
+    ])
+    def test_closed_form_ramsey_names_its_half_angle(self, tau, T, what):
+        with pytest.raises(InvalidDurationError, match=rf"half-angle 0\.5\*{what} is not finite"):
+            closed_form_ramsey(FieldParams(1.0, 1e300), tau, T)
 
 
 class TestApplyUnitary:
