@@ -75,6 +75,13 @@ def _least_odd(detuning: float, minimum: float, index: str, bound: str, *spent: 
     return n
 
 
+def _check_index(name: str, value) -> None:
+    """Refuse a plan index that is not an integer >= 0: at a half-integer
+    index, ``_half_turns`` is a whole turn, which undoes nothing."""
+    if not (isinstance(value, (int, np.integer)) and value >= 0):
+        raise ValueError(f"{name} must be an integer >= 0, got {value!r}")
+
+
 def _check_close(actual: float, expected: float, what: str) -> None:
     if not abs(actual - expected) <= _PLAN_RTOL * max(abs(expected), 1e-300):
         raise PlanMismatchError(f"{what}: plan value {actual} != required {expected}")
@@ -179,8 +186,7 @@ class RetrievalPlan:
     clock_during_pulses: bool = False
 
     def __post_init__(self):
-        if self.n < 0:
-            raise ValueError(f"n must be >= 0, got {self.n}")
+        _check_index("n", self.n)
         if not (self.T2 >= 0.0):  # 0 where tau_S spends a whole odd half-turn
             raise ValueError(f"T2 must be >= 0, got {self.T2}")
 
@@ -200,6 +206,10 @@ class DoubleRetrievalPlan:
     T4: float
     tau_S2: float
     clock_during_pulses: bool = False
+
+    def __post_init__(self):
+        _check_index("m", self.m)
+        _check_index("n", self.n)
 
 
 def build_write_read(
@@ -223,8 +233,7 @@ def plan_readout(delta_W: float, k: int = 0) -> float:
     superposition maps back onto a population extremum."""
     if delta_W == 0.0:
         raise NoFringeError("readout timing is undefined at zero detuning")
-    if k < 0:
-        raise ValueError(f"k must be >= 0, got {k}")
+    _check_index("k", k)
     return _half_turns(k, delta_W)
 
 

@@ -27,12 +27,13 @@ clock, the later pulse phases and the state become arrays of the grid's
 shape, and every later event costs one numpy operation over the grid.
 
 Inputs are checked once, where they enter.  :class:`Wait` checks its
-duration, so the walker skips ``free_unitary``'s check, and one overflow
-rule (``_check_finite``) guards the clock, pulse phases and free phases of
-a timeline and of each scan.  Scan data has one checker, ``_scan_fault``,
-which :class:`FringeScan`, :func:`scan`, the scan CSV reader and the
-readout run and raise their own errors from; it never clips.  Scan data
-made valid by construction skips it via ``_trusted``.
+duration, so the walker skips ``free_unitary``'s check, and the walker
+holds the one overflow rule: it refuses a clock value, pulse phase or free
+phase that is not finite as it makes it, so a scan walks once.  Scan data
+has one checker, ``_scan_fault``, which :class:`FringeScan`, :func:`scan`,
+the scan CSV reader and the readout run and raise their own errors from;
+it never clips.  Scan data made valid by construction skips it via
+``_trusted``.
 
 Key-phase axis: a pulse's ``phase_offset`` may also be an array, which
 broadcasts against the grid the same way.  Shape ``(K, 1)`` adds a leading
@@ -47,8 +48,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, fields, replace
-from itertools import islice
-from typing import Iterator, NamedTuple, Sequence as SequenceType, Union
+from typing import NamedTuple, Sequence as SequenceType, Union
 
 import numpy as np
 
@@ -153,7 +153,7 @@ class Sequence:
                 raise SequenceError(f"unsupported event type {type(e).__name__}")
         if sum(1 for e in events if isinstance(e, Wait) and e.scanned) > 1:
             raise SequenceError("at most one wait may be marked as the scan variable")
-        _check_finite(self)
+        _walk(self)
 
     @property
     def pulses(self) -> tuple[PulseSpec, ...]:
@@ -161,8 +161,8 @@ class Sequence:
 
     def end_time(self, start_time: float = 0.0) -> float:
         """Timeline clock value after the last event."""
-        *_, last = _walk(self, start_time)
-        return last.end
+        last = _walk(self, start_time)[-1]
+        return last.start if last.span is None else last.start + last.span
 
 
 class _Step(NamedTuple):
@@ -170,15 +170,13 @@ class _Step(NamedTuple):
 
     event: Event
     start: Clock  # clock before the event
-    end: Clock  # clock after the event
     arg: Clock  # a wait's duration, or a pulse's phase argument
     span: Clock | None  # clock time the event takes; None for a pulse that stops the clock
 
 
-def _walk(
-    seq: Sequence, start_time: float = 0.0, scan_value: Clock | None = None
-) -> Iterator[_Step]:
-    """Walk the timeline clock through ``seq``: the one place of the phase rule.
+def _walk(seq: Sequence, start_time: float = 0.0, scan_value: Clock | None = None) -> list[_Step]:
+    """Walk the timeline clock through ``seq``: the one place of the phase
+    rule and of the overflow rule.
 
     A pulse gets the phase argument ``rate * start + phase_offset`` with
     ``rate`` its field's phase rate in the sequence frame.  Waits advance
@@ -187,35 +185,37 @@ def _walk(
     the frame winds freely over.  With ``scan_value`` given, the scanned wait
     lasts that long instead; an array makes every later clock value and
     phase an array of its shape.
+
+    Finite waits can add up to a clock value or pulse phase that is not,
+    and a span to a lab-frame free phase ``0.5 * free_rate * span`` that is
+    not; each raises ``SequenceError`` as it is made.  Each grows with the
+    scanned wait, so a clock or span shaped like the grid is checked at its
+    last point, and a pulse phase at that point's clock, for every key
+    phase.  The walk returns a list, not a generator, which would leave
+    numpy's overflow warnings off in its caller.
     """
-    t = start_time
-    for e in seq.events:
-        if isinstance(e, Wait):
-            arg = span = scan_value if e.scanned and scan_value is not None else e.duration
-        else:
-            arg = seq.frame.pulse_phase_rate(e.field) * t + e.phase_offset
-            span = e.tau if seq.clock_during_pulses else None
-        start, t = t, t if span is None else t + span
-        yield _Step(e, start, t, arg, span)
-
-
-def _check_finite(seq: Sequence, scan_value: float | None = None, first: int = 0) -> None:
-    """The one overflow rule: finite waits can add up to a clock or pulse
-    phase that is not, and a finite wait, or a pulse while the clock runs,
-    can have a lab-frame free phase ``0.5 * free_rate * span`` that is not.
-    Each grows in size with the scanned wait, so a grid's last value
-    ``scan_value`` stands for the whole grid; scalars skip numpy.  Events
-    before index ``first`` are walked but not checked: a scan checks from
-    its scanned wait on, as the events before it were checked with the
-    sequence."""
     half_rate = 0.5 * seq.frame.free_rate
+    steps, t = [], start_time
     with np.errstate(over="ignore", invalid="ignore"):
-        for s in islice(_walk(seq, 0.0, scan_value), first, None):
-            free = 0.0 if s.span is None else half_rate * s.span
-            arg = free if isinstance(s.event, Wait) else s.arg
-            finite = np.isfinite(arg).all() if isinstance(arg, np.ndarray) else math.isfinite(arg)
-            if not (finite and math.isfinite(free) and math.isfinite(s.end)):
+        for e in seq.events:
+            if isinstance(e, Wait):
+                arg = span = scan_value if e.scanned and scan_value is not None else e.duration
+                phi = 0.0
+            else:
+                rate = seq.frame.pulse_phase_rate(e.field)
+                arg = rate * t + e.phase_offset
+                span = e.tau if seq.clock_during_pulses else None
+                phi = rate * t[-1] + e.phase_offset if isinstance(t, np.ndarray) else arg
+            steps.append(_Step(e, t, arg, span))
+            free = end = 0.0
+            if span is not None:  # the clock moves on, and the frame winds
+                t = t + span
+                free = half_rate * (span[-1] if isinstance(span, np.ndarray) else span)
+                end = t[-1] if isinstance(t, np.ndarray) else t
+            finite = np.isfinite(phi).all() if isinstance(phi, np.ndarray) else math.isfinite(phi)
+            if not (finite and math.isfinite(free) and math.isfinite(end)):
                 raise SequenceError("the timeline clock and every pulse phase must be finite")
+    return steps
 
 
 def _run(
@@ -364,6 +364,8 @@ def scan(template: Sequence, grid: SequenceType[float]) -> FringeScan:
     broadcast to ``(N,)`` or ``(K, N)`` raise ``SequenceError``.
     """
     T = np.array(grid, dtype=float)  # a copy: FringeScan freezes its arrays
+    if T.ndim != 1:
+        raise SequenceError(f"scan grid must be 1-D, got shape {T.shape}")
     if T.size == 0:
         raise SequenceError("scan grid must not be empty")
     fault = _scan_fault(T)
@@ -372,7 +374,7 @@ def scan(template: Sequence, grid: SequenceType[float]) -> FringeScan:
         raise error(f"scan grid point {fault.index}: {fault.invariant}, got {fault.value}")
     if T[0] < 0.0:  # the least value of an increasing grid
         raise SequenceError("scan grid values must be >= 0")
-    _check_finite(template, float(T[-1]), _scan_mark(template))
+    _scan_mark(template)  # refuses a template without one scanned wait
     offsets = [e.phase_offset for e in template.pulses]
     keyed = [o.shape for o in offsets if isinstance(o, np.ndarray)]
     shape = T.shape

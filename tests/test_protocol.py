@@ -252,6 +252,36 @@ def test_non_finite_detuning_is_an_invalid_field(planner, detuning):
         _PLANNERS[planner](detuning)
 
 
+#: Plan indices that are not integers >= 0.  A half-integer index makes the
+#: odd-half-turn wait a whole turn: ``RetrievalPlan(n=0.5, T2=2*pi/|delta_S|)``
+#: would build a "retrieved" fringe that still depends on the key phase.
+_BAD_INDICES = [0.5, 1.0, -1, np.int64(-1), "1", None]
+
+
+@pytest.mark.parametrize("index", _BAD_INDICES, ids=repr)
+class TestPlanIndicesAreIntegers:
+    def test_readout_k(self, index):
+        with pytest.raises(ValueError, match=r"^k must be an integer >= 0, got "):
+            plan_readout(TWO_PI * 110.0, index)
+
+    def test_retrieval_n(self, index):
+        with pytest.raises(ValueError, match=r"^n must be an integer >= 0, got "):
+            RetrievalPlan(n=index, T2=1.0 / 100.0)
+
+    @pytest.mark.parametrize("name", ["m", "n"])
+    def test_double_retrieval_m_and_n(self, index, name):
+        plan = plan_double_retrieval(TWO_PI * 100.0, TWO_PI * 100.0, 1e-3, 1e-3, 1e-3)
+        with pytest.raises(ValueError, match=f"^{name} must be an integer >= 0, got "):
+            replace(plan, **{name: index})
+
+
+def test_numpy_integer_plan_indices_are_accepted():
+    assert plan_readout(TWO_PI * 110.0, np.int64(1)) == plan_readout(TWO_PI * 110.0, 1)
+    assert RetrievalPlan(n=np.int64(2), T2=5e-3).n == 2
+    plan = plan_double_retrieval(TWO_PI * 100.0, TWO_PI * 100.0, 1e-3, 1e-3, 1e-3)
+    assert replace(plan, m=np.int64(3), n=np.int64(4)) == replace(plan, m=3, n=4)
+
+
 #: Relative round-off the planner properties allow where they add waits up
 #: or where the planner gives up before its search (an index estimate past
 #: ``MAX_PLAN_INDEX``).  Every bound and every minimality is checked exactly.

@@ -47,6 +47,7 @@ from ramseylock import (
 )
 from ramseylock.cli import _read_scan_csv
 from ramseylock.protocol import _template
+from ramseylock import sequence as sequence_module
 from ramseylock.sequence import _scan_fault, _walk
 
 TWO_PI = 2.0 * math.pi
@@ -107,6 +108,19 @@ class TestValidation:
         Sequence((pulse,), frame=frame)
         with pytest.raises(SequenceError, match="must be finite"):
             Sequence((pulse,), frame=frame, clock_during_pulses=True)
+
+    @pytest.mark.parametrize("start", [1e306, math.inf, math.nan, -1e308])
+    @pytest.mark.filterwarnings("error")
+    def test_a_start_time_at_which_the_clock_or_a_pulse_phase_overflows_is_refused(
+        self, write_field, start
+    ):
+        # the timeline is finite from 0; from 1e306 s the 110 Hz phase rate
+        # times the clock is not, nor is any clock or phase from inf or nan
+        seq = Sequence((PulseSpec(write_field, 1e-4), Wait(1e-3), PulseSpec(write_field, 1e-4)))
+        with pytest.raises(SequenceError, match="every pulse phase must be finite"):
+            evolve(seq, start_time=start)
+        with pytest.raises(SequenceError, match="every pulse phase must be finite"):
+            seq.end_time(start)
 
     def test_a_pulse_whose_detuning_phase_overflows_is_refused(self):
         # rabi * tau is 1e10; detuning * tau, which the pulse unitary
@@ -383,6 +397,23 @@ class TestScan:
         template = build_write_read(replace(write_key, phase=phase), 0.0, scanned=True)
         with pytest.raises(SequenceError, match="every pulse phase must be finite"):
             scan(template, np.arange(11) * 1e307)
+
+    @pytest.mark.parametrize("grid", [0.5, [[0.0, 1e-3]], np.zeros((2, 2)), np.zeros((2, 0))],
+                             ids=["scalar", "row", "square", "empty-rows"])
+    def test_a_grid_that_is_not_1d_is_refused(self, write_key, grid):
+        template = build_write_read(write_key, 0.0, scanned=True)
+        shape = re.escape(str(np.shape(grid)))
+        with pytest.raises(SequenceError, match=f"^scan grid must be 1-D, got shape {shape}$"):
+            scan(template, grid)
+
+    def test_a_scan_and_an_evolve_each_walk_the_timeline_once(self, write_key, monkeypatch):
+        template = build_write_read(write_key, 0.0, scanned=True)
+        calls, walk = [], sequence_module._walk
+        monkeypatch.setattr(sequence_module, "_walk", lambda *a: calls.append(a) or walk(*a))
+        scan(template, np.linspace(0.0, 1e-2, 5))
+        assert len(calls) == 1
+        evolve(template)
+        assert len(calls) == 2
 
     def test_caller_grid_stays_writeable(self, write_key, readout_grid):
         grid = readout_grid.copy()
