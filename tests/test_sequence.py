@@ -45,9 +45,9 @@ from ramseylock import (
     set_scan_value,
     simulate_measurement,
 )
+from ramseylock import sequence as sequence_module
 from ramseylock.cli import _read_scan_csv
 from ramseylock.protocol import _template
-from ramseylock import sequence as sequence_module
 from ramseylock.sequence import _scan_fault, _walk
 
 TWO_PI = 2.0 * math.pi
