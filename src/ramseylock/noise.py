@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 
 import numpy as np
 
@@ -65,6 +67,9 @@ def sample_phase_increment(linewidth: float, elapsed: float, rng: np.random.Gene
     if not 0.0 <= linewidth < math.inf:
         raise ValueError(f"linewidth must be finite and >= 0, got {linewidth}")
     variance = linewidth * elapsed
+    if variance == math.inf:
+        raise ValueError(f"phase variance linewidth * elapsed = {linewidth} * {elapsed} "
+                         "is not finite")
     if variance == 0.0:
         return 0.0
     return float(rng.normal(0.0, math.sqrt(variance)))
@@ -96,12 +101,39 @@ def _counts(p: np.ndarray, model: NoiseModel, rng: np.random.Generator) -> np.nd
     return rng.binomial(model.atom_count, p[..., None], size=(*p.shape, model.repeats))
 
 
+def _repeat_sum(a: np.ndarray) -> np.ndarray:
+    """Sum of the slabs ``a[0], a[1], ...`` in the order numpy's
+    ``add.reduce`` sums a contiguous axis of ``len(a)`` values: left to
+    right below 8; from 8 to 128, eight running sums (of every eighth
+    value) combined pairwise and the rest added after; above 128, the sums
+    of the two halves, split at a multiple of 8."""
+    n = len(a)
+    if n < 8:
+        return reduce(add, a)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _repeat_sum(a[:half]) + _repeat_sum(a[half:])
+    whole = n - n % 8
+    r = a[:8].copy()
+    for i in range(8, whole, 8):
+        r += a[i:i + 8]
+    pairs = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    return reduce(add, a[whole:], pairs)
+
+
 def _shot_stats(counts: np.ndarray, model: NoiseModel) -> tuple[np.ndarray, np.ndarray]:
     """Mean and sample sd (zeros for one repeat) of the excitation fractions
-    over the last, repeats axis."""
-    fractions = counts / float(model.atom_count)
-    sd = fractions.std(axis=-1, ddof=1) if model.repeats > 1 else np.zeros(fractions.shape[:-1])
-    return fractions.mean(axis=-1), sd
+    over the last, repeats axis of ``counts``.
+
+    Both sum whole slabs of one repeat each in numpy's own order
+    (:func:`_repeat_sum`), so they equal ``fractions.mean(axis=-1)`` and
+    ``fractions.std(axis=-1, ddof=1)`` bit for bit and every seeded readout
+    keeps its bits, without numpy's reduction of a few values per point;
+    the sd reuses the mean.  With one repeat every deviation is 0.
+    """
+    fractions = np.moveaxis(counts / float(model.atom_count), -1, 0)
+    mean = _repeat_sum(fractions) / model.repeats
+    return mean, np.sqrt(_repeat_sum((fractions - mean) ** 2) / max(model.repeats - 1, 1))
 
 
 def measure_scan(ideal: FringeScan, model: NoiseModel, rng: np.random.Generator) -> FringeScan:
@@ -141,7 +173,8 @@ def apply_contrast_decay(scan_data: FringeScan, tau_c: float) -> FringeScan:
     """
     if not (tau_c > 0.0) or math.isnan(tau_c):
         raise InvalidDurationError(f"contrast time must be > 0, got {tau_c}")
-    envelope = np.exp(-scan_data.T / tau_c)
+    with np.errstate(over="ignore"):  # T / tau_c = inf decays fully: exp(-inf) = 0
+        envelope = np.exp(-scan_data.T / tau_c)
     p = 0.5 + (scan_data.p - 0.5) * envelope
     # for T >= 0 the envelope lies in [0, 1], so p stays in [0, 1] (rounding
     # is monotonic) and needs no re-check; a T before 0 can push it out
@@ -183,8 +216,8 @@ def monte_carlo_scramble(
     fringe slope against the key phase is steepest (near the zero
     crossings) and smallest at the extrema.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    if not (isinstance(trials, (int, np.integer)) and trials >= 1):
+        raise ValueError(f"trials must be an integer >= 1, got {trials!r}")
     base_phase = scramble_key.phi_S if scramble_key.has_phase else 0.0
     rngs = [np.random.default_rng(c) for c in np.random.SeedSequence(model.seed).spawn(trials)]
 
@@ -195,10 +228,12 @@ def monte_carlo_scramble(
     keyed = ScrambleKey(scramble_key.field, scramble_key.tau, phases[:, None], scramble_key.T1)
     template = _template("attack", write_key, (keyed,), frame=frame, clock_during_pulses=False)
     # scan checks the grid and clips p; the shot statistics are valid by construction
-    ideal = scan(template, list(T_grid))
+    ideal = scan(template, T_grid)
     counts = np.stack([_counts(row, model, rng) for row, rng in zip(ideal.p, rngs)])
     means, sds = _shot_stats(counts, model)
     measured = FringeScan._trusted(ideal.T, means, sds)
-    spread = means.std(axis=0, ddof=1) if trials > 1 else np.zeros(len(ideal))
-    pooled = FringeScan._trusted(ideal.T, means.mean(axis=0), spread, label="pooled")
+    # the pooled mean, and from it means.std(axis=0, ddof=1) bit for bit (0 for one trial)
+    pooled_mean = means.mean(axis=0)
+    spread = np.sqrt(((means - pooled_mean) ** 2).sum(axis=0) / max(trials - 1, 1))
+    pooled = FringeScan._trusted(ideal.T, pooled_mean, spread, label="pooled")
     return MonteCarloResult(scans=measured.rows(), pooled=pooled)

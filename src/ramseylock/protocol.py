@@ -49,10 +49,17 @@ MAX_PLAN_INDEX = 10**6
 
 def _half_turns(n: int, detuning: float) -> float:
     """Wait ``(2n+1)*pi/|detuning|`` over which a field precesses by an odd
-    multiple of pi."""
+    multiple of pi; refused where it is not a finite float."""
     if not math.isfinite(detuning):
         raise InvalidFieldError(f"detuning must be finite, got {detuning}")
-    return (2 * n + 1) * math.pi / abs(detuning)
+    try:  # a Python int n, not a numpy one that would wrap around at 2**63
+        wait = (2 * int(n) + 1) * math.pi / abs(detuning)
+    except OverflowError:  # 2n + 1 too large for a float
+        wait = math.inf
+    if wait == math.inf:
+        raise InfeasiblePlanError(f"the wait (2n+1)*pi/|detuning| for n = {n} at detuning "
+                                  f"{detuning} rad/s is not finite")
+    return wait
 
 
 def _least_odd(detuning: float, minimum: float, index: str, bound: str, *spent: float) -> int:

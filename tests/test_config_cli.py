@@ -942,6 +942,26 @@ class TestExitCodes:
         assert captured.out == ""
         assert "config error: frame: atomic_frequency must be finite" in captured.err
 
+    def test_retrieve_wait_that_overflows_is_3(self, tmp_path, capsys):
+        # pi / |2 pi x 1e-318 Hz| is no finite wait; the planner refuses it
+        text = table1_text().replace("protocol ramsey", "protocol retrieve")
+        path = tmp_path / "tiny_detuning.cfg"
+        path.write_text(text.replace("detuning_hz=100", "detuning_hz=1e-318"))
+        assert main([str(path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert re.fullmatch(r"planner error: the wait \(2n\+1\)\*pi/\|detuning\| for n = 0 at "
+                            r"detuning \S+ rad/s is not finite\n", captured.err)
+
+    def test_contrast_time_whose_ratio_overflows_is_0_without_a_warning(self, tmp_path, capsys):
+        # T / 1e-320 s overflows for every T > 0: the fringe is fully decayed
+        path = tmp_path / "decayed.cfg"
+        path.write_text(table1_text() + "noise atoms=50000 repeats=5 contrast_wri_s=1e-320\n")
+        assert main([str(path)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out.startswith("T_s,P_e,sd\n")
+
     @pytest.mark.parametrize("argv", [["--seed", "-1"], ["--sweep-phis", "0"], ["--grid", "1:0:1"]])
     def test_rejected_run_leaves_the_output_file_alone(self, table1_path, tmp_path, capsys, argv):
         target = tmp_path / "kept.csv"

@@ -1,6 +1,7 @@
 """Tests for phase diffusion, projective readout and contrast decay."""
 
 import math
+import re
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -71,6 +72,14 @@ class TestPhaseDiffusion:
         # a NaN or infinite linewidth would return a NaN or infinite phase
         with pytest.raises(ValueError, match="linewidth must be finite and >= 0"):
             sample_phase_increment(linewidth, 1.0, np.random.default_rng(0))
+
+    def test_a_variance_that_overflows_is_refused_before_any_draw(self):
+        # each factor is finite; 1e308 * 1e308 rad^2 is not
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError, match=r"^phase variance linewidth \* elapsed = "
+                                             r"1e\+308 \* 1e\+308 is not finite$"):
+            sample_phase_increment(1e308, 1e308, rng)
+        assert rng.random() == np.random.default_rng(0).random()
 
     def test_variance_after_one_shot_interval(self):
         # 1 kHz angular linewidth over the 47 s between shots gives a
@@ -168,6 +177,26 @@ def per_point_readout(p, model, rng):
     return means, sds
 
 
+class TestShotStats:
+    @pytest.mark.parametrize("atoms", [1, 50_000, 2**63 - 1])
+    @pytest.mark.parametrize("batch", [(), (3,)], ids=["N", "KxN"])
+    @pytest.mark.parametrize("repeats", [1, 2, 5, 7, 8, 9, 16, 127, 128, 129, 300, 8193])
+    def test_bit_equal_to_numpy_mean_and_sd(self, repeats, batch, atoms):
+        # the repeat sums follow the installed numpy's order, so a numpy that
+        # changes it fails here; 8193 repeats on 2 points would show a
+        # reduction split into buffers
+        model = NoiseModel(atom_count=atoms, repeats=repeats)
+        rng = np.random.default_rng(repeats)
+        counts = noise._counts(rng.uniform(size=(*batch, 2 if repeats > 300 else 41)), model, rng)
+        fractions = counts / float(atoms)
+        mean, sd = noise._shot_stats(counts, model)
+        assert np.array_equal(mean, fractions.mean(axis=-1))
+        if repeats == 1:
+            assert np.array_equal(sd, np.zeros(mean.shape))
+        else:
+            assert np.array_equal(sd, fractions.std(axis=-1, ddof=1))
+
+
 class TestMeasureScan:
     @settings(max_examples=150, deadline=None)
     @given(
@@ -237,6 +266,11 @@ class TestMeasureScan:
 
 
 class TestContrastDecay:
+    def test_a_time_ratio_that_overflows_decays_fully(self):
+        # T / 1e-320 s is inf for every T > 0: exp(-inf) = 0, without a warning
+        sc = FringeScan(np.array([0.0, 1e-3, 2e-3]), np.array([0.75, 0.25, 1.0]), np.zeros(3))
+        assert np.array_equal(apply_contrast_decay(sc, 1e-320).p, [0.75, 0.5, 0.5])
+
     def test_infinite_time_leaves_scan_unchanged(self, write_key, readout_grid):
         sc = scan(build_write_read(write_key, 0.0, scanned=True), readout_grid)
         out = apply_contrast_decay(sc, math.inf)
@@ -397,6 +431,32 @@ class TestMonteCarloScramble:
         assert {got.p.shape for got in (*result.scans, result.pooled)} == {grid.shape}
         assert grid.flags.writeable
 
-    def test_trial_count_validated(self, write_key, scramble_key):
-        with pytest.raises(ValueError):
-            monte_carlo_scramble(write_key, scramble_key, [0.0, 1e-3], 0, NoiseModel())
+    @pytest.mark.parametrize("trials", [0, -1, np.int64(0), 2.5, 3.0, "3", None], ids=repr)
+    def test_trial_count_validated(self, write_key, scramble_key, trials):
+        message = f"^trials must be an integer >= 1, got {re.escape(repr(trials))}$"
+        with pytest.raises(ValueError, match=message):
+            monte_carlo_scramble(write_key, scramble_key, [0.0, 1e-3], trials, NoiseModel())
+
+    def test_numpy_integer_trial_count_is_accepted(self, write_key, scramble_key):
+        model = NoiseModel(linewidth=TWO_PI * 1000.0, seed=2)
+        a = monte_carlo_scramble(write_key, scramble_key, [0.0, 1e-3], np.int64(3), model)
+        b = monte_carlo_scramble(write_key, scramble_key, [0.0, 1e-3], 3, model)
+        assert np.array_equal(a.pooled.p, b.pooled.p) and len(a.scans) == 3
+
+    def test_a_diffusion_variance_that_overflows_is_refused(self, write_key, scramble_key):
+        # NoiseModel takes each finite value; their product is refused before
+        # any draw, not wrapped to a NaN key phase
+        model = NoiseModel(linewidth=1e308, run_interval=1e308)
+        with pytest.raises(ValueError, match=r"^phase variance linewidth \* elapsed"):
+            monte_carlo_scramble(write_key, scramble_key, [0.0, 1e-3], 2, model)
+
+    def test_a_list_grid_and_an_array_grid_give_the_same_ensemble(
+        self, write_key, scramble_key, readout_grid
+    ):
+        model = NoiseModel(linewidth=TWO_PI * 1000.0, seed=5)
+        grid = readout_grid[:41]
+        a = monte_carlo_scramble(write_key, scramble_key, grid, 4, model)
+        b = monte_carlo_scramble(write_key, scramble_key, grid.tolist(), 4, model)
+        for x, y in zip((*a.scans, a.pooled), (*b.scans, b.pooled)):
+            for u, v in ((x.T, y.T), (x.p, y.p), (x.sd, y.sd)):
+                assert np.array_equal(u, v)

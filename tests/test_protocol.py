@@ -1,6 +1,7 @@
 """Tests for key material, sequence builders and timing planners."""
 
 import math
+import re
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -275,8 +276,30 @@ class TestPlanIndicesAreIntegers:
             replace(plan, **{name: index})
 
 
+@pytest.mark.parametrize(
+    "plan, n, detuning",
+    [
+        pytest.param(lambda: plan_readout(1.0, 10**308), 10**308, 1.0, id="readout-huge-k"),
+        pytest.param(lambda: plan_readout(1e-320, 0), 0, 1e-320, id="readout-tiny-detuning"),
+        pytest.param(lambda: plan_retrieval(1e-320, 1e-3), 0, 1e-320,
+                     id="retrieval-tiny-detuning"),
+        pytest.param(lambda: build_retrieved(
+            WriteKey(FieldParams(TWO_PI * 565.0, TWO_PI * 110.0), tau=0.44e-3),
+            ScrambleKey(FieldParams(TWO_PI * 169.0, 1.0), 1.48e-3, 0.0, 5e-3),
+            RetrievalPlan(n=10**400, T2=1.0), 0.0), 10**400, 1.0, id="retrieved-huge-n"),
+    ],
+)
+def test_a_wait_that_is_not_a_finite_float_is_infeasible(plan, n, detuning):
+    # (2n+1)*pi/|detuning| overflows: refused, not an OverflowError or an inf wait
+    message = f"for n = {n} at detuning {detuning} rad/s is not finite"
+    with pytest.raises(InfeasiblePlanError, match=re.escape(message)):
+        plan()
+
+
 def test_numpy_integer_plan_indices_are_accepted():
     assert plan_readout(TWO_PI * 110.0, np.int64(1)) == plan_readout(TWO_PI * 110.0, 1)
+    # 2k + 1 in int64 would wrap around to a negative wait
+    assert plan_readout(1.0, np.int64(2**62)) == plan_readout(1.0, 2**62) > 0.0
     assert RetrievalPlan(n=np.int64(2), T2=5e-3).n == 2
     plan = plan_double_retrieval(TWO_PI * 100.0, TWO_PI * 100.0, 1e-3, 1e-3, 1e-3)
     assert replace(plan, m=np.int64(3), n=np.int64(4)) == replace(plan, m=3, n=4)
