@@ -113,13 +113,15 @@ class FitResult:
             raise ValueError(f"converged must hold exactly when reason is one of {_CONVERGED}")
 
 
-def _evaluate(T, p, weights, x):
+def _evaluate(T, p, weights, x, trig=None):
     """The curve of each row of ``x`` (offset, a, b, rate, freq) on ``T``:
-    env, cos, sin, ``a*cos + b*sin``, the weighted residual and its SSR."""
+    env, cos, sin, ``a*cos + b*sin``, the weighted residual and its SSR.
+    ``trig``, when given, holds the env, cos and sin of ``x`` already."""
     offset, a, b, rate, freq = x.T[..., None]
-    env = np.exp(-rate * T)
-    arg = TWO_PI * freq * T
-    cos_t, sin_t = np.cos(arg), np.sin(arg)
+    if trig is None:
+        arg = TWO_PI * freq * T
+        trig = np.exp(-rate * T), np.cos(arg), np.sin(arg)
+    env, cos_t, sin_t = trig
     osc = a * cos_t + b * sin_t
     resid = (offset + env * osc - p) * weights
     return env, cos_t, sin_t, osc, resid, np.einsum("kn,kn->k", resid, resid)
@@ -132,8 +134,9 @@ def _normal_solve(w2, p, c, s, cc, cs, ss, cp, sp):
     sin^2, p*cos, p*sin) for each of its trial models.  Returns the
     ``(K, 1)`` sums ``P`` of ``w2 * p`` and ``total`` of ``w2``,
     then ``a``, ``b`` and the residual sum of squares (SSR) of each model,
-    written over ``cc`` .. ``sp``.  A model's offset is
-    ``(P - c*a - s*b) / total``; only the caller that keeps one forms it."""
+    written over the sums, every one of which is overwritten.  A model's
+    offset is ``(P - c*a - s*b) / total``; only the caller that keeps one
+    forms it, from ``c`` and ``s`` as they were."""
     total = w2.sum(axis=-1)[:, None]
     wp = w2 * p
     P = wp.sum(axis=-1)[:, None]
@@ -142,17 +145,20 @@ def _normal_solve(w2, p, c, s, cc, cs, ss, cp, sp):
     # systems (f = 0 and f = Nyquist have a vanishing sin column) solvable;
     # the offset is solved exactly, so its SSR carries no ridge bias
     ridge = 1e-9 * np.maximum(total, 1.0)
-    # eliminate the offset, then solve the remaining 2x2 system
-    u, v = c / total, s / total
-    # the 2x2 system and its solution overwrite the sums; ``t`` holds each product
-    t = u * c
+    # eliminate the offset, then solve the remaining 2x2 system; the system
+    # and its solution overwrite the sums, ``c`` and ``s`` take the products
+    # once spent, and ``u`` holds ``c / total``, then ``s / total``, then the
+    # determinant
+    u = c / total
+    t = np.multiply(c, u, out=c)
     a11 = np.subtract(np.add(cc, ridge, out=cc), t, out=cc)
     a12 = np.subtract(cs, np.multiply(u, s, out=t), out=cs)
-    a22 = np.subtract(np.add(ss, ridge, out=ss), np.multiply(v, s, out=t), out=ss)
     b1 = np.subtract(cp, np.multiply(u, P, out=t), out=cp)
+    v = np.divide(s, total, out=u)
+    a22 = np.subtract(np.add(ss, ridge, out=ss), np.multiply(v, s, out=s), out=ss)
     b2 = np.subtract(sp, np.multiply(v, P, out=t), out=sp)
     det = np.subtract(np.multiply(a11, a22, out=u), np.multiply(a12, a12, out=t), out=u)
-    a = np.subtract(np.multiply(a22, b1, out=v), np.multiply(a12, b2, out=t), out=v)
+    a = np.subtract(np.multiply(a22, b1, out=a22), np.multiply(a12, b2, out=t), out=a22)
     a /= det
     b = np.subtract(np.multiply(a11, b2, out=a11), np.multiply(a12, b1, out=t), out=a11)
     b /= det
@@ -164,11 +170,18 @@ def _spectral_ssr(w2, p, z1, z2, zp):
     """SSR of the undamped linear model at each trial frequency omega from
     the complex sums ``z1`` of ``w2 * exp(-i*omega*t)``, ``z2`` of
     ``w2 * exp(-2i*omega*t)`` and ``zp`` of ``w2 * p * exp(-i*omega*t)``:
-    the squared and cross terms come from the doubled frequency."""
+    the squared and cross terms come from the doubled frequency.  The sums
+    are read in place and all three are overwritten, so no two of them may
+    share memory."""
     total = w2.sum(axis=-1)[:, None]
+    z2_re, z2_im = z2.real, z2.imag
+    ss = np.subtract(total, z2_re)
+    ss *= 0.5
+    cc = np.add(total, z2_re, out=z2_re)
+    cc *= 0.5
     return _normal_solve(
-        w2, p, z1.real, -z1.imag, 0.5 * (total + z2.real), -0.5 * z2.imag,
-        0.5 * (total - z2.real), zp.real, -zp.imag,
+        w2, p, z1.real, np.negative(z1.imag, out=z1.imag), cc,
+        np.multiply(z2_im, -0.5, out=z2_im), ss, zp.real, np.negative(zp.imag, out=zp.imag),
     )[-1]
 
 
@@ -197,7 +210,8 @@ def _grid_ssr(T, p, weights, step, count):
     big = _powers(small[-1] * r, -(-powers // baby))
     rows = np.stack([w2, w2 * p], axis=1)[:, :, None, :] * big
     sums = (rows.reshape(len(p), -1, T.size) @ small.T).reshape(len(p), 2, -1)
-    return _spectral_ssr(w2, p, sums[:, 0, :count], sums[:, 0, :powers:2], sums[:, 1, :count])
+    doubled = sums[:, 0, :powers:2].copy()  # _spectral_ssr overwrites it
+    return _spectral_ssr(w2, p, sums[:, 0, :count], doubled, sums[:, 1, :count])
 
 
 def _periodogram_ssr(p, weights, size):
@@ -207,10 +221,19 @@ def _periodogram_ssr(p, weights, size):
     spectrum is the conjugate of bin ``size - 2k``."""
     w2 = weights * weights
     z1, zp = np.fft.rfft(np.stack([w2, w2 * p]), size)  # sums of w2 * exp(-i * omega_k * t)
-    doubled = 2 * np.arange(z1.shape[-1])
-    z2 = z1[:, np.minimum(doubled, size - doubled)]
+    z2 = z1.take(_doubled_bins(size), axis=-1)
     z2[:, size // 4 + 1:].imag *= -1.0  # conjugate the folded bins
     return _spectral_ssr(w2, p, z1, z2, zp)
+
+
+@functools.cache
+def _doubled_bins(size):
+    """Bin ``2k`` of a ``size``-point real FFT for each bin ``k`` of its half
+    spectrum, the mirror bin ``size - 2k`` where ``2k`` lies past it."""
+    doubled = 2 * np.arange(size // 2 + 1)
+    bins = np.minimum(doubled, size - doubled)
+    bins.flags.writeable = False  # one array serves every call
+    return bins
 
 
 @functools.cache
@@ -253,7 +276,9 @@ def _coarse_frequency(T, p, weights):
 def _rate_seeds(T, p, weights, freq):
     """Starting point (offset, a, b, rate, freq) of each row: the linear
     coefficients at the seed frequency for each envelope rate in
-    ``_RATE_SEEDS``, keeping the rate with the least SSR."""
+    ``_RATE_SEEDS``, keeping the rate with the least SSR.  Returns the
+    ``(K, 5)`` starting points and their env, cos and sin on ``T``, as
+    ``_evaluate`` forms them."""
     rates = np.array(_RATE_SEEDS) / (T[-1] - T[0])
     env = np.exp(-rates[:, None] * T)
     arg = TWO_PI * freq[:, None] * T
@@ -267,11 +292,11 @@ def _rate_seeds(T, p, weights, freq):
     np.multiply(ws, sin_t, out=terms[:, 6])
     c, s, cp, sp = (terms[:, :4] @ env.T).transpose(1, 0, 2)
     cc, cs, ss = (terms[:, 4:] @ (env * env).T).transpose(1, 0, 2)
-    P, total, a, b, ssr = _normal_solve(w2, p, c, s, cc, cs, ss, cp, sp)
+    P, total, a, b, ssr = _normal_solve(w2, p, c.copy(), s.copy(), cc, cs, ss, cp, sp)
     rows, pick = np.arange(len(p)), ssr.argmin(axis=-1)
     a, b = a[rows, pick], b[rows, pick]
     offset = (P[:, 0] - c[rows, pick] * a - s[rows, pick] * b) / total[:, 0]
-    return np.stack([offset, a, b, rates[pick], freq], axis=-1)
+    return np.stack([offset, a, b, rates[pick], freq], axis=-1), (env[pick], cos_t, sin_t)
 
 
 def _normal_steps(jac, resid):
@@ -293,7 +318,7 @@ def _normal_steps(jac, resid):
     return step, -np.einsum("ki,ki->k", step, grad[..., 0])
 
 
-def _gauss_newton(T, p, weights, params):
+def _gauss_newton(T, p, weights, params, trig=None):
     """Refine (offset, a, b, rate, freq) of each row of ``params`` against
     the same row of ``p``; returns (params, iterations, reasons), with each
     reason one of ``step_tol``, ``ssr_flat``, ``halving_exhausted``,
@@ -302,13 +327,20 @@ def _gauss_newton(T, p, weights, params):
     A full step below STEP_TOLERANCE is taken unevaluated (``step_tol``);
     any other is halved until the SSR does not rise, or until it promises
     no reduction beyond the SSR's rounding ``N * eps * SSR``, where the row
-    stops (``ssr_flat``).  Each iterate is evaluated once."""
+    stops (``ssr_flat``).  Each iterate is evaluated once, the start from
+    ``trig`` when given: its env, cos and sin (see ``_evaluate``), which
+    are overwritten."""
     params = np.array(params, dtype=float)
     iterations = np.full(len(params), MAX_ITERATIONS)
     reasons = np.full(len(params), "max_iter", dtype=object)
-    rows, x, evaluated = np.arange(len(params)), params.copy(), None
+    rows, x = np.arange(len(params)), params.copy()
+    evaluated = _evaluate(T, p, weights, x, trig)
     neg_T, two_pi_T, rounding = -T, TWO_PI * T, T.size * np.finfo(float).eps
     columns = np.empty((5, *p.shape))  # d(resid)/d(offset, a, b, rate, freq) of the live rows
+
+    def pick(a):  # the pending rows of ``a``: ``take`` is cheaper than fancy indexing
+        return a if pending.size == len(x) else a.take(pending, 0)
+
     for iteration in range(1, MAX_ITERATIONS + 1):
         if not rows.size:
             break
@@ -318,8 +350,12 @@ def _gauss_newton(T, p, weights, params):
         jac[0] = weights
         np.multiply(ew, cos_t, out=jac[1])
         np.multiply(ew, sin_t, out=jac[2])
-        np.multiply(neg_T * ew, osc, out=jac[3])
-        np.multiply(two_pi_T * ew, x[:, 2:3] * cos_t - x[:, 1:2] * sin_t, out=jac[4])
+        np.multiply(neg_T, ew, out=jac[3])
+        jac[3] *= osc
+        # cos, sin and env are spent: column 4 is formed over them
+        np.subtract(np.multiply(x[:, 2:3], cos_t, out=cos_t),
+                    np.multiply(x[:, 1:2], sin_t, out=sin_t), out=jac[4])
+        jac[4] *= np.multiply(two_pi_T, ew, out=ew)
         # a row whose residual is not finite has no least-squares step
         singular = ~np.isfinite(ssr)
         if singular.any():
@@ -332,22 +368,21 @@ def _gauss_newton(T, p, weights, params):
         x[converged] += step[converged]
 
         # a step scaled by s promises s * (2 - s) times the full one's
-        # reduction; rows are gathered with ``take``, cheaper than fancy
-        # indexing on few rows
+        # reduction; ``pick`` gathers the pending rows, unless that is all
         pending = (~(singular | converged)).nonzero()[0]
         flat, floor = np.zeros(len(x), dtype=bool), rounding * ssr
         shrink, evaluated = 1.0, None
         while pending.size and shrink > 2.0**-30:  # at most 30 trials
-            level = shrink * (2.0 - shrink) * reduction.take(pending) <= floor.take(pending)
+            level = shrink * (2.0 - shrink) * pick(reduction) <= pick(floor)
             flat[pending[level]] = True
             pending = pending[~level]
             if not pending.size:
                 break
-            trial = x.take(pending, 0) + shrink * step.take(pending, 0)
+            trial = pick(x) + shrink * pick(step)
             # a trial may overflow: an SSR that is not finite fails the test below
             with np.errstate(over="ignore", invalid="ignore"):
-                result = _evaluate(T, p.take(pending, 0), weights.take(pending, 0), trial)
-            ok = result[5] <= ssr.take(pending)
+                result = _evaluate(T, pick(p), pick(weights), trial)
+            ok = result[5] <= pick(ssr)
             x[pending[ok]] = trial[ok]
             # the next iteration reuses it when every row took its first trial
             evaluated = result if shrink == 1.0 and ok.all() else None
@@ -411,9 +446,14 @@ def fit_many(scan: FringeScan) -> list[FitResult]:
     if live.any():
         p_live, sd_live = p[live], sd[live]
         weighted = (sd_live > 0.0).all(axis=-1, keepdims=True)
-        weights = np.divide(1.0, sd_live, out=np.ones_like(sd_live), where=weighted)
-        seeds = _rate_seeds(T, p_live, weights, _coarse_frequency(T, p_live, weights))
-        params[live], iterations[live], reasons[live] = _gauss_newton(T, p_live, weights, seeds)
+        # 1/sd scaled by the power of two that puts a row's largest weight in
+        # (1, 2]: exact, so no w**2 overflows or all underflow, and a row
+        # whose total weight is at least 1 without it fits to the same bits
+        scale = np.ldexp(1.0, np.frexp(sd_live.min(axis=-1, keepdims=True))[1])
+        weights = np.divide(scale, sd_live, out=np.ones_like(sd_live), where=weighted)
+        seeds, trig = _rate_seeds(T, p_live, weights, _coarse_frequency(T, p_live, weights))
+        params[live], iterations[live], reasons[live] = _gauss_newton(
+            T, p_live, weights, seeds, trig)
         rms[live] = np.sqrt((_evaluate(T, p_live, 1.0, params[live])[4] ** 2).mean(axis=-1))
         if T0:  # carry (a, b) from T = T0 back to T = 0: turn them, then scale the amplitude
             a, b, rate, freq = params[:, 1:].T

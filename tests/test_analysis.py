@@ -177,6 +177,28 @@ class TestFitDampedSinusoid:
         assert fit.frequency == pytest.approx(110.0, rel=1e-4)
         assert fit.phase == pytest.approx(0.3, abs=1e-3)
 
+    @pytest.mark.parametrize("sd", [[1e-160], [5e-324], [1e200], [1e-3, 1e-300]])
+    def test_weighted_fit_with_extreme_sd(self, sd):
+        # 1/sd whose square over- or underflows: the fit returned NaN,
+        # "singular after 1 iterations", and numpy warned
+        T = np.linspace(0.0, 20e-3, 201)
+        clean = synthetic(T, 0.4, 110.0, 0.3, 0.5, math.inf)
+        fit = fit_damped_sinusoid(FringeScan(T, clean.p, np.resize(sd, T.size)))
+        assert fit.converged
+        assert fit.frequency == pytest.approx(110.0, rel=1e-6)
+        assert fit.phase == pytest.approx(0.3, abs=1e-6)
+
+    def test_a_power_of_two_sd_scale_keeps_every_bit(self):
+        # the weights are scaled exactly, so sds scaled by 2**k fit to the
+        # same bits while the total weight stays at least 1
+        rng = np.random.default_rng(11)
+        T = np.linspace(0.0, 20e-3, 201)
+        sd = 1e-3 * 10.0 ** -rng.uniform(0.0, 1.0, T.size)
+        p = synthetic(T, 0.4, 110.0, 0.3, 0.5, 0.05).p + sd * rng.standard_normal(T.size)
+        fits = [repr(fit_damped_sinusoid(FringeScan(T, p, np.ldexp(sd, k))))
+                for k in (0, -1000, -100, 10)]
+        assert fits == [fits[0]] * 4
+
 
 def _direct_ssr(T, p, weights, freqs):
     """Weighted SSR of the undamped linear model ``offset + a*cos + b*sin``
@@ -220,6 +242,45 @@ def _grid_seed(T, p, weights):
     return np.array(seeds)
 
 
+def _expression_normal_solve(w2, p, c, s, cc, cs, ss, cp, sp):
+    """``analysis._normal_solve`` as plain expressions, every product in a
+    fresh array and no argument overwritten: the oracle for its in-place
+    form."""
+    total = w2.sum(axis=-1)[:, None]
+    wp = w2 * p
+    P = wp.sum(axis=-1)[:, None]
+    Q = (wp * p).sum(axis=-1)[:, None]
+    ridge = 1e-9 * np.maximum(total, 1.0)
+    u, v = c / total, s / total
+    a11, a12, a22 = cc + ridge - u * c, cs - u * s, ss + ridge - v * s
+    b1, b2 = cp - u * P, sp - v * P
+    det = a11 * a22 - a12 * a12
+    a, b = (a22 * b1 - a12 * b2) / det, (a11 * b2 - a12 * b1) / det
+    return P, total, a, b, Q - P * P / total - (a * b1 + b * b2)
+
+
+def _expression_spectral_ssr(w2, p, z1, z2, zp):
+    """``analysis._spectral_ssr`` with each sum negated and scaled into a
+    fresh array and nothing overwritten: the oracle for reading the sums
+    in place."""
+    total = w2.sum(axis=-1)[:, None]
+    return _expression_normal_solve(
+        w2, p, z1.real, -z1.imag, 0.5 * (total + z2.real), -0.5 * z2.imag,
+        0.5 * (total - z2.real), zp.real, -zp.imag,
+    )[-1]
+
+
+def _expression_periodogram_ssr(p, weights, size):
+    """``analysis._periodogram_ssr`` from the same FFT, with the doubled
+    bins gathered by fancy indexing and the SSR in expression form."""
+    w2 = weights * weights
+    z1, zp = np.fft.rfft(np.stack([w2, w2 * p]), size)
+    doubled = 2 * np.arange(z1.shape[-1])
+    z2 = z1[:, np.minimum(doubled, size - doubled)]
+    z2[:, size // 4 + 1:].imag *= -1.0
+    return _expression_spectral_ssr(w2, p, z1, z2, zp)
+
+
 def _reference_fit(sc):
     with mock.patch.object(analysis, "_coarse_frequency", _grid_seed):
         return fit_damped_sinusoid(sc)
@@ -231,8 +292,8 @@ def _with_final_ssr(fit_call, sc):
     ssr = []
     gauss_newton = analysis._gauss_newton
 
-    def spy(T, p, weights, params):
-        out = gauss_newton(T, p, weights, params)
+    def spy(T, p, weights, params, *trig):
+        out = gauss_newton(T, p, weights, params, *trig)
         r = analysis._evaluate(T, p, weights, out[0])[4]
         ssr.extend(np.sum(r * r, axis=-1))
         return out
@@ -264,6 +325,51 @@ class TestPeriodogramSeed:
                 assert np.max(np.abs(fft_ssr[k] - direct)) <= 1e-12 * scale
                 alone = analysis._periodogram_ssr(p[k:k + 1], weights[k:k + 1], size)[0]
                 assert alone.tobytes() == fft_ssr[k].tobytes()
+
+    @pytest.mark.parametrize("rows", [1, 3, 8])
+    def test_in_place_periodogram_equals_its_expression_form(self, rows):
+        # weighted and unit-weight rows at padded sizes of each residue mod 4,
+        # so the folded bins are included: equal, not merely close
+        rng = np.random.default_rng(rows)
+        p = rng.uniform(0.0, 1.0, (rows, 201))
+        weights = rng.uniform(0.1, 10.0, (rows, 201))
+        weights[rows // 2:] = 1.0
+        for size in (1600, 1601, 1602, 1603, 1620, 1625):
+            expected = _expression_periodogram_ssr(p, weights, size)
+            assert np.isfinite(expected).all()
+            assert np.array_equal(analysis._periodogram_ssr(p, weights, size), expected)
+
+    @pytest.mark.parametrize("rows", [1, 3, 8])
+    def test_in_place_sums_equal_their_expression_form(self, rows):
+        # _spectral_ssr on the sums either seed path hands it (the doubled
+        # sums of the jittered grid are strided out of the same product as
+        # the single ones) and _normal_solve on the rate seeds' sums
+        rng = np.random.default_rng(10 + rows)
+        T = 1e-4 * np.arange(157) + rng.uniform(-2e-5, 2e-5, 157)
+        p = rng.uniform(0.0, 1.0, (rows, T.size))
+        weights = rng.uniform(0.1, 10.0, (rows, T.size))
+        weights[rows // 2:] = 1.0
+        seen = []
+        spectral_ssr, normal_solve = analysis._spectral_ssr, analysis._normal_solve
+
+        def spectral_spy(w2, p, *sums):
+            expected = _expression_spectral_ssr(w2, p, *(z.copy() for z in sums))
+            out = spectral_ssr(w2, p, *sums)
+            seen.append(np.array_equal(out, expected))
+            return out
+
+        def solve_spy(w2, p, *sums):
+            expected = _expression_normal_solve(w2, p, *(z.copy() for z in sums))
+            out = normal_solve(w2, p, *sums)
+            seen.extend(np.array_equal(a, b) for a, b in zip(out, expected))
+            return out
+
+        with mock.patch.object(analysis, "_spectral_ssr", spectral_spy):
+            analysis._grid_ssr(T, p, weights, 10.0, analysis.COARSE_GRID_SIZE)
+            analysis._periodogram_ssr(p, weights, 1603)
+        with mock.patch.object(analysis, "_normal_solve", solve_spy):
+            analysis._rate_seeds(T, p, weights, rng.uniform(0.0, 5000.0, rows))
+        assert seen == [True] * 7
 
     @pytest.mark.parametrize("count", [65, analysis.COARSE_GRID_SIZE])
     def test_batched_grid_ssr_matches_direct_ssr_on_a_jittered_grid(self, count):
@@ -607,8 +713,8 @@ class TestStopRule:
         sd = amplitude * noise * 10.0 ** -rng.uniform(0.0, 1.0, points)
         p = np.clip(p + sd * rng.standard_normal(points), 0.0, 1.0)[None]
         weights = (1.0 / sd if weighted else np.ones(points))[None]
-        seeds = analysis._rate_seeds(T, p, weights, analysis._coarse_frequency(T, p, weights))
-        params, _, reasons = analysis._gauss_newton(T, p, weights, seeds)
+        seeds, trig = analysis._rate_seeds(T, p, weights, analysis._coarse_frequency(T, p, weights))
+        params, _, reasons = analysis._gauss_newton(T, p, weights, seeds, trig)
         if reasons[0] == "step_tol":
             assert _relative_full_step(T, p, weights, params)[0] < analysis.STEP_TOLERANCE
 
@@ -755,6 +861,41 @@ class TestFitMany:
         p = synthetic(T, 0.5, 110.0, 1.0, 0.5, 30e-3).p
         with pytest.raises(ValueError, match="fit_many"):
             fit_damped_sinusoid(FringeScan(T, np.array([p, p]), np.zeros((2, 201))))
+
+
+class TestTrigHandOver:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        kinds=st.lists(st.sampled_from(_KINDS[:4]), min_size=1, max_size=6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_a_start_from_the_seeds_trig_is_the_start_it_evaluates(self, kinds, seed):
+        # rows seeded by _rate_seeds, beside one that ends singular (an
+        # envelope that overflows) and one that ends halving_exhausted (a
+        # start at Nyquist): the env, cos and sin handed over are those
+        # _evaluate forms, and Gauss-Newton ends on the same bits with them
+        # (constant rows never reach it)
+        rng = np.random.default_rng(seed)
+        T = np.arange(16) * 1e-3
+        P, SD = (np.array(a) for a in zip(*(_mixed_row(kind, T, rng) for kind in kinds)))
+        weights, weighted = np.ones_like(P), (SD > 0.0).all(axis=-1)
+        weights[weighted] = 1.0 / SD[weighted]
+        seeds, trig = analysis._rate_seeds(T, P, weights, analysis._coarse_frequency(T, P, weights))
+        for handed, own in zip(trig, analysis._evaluate(T, P, weights, seeds)):
+            assert handed.tobytes() == own.tobytes()
+        starts = np.array([[0.5, 0.5, 0.0, -1e6, 110.0], [0.5, 0.5, 0.0, 0.0, 500.0]])
+        rate, freq = starts[:, 3:4], starts[:, 4:5]
+        with np.errstate(over="ignore"):
+            env = np.exp(-rate * T)
+        arg = TWO_PI * freq * T
+        x = np.vstack([starts, seeds])
+        P, weights = np.vstack([COIN, COIN, P]), np.vstack([np.ones((2, 16)), weights])
+        trig = [np.vstack(rows) for rows in zip((env, np.cos(arg), np.sin(arg)), trig)]
+        with np.errstate(over="ignore", invalid="ignore"):
+            handed = analysis._gauss_newton(T, P, weights, x, trig)
+            own = analysis._gauss_newton(T, P, weights, x)
+        assert [repr(v.tolist()) for v in handed] == [repr(v.tolist()) for v in own]
+        assert list(handed[2][:2]) == ["singular", "halving_exhausted"]
 
 
 class TestFringeVisibility:

@@ -394,6 +394,25 @@ class TestRun:
         assert float(cells[2]) == pytest.approx(110.0, rel=1e-6)
         assert float(cells[3]) == pytest.approx(0.3, abs=1e-6)
 
+    @pytest.mark.parametrize("sd", [[1e-160], [5e-324], [1e200], [1e-3, 1e-300]])
+    def test_fit_protocol_fits_with_extreme_sd(self, tmp_path, capsys, sd):
+        # weights 1/sd whose squares over- or underflow: the fit ran into
+        # NaN, warned and exited 4
+        T = np.linspace(0.0, 20e-3, 201)
+        p = 0.5 + 0.4 * np.cos(TWO_PI * 110.0 * T + 0.3)
+        csv = "T_s,P_e,sd\n" + "\n".join(
+            f"{float(t)!r},{float(v)!r},{sd[i % len(sd)]!r}" for i, (t, v) in enumerate(zip(T, p)))
+        cfg = tmp_path / "fit.cfg"
+        cfg.write_text("protocol fit\n")
+        data = tmp_path / "scan.csv"
+        data.write_text(csv + "\n")
+        assert main([str(cfg), "--input", str(data)]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        cells = out.strip().split("\n")[1].split(",")
+        assert float(cells[2]) == pytest.approx(110.0, rel=1e-6)
+        assert float(cells[3]) == pytest.approx(0.3, abs=1e-6)
+
 
     def test_fit_csv_header_may_follow_comment_lines(self, tmp_path, capsys):
         T = np.linspace(0.0, 20e-3, 201)
