@@ -68,6 +68,10 @@ from .spinor import (
 #: and/or a key-phase axis.
 Clock = Union[float, np.ndarray]
 
+#: Largest phase rounding (rad) the timeline clock may give any pulse phase
+#: or free phase at the grid's last point; see ``_walk``.
+_ROUNDING_BOUND = 1e-6
+
 
 class _ValueEq:
     """Equality and hashing of a frozen dataclass by its field values, with
@@ -155,10 +159,6 @@ class Sequence:
             raise SequenceError("at most one wait may be marked as the scan variable")
         _walk(self)
 
-    @property
-    def pulses(self) -> tuple[PulseSpec, ...]:
-        return tuple(e for e in self.events if isinstance(e, PulseSpec))
-
     def end_time(self, start_time: float = 0.0) -> float:
         """Timeline clock value after the last event."""
         last = _walk(self, start_time)[-1]
@@ -176,7 +176,7 @@ class _Step(NamedTuple):
 
 def _walk(seq: Sequence, start_time: float = 0.0, scan_value: Clock | None = None) -> list[_Step]:
     """Walk the timeline clock through ``seq``: the one place of the phase
-    rule and of the overflow rule.
+    rule, the overflow rule and the rounding rule.
 
     A pulse gets the phase argument ``rate * start + phase_offset`` with
     ``rate`` its field's phase rate in the sequence frame.  Waits advance
@@ -193,28 +193,59 @@ def _walk(seq: Sequence, start_time: float = 0.0, scan_value: Clock | None = Non
     last point, and a pulse phase at that point's clock, for every key
     phase.  The walk returns a list, not a generator, which would leave
     numpy's overflow warnings off in its caller.
+
+    A finite clock can still be too coarse for the grid.  Each clock value
+    ``t`` is a rounded sum, off by up to ``|t| * 2**-53``; a pulse phase
+    carries the clock's summed error times its rate, plus up to
+    ``|rate * t| * 2**-53`` each for the rate's sum and the product, and a
+    free phase up to ``|free phase| * 2**-53``.  The walk adds these up at
+    the grid's last point, on scalars, and once every value is finite it
+    refuses a rounding beyond ``_ROUNDING_BOUND`` rad.  A phase offset is
+    taken as given.
     """
-    half_rate = 0.5 * seq.frame.free_rate
-    steps, t = [], start_time
+    ndarray = np.ndarray
+    free_rate = seq.frame.free_rate
+    half_rate = 0.5 * free_rate
+    clock = seq.clock_during_pulses
+    steps, t, t_last, span = [], start_time, start_time, None  # t_last: t at the grid's last point
+    # roundings in units of 2**-53: the clock's summed error, that plus twice
+    # the clock (a pulse phase's rounding per unit rate), the largest pulse
+    # phase rounding, and the longest span
+    sums, reach, worst, longest = 0.0, 2.0 * abs(start_time), 0.0, 0.0
     with np.errstate(over="ignore", invalid="ignore"):
         for e in seq.events:
+            if span is not None:  # the previous event's span, added once a later event needs it
+                t = t + span
             if isinstance(e, Wait):
                 arg = span = scan_value if e.scanned and scan_value is not None else e.duration
                 phi = 0.0
             else:
-                rate = seq.frame.pulse_phase_rate(e.field)
+                rate = free_rate + e.field.detuning
                 arg = rate * t + e.phase_offset
-                span = e.tau if seq.clock_during_pulses else None
-                phi = rate * t[-1] + e.phase_offset if isinstance(t, np.ndarray) else arg
-            steps.append(_Step(e, t, arg, span))
-            free = end = 0.0
+                span = e.tau if clock else None
+                phi = rate * t_last + e.phase_offset if type(t) is ndarray else arg
+                rounding = rate * reach
+                if rounding > worst or -rounding > worst:
+                    worst = abs(rounding)
+            steps.append(tuple.__new__(_Step, (e, t, arg, span)))
+            free = 0.0
             if span is not None:  # the clock moves on, and the frame winds
-                t = t + span
-                free = half_rate * (span[-1] if isinstance(span, np.ndarray) else span)
-                end = t[-1] if isinstance(t, np.ndarray) else t
-            finite = np.isfinite(phi).all() if isinstance(phi, np.ndarray) else math.isfinite(phi)
-            if not (finite and math.isfinite(free) and math.isfinite(end)):
+                last = span.item(-1) if type(span) is ndarray else span
+                t_last = t_last + last  # (t + span)[-1]
+                free = half_rate * last
+                if last > longest:
+                    longest = last
+                sums += abs(t_last)
+                reach = sums + 2.0 * abs(t_last)
+            finite = np.isfinite(phi).all() if type(phi) is ndarray else math.isfinite(phi)
+            if not (finite and math.isfinite(free) and math.isfinite(t_last)):
                 raise SequenceError("the timeline clock and every pulse phase must be finite")
+    worst = max(worst, abs(half_rate) * longest) * 2.0**-53  # a free phase rounds once
+    if worst > _ROUNDING_BOUND:
+        raise SequenceError(
+            f"the timeline clock rounds a phase by up to {worst:.3g} rad at the grid's last "
+            f"point, beyond the rounding bound of {_ROUNDING_BOUND} rad"
+        )
     return steps
 
 
@@ -228,13 +259,12 @@ def _run(
     values, and one state is built at the end."""
     rate = seq.frame.free_rate
     c_g, c_e = state.c_g, state.c_e
-    for step in _walk(seq, start_time, scan_value):
-        e = step.event
+    for e, _, arg, span in _walk(seq, start_time, scan_value):
         if isinstance(e, PulseSpec):
-            u = pulse_unitary(e.field, e.tau, step.arg)
+            u = pulse_unitary(e.field, e.tau, arg)
             c_g, c_e = u.u_gg * c_g + u.u_ge * c_e, u.u_eg * c_g + u.u_ee * c_e
-        if rate != 0.0 and step.span is not None:
-            z = _winding(rate, step.span)
+        if rate != 0.0 and span is not None:
+            z = _winding(rate, span)
             c_g, c_e = z * c_g, z.conjugate() * c_e
     return SpinState(c_g, c_e)
 
@@ -269,7 +299,8 @@ def _scan_fault(T, p=None, sd=None) -> _Fault | None:
         ("p values must be finite and lie in [0, 1]", p, 0, lambda v: (v >= 0.0) & (v <= 1.0)),
         ("sd values must be finite and >= 0", sd, 0, lambda v: (v >= 0.0) & (v < math.inf)),
     ):
-        if values is not None and not (ok := holds(values)).all():
+        # count_nonzero answers .all() without the Python wrapper of a reduction
+        if values is not None and np.count_nonzero(ok := holds(values)) != ok.size:
             k = int(np.argmin(ok))  # flat index of the first failure
             return _Fault(invariant, k % ok.shape[-1] + lag, float(values.flat[k + lag]))
     return None
@@ -333,17 +364,24 @@ class FringeScan:
         return tuple(self[k] for k in range(len(self.p)))
 
 
-def _scan_mark(template: Sequence) -> int:
-    """Index of the template's one scanned wait."""
-    marks = [i for i, e in enumerate(template.events) if isinstance(e, Wait) and e.scanned]
+def _scan_mark(template: Sequence) -> tuple[int, list[tuple[int, ...]]]:
+    """Index of the template's one scanned wait, and the shapes of its
+    array phase offsets, in one pass over the events."""
+    marks, keyed = [], []
+    for i, e in enumerate(template.events):
+        if isinstance(e, Wait):
+            if e.scanned:
+                marks.append(i)
+        elif type(e.phase_offset) is np.ndarray:
+            keyed.append(e.phase_offset.shape)
     if len(marks) != 1:
         raise SequenceError(f"template must contain exactly one scanned wait, found {len(marks)}")
-    return marks[0]
+    return marks[0], keyed
 
 
 def set_scan_value(template: Sequence, T: float) -> Sequence:
     """Return a copy of ``template`` with its scanned wait set to ``T``."""
-    mark = _scan_mark(template)
+    mark, _ = _scan_mark(template)
     events = list(template.events)
     events[mark] = replace(events[mark], duration=float(T))
     return replace(template, events=tuple(events))
@@ -374,9 +412,7 @@ def scan(template: Sequence, grid: SequenceType[float]) -> FringeScan:
         raise error(f"scan grid point {fault.index}: {fault.invariant}, got {fault.value}")
     if T[0] < 0.0:  # the least value of an increasing grid
         raise SequenceError("scan grid values must be >= 0")
-    _scan_mark(template)  # refuses a template without one scanned wait
-    offsets = [e.phase_offset for e in template.pulses]
-    keyed = [o.shape for o in offsets if isinstance(o, np.ndarray)]
+    _, keyed = _scan_mark(template)
     shape = T.shape
     if keyed:
         try:

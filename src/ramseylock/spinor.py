@@ -101,12 +101,10 @@ class FrameConvention:
 
     @property
     def free_rate(self) -> float:
-        """Angular rate of free phase winding (0 in the rotating frame)."""
+        """Angular rate of free phase winding (0 in the rotating frame).
+        The phase argument of a pulse advances at ``free_rate`` plus its
+        field's detuning."""
         return self.atomic_frequency if self.mode == "lab" else 0.0
-
-    def pulse_phase_rate(self, field: FieldParams) -> float:
-        """Rate at which the phase argument of ``field`` pulses advances."""
-        return self.free_rate + field.detuning
 
 
 #: Default frame: co-rotating with the atomic transition.
@@ -218,7 +216,10 @@ def pulse_unitary(field: FieldParams, tau: float, phi: float) -> Unitary2:
     ez = e * _phasor(phi)
     diag = complex(cos_r, -d * sin_r)
     off = -1j * o * sin_r
-    return Unitary2(e * diag, ez * off, ez.conjugate() * off, e.conjugate() * diag.conjugate())
+    u = object.__new__(Unitary2)  # the entries need no check: skip the frozen __init__
+    vars(u).update(u_gg=e * diag, u_ge=ez * off, u_eg=ez.conjugate() * off,
+                   u_ee=e.conjugate() * diag.conjugate())
+    return u
 
 
 def free_unitary(frame: FrameConvention, t: float) -> Unitary2:
@@ -249,7 +250,7 @@ def _phasor(x):
     one complex buffer, which is what ``np.exp(1j*x)`` returns, to the bit,
     without its ``exp(0)`` and complex product per element; its one sign
     rule is copied too: ``exp(i*-0.0)`` has imaginary part ``+0.0``."""
-    if not isinstance(x, np.ndarray):
+    if type(x) is float or not isinstance(x, np.ndarray):  # the first test is the quick one
         return cmath.exp(1j * x)
     z = np.empty(x.shape, dtype=complex)
     np.cos(x, out=z.real)
@@ -278,7 +279,12 @@ def apply_unitary(u: Unitary2, s: SpinState) -> SpinState:
 def excitation_probability(s: SpinState):
     """``|c_e|^2`` of an (approximately) normalized state.
 
-    Elementwise when the amplitudes are arrays.
+    Elementwise when the amplitudes are arrays.  The reported deviation is
+    the largest ``|sqrt(|c_g|^2 + |c_e|^2) - 1|``, taken from the least and
+    the largest squared norm alone: ``sqrt`` is correctly rounded, so the
+    rounded deviation grows monotonically away from 1 on either side, and
+    one of the two extremes holds the largest, to the bit.  A NaN norm is
+    both extremes, and is reported.
 
     Raises
     ------
@@ -287,15 +293,15 @@ def excitation_probability(s: SpinState):
         ``NORM_TOLERANCE``, or is not a number.
     """
     p = np.abs(s.c_e) ** 2
-    dev = np.abs(np.atleast_1d(s.c_g))  # the norm check runs in this one buffer
-    np.multiply(dev, dev, out=dev)
-    dev += p
-    np.sqrt(dev, out=dev)
-    dev -= 1.0
-    worst = np.abs(dev, out=dev).max()
+    norm2 = np.abs(np.atleast_1d(s.c_g))
+    np.multiply(norm2, norm2, out=norm2)
+    norm2 += p
+    # argmin and argmax each point at the first NaN, if there is one
+    least, most = norm2.item(norm2.argmin()), norm2.item(norm2.argmax())
+    worst = max(abs(math.sqrt(least) - 1.0), abs(math.sqrt(most) - 1.0))
     if not worst <= NORM_TOLERANCE:
         raise DegradedStateError(
-            f"state norm deviates from 1 by {float(worst)!r}, beyond {NORM_TOLERANCE}"
+            f"state norm deviates from 1 by {worst!r}, beyond {NORM_TOLERANCE}"
         )
     return p
 

@@ -1154,6 +1154,44 @@ class TestExitCodes:
         assert captured.err == ("config error: grid: the timeline clock and every pulse phase "
                                 "must be finite\n")
 
+    @pytest.mark.parametrize("change, args", [
+        (("T1=0.005", "T1=1e13"), ["--protocol", "scramble", "--sweep-phis", "2",
+                                   "--clock-during-pulses", "on"]),
+        (("frame rotating", "frame lab 1e15"), ["--protocol", "retrieve", "--sweep-phis", "16"]),
+    ], ids=["T1-1e13-clock-on", "lab-1e15"])
+    def test_a_clock_that_swallows_the_grid_is_2(self, tmp_path, capsys, change, args):
+        # both fitted a wrong fringe and exited 0 before the walker's rounding rule
+        path = tmp_path / "coarse.cfg"
+        path.write_text(table1_text().replace(*change))
+        assert main([str(path), "--seed", "3", *args]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert re.fullmatch(r"config error: interval: the timeline clock rounds a phase by up to "
+                            r"\S+ rad at the grid's last point, beyond the rounding bound of "
+                            r"1e-06 rad\n", captured.err)
+
+    @pytest.mark.parametrize("change, args", [
+        (("T1=0.005", "T1=1e6"), ["--protocol", "scramble", "--sweep-phis", "2",
+                                  "--clock-during-pulses", "on"]),
+        (("frame rotating", "frame lab 1e9"), ["--protocol", "retrieve", "--sweep-phis", "16"]),
+    ], ids=["T1-1e6-clock-on", "lab-1e9"])
+    def test_a_clock_that_resolves_the_grid_still_runs(self, tmp_path, capsys, change, args):
+        path = tmp_path / "fine.cfg"
+        path.write_text(table1_text().replace(*change))
+        assert main([str(path), "--seed", "3", *args]) == 0
+        captured = capsys.readouterr()
+        assert captured.err.startswith("phase spread over sweep: ")
+        assert len(captured.out.splitlines()) == 1 + int(args[3])
+
+    @pytest.mark.filterwarnings("error")
+    def test_grid_option_that_overflows_keeps_the_overflow_message(self, table1_path, capsys):
+        # every clock value is finite; the read pulse's 691 rad/s phase at
+        # T = 1e306 s is not, and the overflow rule speaks before the rounding rule
+        assert main([table1_path, "--grid", "0:1e306:1e305"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"config error: grid{_OVERFLOW.removeprefix('interval')}\n"
+
     @pytest.mark.filterwarnings("error")
     def test_grid_option_that_overflows_a_lab_frame_free_phase_is_2(self, tmp_path, capsys):
         # the write detuning cancels the atomic frequency: every pulse phase is 0

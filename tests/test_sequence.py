@@ -48,7 +48,7 @@ from ramseylock import (
 from ramseylock import sequence as sequence_module
 from ramseylock.cli import _read_scan_csv
 from ramseylock.protocol import _template
-from ramseylock.sequence import _scan_fault, _walk
+from ramseylock.sequence import _ROUNDING_BOUND, _Step, _scan_fault, _walk
 
 TWO_PI = 2.0 * math.pi
 LAB = FrameConvention("lab", TWO_PI * 1e4)
@@ -486,6 +486,117 @@ def _builder_templates(
 
 
 _BUILDERS = ("write_read", "scrambled", "retrieved", "double_scrambled", "double_retrieved")
+
+
+class TestOneWalk:
+    @pytest.mark.parametrize("clock", [False, True], ids=["clock-off", "clock-on"])
+    @pytest.mark.parametrize("frame", [ROTATING, LAB], ids=["rotating", "lab"])
+    @pytest.mark.parametrize("builder", _BUILDERS)
+    def test_one_walk_of_steps_and_one_unitary_per_pulse(
+        self, write_key, scramble_key, monkeypatch, builder, frame, clock
+    ):
+        """A scan and an evolve each walk the timeline once, the walk
+        returns one ``_Step`` per event, and each pulse costs one
+        ``pulse_unitary`` call, made through the module name a tracer wraps."""
+        template = _builder_templates(write_key, scramble_key, frame, clock)[builder]
+        pulses = sum(isinstance(e, PulseSpec) for e in template.events)
+        walks, unitaries = [], []
+        walk, unitary = sequence_module._walk, sequence_module.pulse_unitary
+
+        def spy_walk(*args):
+            walks.append(walk(*args))
+            return walks[-1]
+
+        monkeypatch.setattr(sequence_module, "_walk", spy_walk)
+        monkeypatch.setattr(sequence_module, "pulse_unitary",
+                            lambda *a: unitaries.append(a) or unitary(*a))
+        scan(template, np.linspace(0.0, 1e-2, 5))
+        assert (len(walks), len(unitaries)) == (1, pulses)
+        evolve(template)
+        assert (len(walks), len(unitaries)) == (2, 2 * pulses)
+        for steps in walks:
+            assert [type(step) for step in steps] == [_Step] * len(template.events)
+            assert [step.event for step in steps] == list(template.events)
+            assert steps[0]._fields == ("event", "start", "arg", "span")
+
+    @pytest.mark.parametrize("builder, shape, shapes", [
+        ("scrambled", (3,), "[(3,)]"),
+        ("retrieved", (2, 3), "[(2, 3), (2, 3)]"),
+    ])
+    def test_scan_errors_read_exactly(self, write_key, scramble_key, builder, shape, shapes):
+        grid = np.linspace(0.0, 1e-3, 5)
+        with pytest.raises(SequenceError) as info:
+            scan(build_write_read(write_key, 1e-3), grid)
+        assert str(info.value) == "template must contain exactly one scanned wait, found 0"
+        phi = np.zeros(shape)
+        template = _builder_templates(write_key, scramble_key, ROTATING, False, phi=phi)[builder]
+        with pytest.raises(SequenceError) as info:
+            scan(template, grid)
+        assert str(info.value) == (
+            f"pulse phase offsets of shapes {shapes} do not broadcast against a 5-point grid "
+            "to (N,) or (K, N)"
+        )
+
+
+#: The rounding rule's message, whatever the rounding it reports.
+_ROUNDING = r"^the timeline clock rounds a phase by up to \S+ rad at the grid's last point, " \
+    r"beyond the rounding bound of 1e-06 rad$"
+
+
+class TestRoundingRule:
+    """The walker refuses a clock too coarse for the grid: one that rounds a
+    pulse phase or a lab-frame free phase by more than 1e-6 rad."""
+
+    def test_the_bound(self):
+        assert _ROUNDING_BOUND == 1e-6
+
+    @pytest.mark.parametrize("clock", [False, True], ids=["clock-off", "clock-on"])
+    def test_a_wait_the_clock_cannot_resolve_is_refused(self, write_field, clock):
+        # at 1e6 s the 110 Hz pulse phase rounds by at most 691 * 3e6 * 2**-53 = 2.3e-7
+        # rad; at 1e13 s the clock's ulp alone is 2e-3 s
+        def timeline(T1):
+            events = (PulseSpec(write_field, 1e-4), Wait(T1), PulseSpec(write_field, 1e-4))
+            return Sequence(events, clock_during_pulses=clock)
+
+        evolve(timeline(1e6))
+        with pytest.raises(SequenceError, match=_ROUNDING):
+            timeline(1e13)
+
+    def test_a_grid_the_clock_cannot_resolve_is_refused(self, write_key):
+        template = build_write_read(write_key, 0.0, scanned=True)
+        assert scan(template, np.arange(11) * 1e3).p.shape == (11,)
+        with pytest.raises(SequenceError, match=_ROUNDING):
+            scan(template, np.arange(11) * 1e9)
+
+    def test_a_lab_frame_too_fast_for_the_grid_is_refused(self, write_key, readout_grid):
+        # the free phase over the 20 ms wait is 6e7 rad at 1e9 Hz, 6e13 rad at 1e15 Hz
+        def template(hz):
+            frame = FrameConvention("lab", TWO_PI * hz)
+            return build_write_read(write_key, 0.0, frame=frame, scanned=True)
+
+        assert scan(template(1e9), readout_grid).p.shape == readout_grid.shape
+        with pytest.raises(SequenceError, match=_ROUNDING):
+            scan(template(1e15), readout_grid)
+
+    def test_a_free_phase_alone_is_bounded(self, readout_grid):
+        # a detuning that cancels the atomic frequency keeps every pulse phase
+        # at 0, so only the frame's free winding over the scanned wait rounds
+        def template(hz):
+            field = FieldParams(TWO_PI * 565.0, -TWO_PI * hz)
+            pulse = PulseSpec(field, 1e-4)
+            frame = FrameConvention("lab", TWO_PI * hz)
+            return Sequence((pulse, Wait(0.0, scanned=True), pulse), frame=frame)
+
+        assert scan(template(1e9), readout_grid).p.shape == readout_grid.shape
+        with pytest.raises(SequenceError, match=_ROUNDING):
+            scan(template(1e15), readout_grid)
+
+    @pytest.mark.filterwarnings("error")
+    def test_an_overflow_keeps_its_message(self, write_field):
+        # the pulse after 1e13 s rounds beyond the bound; the one after 1e308 s overflows
+        pulse = PulseSpec(write_field, 1e-4)
+        with pytest.raises(SequenceError, match="every pulse phase must be finite"):
+            Sequence((pulse, Wait(1e13), pulse, Wait(1e308), pulse))
 
 
 class TestScanMatchesPerPointEvolve:

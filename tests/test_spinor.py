@@ -25,7 +25,7 @@ from ramseylock import (
     free_unitary,
     pulse_unitary,
 )
-from ramseylock.spinor import _phasor
+from ramseylock.spinor import NORM_TOLERANCE, _phasor
 
 TWO_PI = 2.0 * math.pi
 
@@ -331,6 +331,52 @@ class TestExcitationProbability:
             excitation_probability(SpinState(np.array([1.0, 1.0]), np.array([0.0, 0.01])))
         with pytest.raises(DegradedStateError):
             excitation_probability(SpinState(np.array([1.0, math.nan]), np.array([0.0, 0.0])))
+
+
+def _random_state(rng, shape, bad):
+    """Amplitudes of norm ``1 + d``, ``d`` of either sign from 1e-17 to 0.5
+    (or 0) per element, with a NaN or an inf put in when ``bad`` says so;
+    ``shape`` ``()`` gives complex scalars."""
+    size = int(np.prod(shape))
+    d = rng.choice([-1.0, 1.0], size) * 10.0 ** rng.uniform(-17.0, math.log10(0.5), size)
+    d[rng.random(size) < 0.2] = 0.0
+    theta, alpha, beta = rng.uniform(0.0, TWO_PI, (3, size))
+    c_g = (1.0 + d) * np.cos(theta) * np.exp(1j * alpha)
+    c_e = (1.0 + d) * np.sin(theta) * np.exp(1j * beta)
+    if bad:
+        amps = c_g if rng.random() < 0.5 else c_e
+        amps[rng.integers(size)] = complex(bad, 0.0) if rng.random() < 0.5 else complex(0.0, bad)
+    if shape == ():
+        return SpinState(complex(c_g[0]), complex(c_e[0]))
+    return SpinState(c_g.reshape(shape), c_e.reshape(shape))
+
+
+class TestNormDeviation:
+    """The deviation a ``DegradedStateError`` reports, taken from the least
+    and the largest squared norm, equals the elementwise maximum of
+    ``|sqrt(|c_g|^2 + |c_e|^2) - 1|`` to the bit."""
+
+    @pytest.mark.parametrize("shape", [(), (7,), (3, 5)], ids=["scalar", "(N,)", "(K, N)"])
+    @pytest.mark.parametrize("bad", [0.0, math.nan, math.inf, -math.inf],
+                             ids=["finite", "nan", "inf", "-inf"])
+    def test_reported_deviation_equals_the_elementwise_maximum(self, shape, bad):
+        rng = np.random.default_rng([len(shape), int(bad == bad), int(bad > 0)])
+        raised = 0
+        for _ in range(300):
+            s = _random_state(rng, shape, bad)
+            norm2 = np.abs(np.atleast_1d(s.c_g)) ** 2 + np.abs(s.c_e) ** 2
+            with np.errstate(invalid="ignore"):
+                worst = float(np.abs(np.sqrt(norm2) - 1.0).max())
+            if worst <= NORM_TOLERANCE:
+                assert excitation_probability(s).tobytes() == (np.abs(s.c_e) ** 2).tobytes()
+                continue
+            raised += 1
+            with pytest.raises(DegradedStateError) as info:
+                excitation_probability(s)
+            assert str(info.value) == (
+                f"state norm deviates from 1 by {worst!r}, beyond {NORM_TOLERANCE}"
+            )
+        assert raised >= 50  # both branches run
 
 
 class TestClosedFormRamsey:
