@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import io
 import math
 import sys
 
@@ -305,16 +306,17 @@ def main(argv=None) -> int:
         try:
             text = data.decode("utf-8").removeprefix("\ufeff")  # a byte-order mark
         except UnicodeDecodeError as exc:
-            line = data.count(b"\n", 0, exc.start) + 1
+            line = len((data[:exc.start].decode("utf-8") + "x").splitlines())  # as parse_config
             raise ConfigError(f"byte {data[exc.start]:#04x} is not UTF-8 text", line) from None
         cfg = _apply_overrides(parse_config(text), args)
 
-        with contextlib.ExitStack() as files:
-            input_stream = (files.enter_context(open(args.input, "r", encoding="utf-8"))
-                            if args.input else None)
-            out = (files.enter_context(open(args.output, "w", encoding="utf-8", newline=""))
-                   if args.output else sys.stdout)
-            return run(cfg, out, seed=args.seed, input_stream=input_stream)
+        out = io.StringIO() if args.output else sys.stdout
+        with open(args.input, encoding="utf-8") if args.input else contextlib.nullcontext() as src:
+            code = run(cfg, out, seed=args.seed, input_stream=src)
+        if args.output:  # opened only now: a run that stops with an error leaves it as it was
+            with open(args.output, "w", encoding="utf-8", newline="") as fh:
+                fh.write(out.getvalue())
+        return code
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -101,39 +101,21 @@ def _counts(p: np.ndarray, model: NoiseModel, rng: np.random.Generator) -> np.nd
     return rng.binomial(model.atom_count, p[..., None], size=(*p.shape, model.repeats))
 
 
-def _repeat_sum(a: np.ndarray) -> np.ndarray:
-    """Sum of the slabs ``a[0], a[1], ...`` in the order numpy's
-    ``add.reduce`` sums a contiguous axis of ``len(a)`` values: left to
-    right below 8; from 8 to 128, eight running sums (of every eighth
-    value) combined pairwise and the rest added after; above 128, the sums
-    of the two halves, split at a multiple of 8."""
-    n = len(a)
-    if n < 8:
-        return reduce(add, a)
-    if n > 128:
-        half = n // 2 - n // 2 % 8
-        return _repeat_sum(a[:half]) + _repeat_sum(a[half:])
-    whole = n - n % 8
-    r = a[:8].copy()
-    for i in range(8, whole, 8):
-        r += a[i:i + 8]
-    pairs = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-    return reduce(add, a[whole:], pairs)
-
-
 def _shot_stats(counts: np.ndarray, model: NoiseModel) -> tuple[np.ndarray, np.ndarray]:
     """Mean and sample sd (zeros for one repeat) of the excitation fractions
-    over the last, repeats axis of ``counts``.
-
-    Both sum whole slabs of one repeat each in numpy's own order
-    (:func:`_repeat_sum`), so they equal ``fractions.mean(axis=-1)`` and
-    ``fractions.std(axis=-1, ddof=1)`` bit for bit and every seeded readout
-    keeps its bits, without numpy's reduction of a few values per point;
-    the sd reuses the mean.  With one repeat every deviation is 0.
+    over the last, repeats axis of ``counts``: ``fractions.mean(axis=-1)``
+    and ``fractions.std(axis=-1, ddof=1)`` bit for bit, so every seeded
+    readout keeps its bits.  From 8 repeats they are numpy's own sums; below
+    8, where numpy adds left to right, they add whole slabs of one repeat
+    each, which skips numpy's loop over each point, and the sd reuses the mean.
     """
-    fractions = np.moveaxis(counts / float(model.atom_count), -1, 0)
-    mean = _repeat_sum(fractions) / model.repeats
-    return mean, np.sqrt(_repeat_sum((fractions - mean) ** 2) / max(model.repeats - 1, 1))
+    fractions, n = counts / float(model.atom_count), model.repeats
+    if n >= 8:
+        mean = fractions.mean(axis=-1)
+        return mean, np.sqrt(((fractions - mean[..., None]) ** 2).sum(axis=-1) / (n - 1))
+    slabs = np.moveaxis(fractions, -1, 0)
+    mean = reduce(add, slabs) / n
+    return mean, np.sqrt(reduce(add, (slabs - mean) ** 2) / max(n - 1, 1))
 
 
 def measure_scan(ideal: FringeScan, model: NoiseModel, rng: np.random.Generator) -> FringeScan:
@@ -171,7 +153,7 @@ def apply_contrast_decay(scan_data: FringeScan, tau_c: float) -> FringeScan:
     standard deviations are left untouched: they describe readout scatter,
     not the coherence envelope.
     """
-    if not (tau_c > 0.0) or math.isnan(tau_c):
+    if not tau_c > 0.0:
         raise InvalidDurationError(f"contrast time must be > 0, got {tau_c}")
     with np.errstate(over="ignore"):  # T / tau_c = inf decays fully: exp(-inf) = 0
         envelope = np.exp(-scan_data.T / tau_c)

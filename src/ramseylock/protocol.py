@@ -127,12 +127,13 @@ class WriteKey(_ValueEq):
             area = 0.5 * math.pi
         if tau is None:
             tau = area / self.field.rabi
-        PulseSpec(self.field, tau, self.phase)  # refuses a bad duration, area or phase
+        pulse = PulseSpec(self.field, tau, self.phase)  # refuses a bad duration, area or phase
         rabi_tau = self.field.rabi * tau
         area = rabi_tau if area is None else area
         if abs(area - rabi_tau) > 1e-9:
             raise ValueError(f"declared pulse area {area} inconsistent with rabi*tau = {rabi_tau}")
         object.__setattr__(self, "tau", float(tau))
+        object.__setattr__(self, "phase", pulse.phase_offset)  # frozen as the pulse holds it
         object.__setattr__(self, "pulse_area", float(area))
 
     def pulse(self) -> PulseSpec:
@@ -158,15 +159,12 @@ class ScrambleKey(_ValueEq):
     T1: float
 
     def __post_init__(self):
-        phi = None if self.phi_S is None else np.asarray(self.phi_S, dtype=float)
         # the pulse (a withheld phase checked as 0) and the wait before it refuse bad values
-        PulseSpec(self.field, self.tau, 0.0 if phi is None else phi)
+        pulse = PulseSpec(self.field, self.tau, 0.0 if self.phi_S is None else self.phi_S)
         Wait(self.T1)
-        if phi is not None:
-            if phi.ndim == 0:
-                phi = float(phi) % TWO_PI
-            else:
-                phi = phi % TWO_PI
+        if self.phi_S is not None:
+            phi = pulse.phase_offset % TWO_PI
+            if isinstance(phi, np.ndarray):
                 phi.setflags(write=False)
             object.__setattr__(self, "phi_S", phi)
 

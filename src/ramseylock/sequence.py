@@ -97,7 +97,8 @@ class PulseSpec(_ValueEq):
     engine-accumulated ``rate * t`` phase (zero for the recording field by
     convention; the key phase for scrambling fields).  It may be an array
     of key phases, stored as a read-only copy: ``(K, 1)`` puts a key axis in
-    front of a scan grid, ``(N,)`` gives one phase per grid point.
+    front of a scan grid, ``(N,)`` gives one phase per grid point.  A single
+    phase (a 0-d array or a numpy scalar too) is stored as a ``float``.
     """
 
     field: FieldParams
@@ -108,7 +109,8 @@ class PulseSpec(_ValueEq):
         if not (self.tau > 0.0) or not math.isfinite(self.tau):
             raise InvalidDurationError(f"pulse tau must be > 0, got {self.tau}")
         if np.ndim(self.phase_offset) == 0:
-            finite = math.isfinite(self.phase_offset)
+            finite = math.isfinite(self.phase_offset)  # refuses a string, which float() reads
+            object.__setattr__(self, "phase_offset", float(self.phase_offset))
         else:
             offset = np.array(self.phase_offset, dtype=float)
             offset.setflags(write=False)

@@ -787,6 +787,17 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err == "config error: line 2: byte 0xe9 is not UTF-8 text\n"
 
+    def test_undecodable_byte_in_a_cr_terminated_description_names_its_line(self, tmp_path,
+                                                                           capsys):
+        # the line parse_config would give a bad value at the same place
+        path = tmp_path / "latin1.cfg"
+        path.write_bytes(b"protocol ramsey\rframe rotating\r# caf\xe9\r")
+        assert main([str(path)]) == 2
+        assert capsys.readouterr().err == "config error: line 3: byte 0xe9 is not UTF-8 text\n"
+        path.write_bytes(b"protocol ramsey\rframe rotating\rframe caf\r")
+        assert main([str(path)]) == 2
+        assert capsys.readouterr().err.startswith("config error: line 3: ")
+
 
     def test_unconverged_fit_is_4_and_names_the_reason(self, tmp_path, capsys):
         cfg = tmp_path / "fit.cfg"
@@ -989,6 +1000,40 @@ class TestExitCodes:
         assert target.read_bytes() == b"earlier output\n"
         captured = capsys.readouterr()
         assert captured.out == "" and f"config error: {argv[0]} " in captured.err
+
+    @pytest.mark.parametrize("statements, code, error", [
+        ("protocol retrieve\ninterval T1=0.005 T2=1e300\n", 3, "planner error: no n <= "),
+        ("protocol retrieve\n", 2, "config error: protocol 'retrieve' needs interval T1="),
+    ], ids=["planner", "run"])
+    def test_failed_run_leaves_the_output_file_alone(self, tmp_path, capsys, statements, code,
+                                                     error):
+        path, target = tmp_path / "retrieve.cfg", tmp_path / "kept.csv"
+        path.write_text(table1_text().replace("protocol ramsey\ninterval T1=0.005 T2=0.005\n",
+                                              statements))
+        target.write_bytes(b"earlier output\n")
+        assert main([str(path), "--output", str(target)]) == code
+        assert target.read_bytes() == b"earlier output\n"
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith(error)
+
+    def test_rejected_scan_csv_leaves_the_output_file_alone(self, tmp_path, capsys):
+        cfg, data, target = tmp_path / "fit.cfg", tmp_path / "bad.csv", tmp_path / "kept.csv"
+        cfg.write_text("protocol fit\n")
+        data.write_text("T_s,P_e\n0.0,1.5\n")
+        target.write_bytes(b"earlier output\n")
+        assert main([str(cfg), "--input", str(data), "--output", str(target)]) == 4
+        assert target.read_bytes() == b"earlier output\n"
+        assert capsys.readouterr().err.startswith("fit error: scan CSV line 2: ")
+
+    def test_unconverged_fit_still_writes_its_rows(self, tmp_path, capsys):
+        cfg, data, target = tmp_path / "fit.cfg", tmp_path / "flat.csv", tmp_path / "fits.csv"
+        cfg.write_text("protocol fit\n")
+        data.write_text("".join(f"{t * 1e-3!r},0.5,0.01\n" for t in range(20)))
+        target.write_bytes(b"earlier output\n")
+        assert main([str(cfg), "--input", str(data), "--output", str(target)]) == 4
+        assert main([str(cfg), "--input", str(data)]) == 4
+        assert target.read_text().startswith("phi_S,amplitude,")
+        assert target.read_text() == capsys.readouterr().out
 
     def test_unparsable_description_leaves_the_output_file_alone(self, tmp_path, capsys):
         path, target = tmp_path / "bad.cfg", tmp_path / "kept.csv"

@@ -182,9 +182,9 @@ class TestShotStats:
     @pytest.mark.parametrize("batch", [(), (3,)], ids=["N", "KxN"])
     @pytest.mark.parametrize("repeats", [1, 2, 5, 7, 8, 9, 16, 127, 128, 129, 300, 8193])
     def test_bit_equal_to_numpy_mean_and_sd(self, repeats, batch, atoms):
-        # the repeat sums follow the installed numpy's order, so a numpy that
-        # changes it fails here; 8193 repeats on 2 points would show a
-        # reduction split into buffers
+        # from 8 repeats the statistics are numpy's own sums; below 8 the
+        # slab adds must match numpy's left-to-right order, which this pins;
+        # 8193 repeats on 2 points would show a reduction split into buffers
         model = NoiseModel(atom_count=atoms, repeats=repeats)
         rng = np.random.default_rng(repeats)
         counts = noise._counts(rng.uniform(size=(*batch, 2 if repeats > 300 else 41)), model, rng)
@@ -295,6 +295,9 @@ class TestContrastDecay:
         sc = FringeScan(np.array([0.0, 1.0]), np.array([0.5, 0.6]), np.zeros(2))
         with pytest.raises(InvalidDurationError):
             apply_contrast_decay(sc, 0.0)
+        for tau_c in (math.nan, -1.0):
+            with pytest.raises(InvalidDurationError, match="contrast time must be > 0"):
+                apply_contrast_decay(sc, tau_c)
 
     @settings(max_examples=200, deadline=None)
     @given(

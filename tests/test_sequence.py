@@ -1107,6 +1107,23 @@ class TestKeyPhaseAxis:
         assert write == replace(write, phase=np.array([0.1, 0.2])) != replace(write, phase=0.1)
         assert hash(write) == hash(replace(write, phase=np.array([0.1, 0.2])))
 
+    def test_phases_are_frozen_whatever_the_caller_does(self, write_field):
+        single = np.array(0.1)
+        pulse = PulseSpec(write_field, 1e-4, single)
+        first = hash(pulse)
+        single[()] = 5.0
+        assert type(pulse.phase_offset) is float and pulse.phase_offset == 0.1
+        assert hash(pulse) == first and pulse == PulseSpec(write_field, 1e-4, 0.1)
+        assert type(PulseSpec(write_field, 1e-4, np.float32(0.5)).phase_offset) is float
+        phases = np.array([0.1, 0.2])
+        write = WriteKey(write_field, 1e-4, phases)
+        first = hash(write)
+        phases[0] = 5.0
+        assert write.phase[0] == 0.1 and not write.phase.flags.writeable
+        assert hash(write) == first
+        listed = WriteKey(write_field, 1e-4, [0.1, 0.2])
+        assert listed == write and hash(listed) == first
+
     @pytest.mark.parametrize("shape", [(3,), (2, 1, 1), (2, 3)])
     def test_phases_that_do_not_broadcast_against_the_grid(self, write_key, scramble_key, shape):
         template = _builder_templates(
