@@ -11,7 +11,7 @@ point is the mean of a few repeated shots with its standard deviation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import reduce
 from operator import add
 
@@ -203,11 +203,10 @@ def monte_carlo_scramble(
     base_phase = scramble_key.phi_S if scramble_key.has_phase else 0.0
     rngs = [np.random.default_rng(c) for c in np.random.SeedSequence(model.seed).spawn(trials)]
 
-    phases = np.array(
-        [(base_phase + sample_relative_phase(model.linewidth, model.run_interval, rng)) % TWO_PI
-         for rng in rngs]
-    )
-    keyed = ScrambleKey(scramble_key.field, scramble_key.tau, phases[:, None], scramble_key.T1)
+    # the key reduces each phase mod 2*pi
+    phases = [base_phase + sample_relative_phase(model.linewidth, model.run_interval, rng)
+              for rng in rngs]
+    keyed = replace(scramble_key, phi_S=np.array(phases)[:, None])
     template = _template("attack", write_key, (keyed,), frame=frame, clock_during_pulses=False)
     # scan checks the grid and clips p; the shot statistics are valid by construction
     ideal = scan(template, T_grid)

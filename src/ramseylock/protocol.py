@@ -49,7 +49,10 @@ MAX_PLAN_INDEX = 10**6
 
 def _half_turns(n: int, detuning: float) -> float:
     """Wait ``(2n+1)*pi/|detuning|`` over which a field precesses by an odd
-    multiple of pi; refused where it is not a finite float."""
+    multiple of pi; refused for a detuning that is zero or not finite, and
+    where the wait is not a finite float."""
+    if detuning == 0.0:
+        raise NoPrecessionError("retrieval timing is undefined at zero detuning")
     if not math.isfinite(detuning):
         raise InvalidFieldError(f"detuning must be finite, got {detuning}")
     try:  # a Python int n, not a numpy one that would wrap around at 2**63
@@ -265,8 +268,6 @@ def plan_retrieval(
     """Smallest odd-pi precession wait: least ``n`` with
     ``T2 = (2n+1)*pi/|delta_S| (- tau_S when the clock runs during pulses)
     >= min_T2``, where ``tau_S`` is the scramble pulse's duration."""
-    if delta_S == 0.0:
-        raise NoPrecessionError("retrieval timing is undefined at zero detuning")
     if not min_T2 >= 0.0:
         raise ValueError(f"min_T2 must be >= 0, got {min_T2}")
     if not tau_S >= 0.0 or not math.isfinite(tau_S):
@@ -297,8 +298,6 @@ def build_retrieved(
     during pulses); ``clock_during_pulses`` sets the timeline's own clock.
     """
     d = scramble_key.field.detuning
-    if d == 0.0:
-        raise NoPrecessionError("retrieval is undefined at zero detuning")
     spent = plan.tau_S if plan.clock_during_pulses else 0.0
     _check_close(plan.T2 + spent, _half_turns(plan.n, d), "retrieval wait")
     if plan.clock_during_pulses:
@@ -344,8 +343,6 @@ def plan_double_retrieval(
     between ``T2`` and ``T4`` unless an explicit ``T2`` override is given
     (the constraints fix only the sum).
     """
-    if delta_S1 == 0.0 or delta_S2 == 0.0:
-        raise NoPrecessionError("stacked retrieval is undefined at zero detuning")
     if not tau_S2 >= 0.0 or not math.isfinite(tau_S2):
         raise InvalidDurationError(f"tau_S2 must be >= 0, got {tau_S2}")
     if not (min_T3 >= 0.0 and min_T2_plus_T4 >= 0.0):
@@ -387,8 +384,6 @@ def build_double_retrieved(
     wall-clock timeline), ``tau_S2`` and ``T2`` against the second key.
     """
     d1, d2 = scramble_1.field.detuning, scramble_2.field.detuning
-    if d1 == 0.0 or d2 == 0.0:
-        raise NoPrecessionError("stacked retrieval is undefined at zero detuning")
     _check_close(plan.T3, _half_turns(plan.n, d2), "retrieve-2 wait")
     correction = 2.0 * plan.tau_S2 if plan.clock_during_pulses else 0.0
     total = plan.T2 + plan.T3 + plan.T4 + correction

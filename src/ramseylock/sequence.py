@@ -2,9 +2,9 @@
 
 A :class:`Sequence` is an ordered list of :class:`Wait` and
 :class:`PulseSpec` events plus a frame convention.  Evolution applies the
-free-evolution unitary for every wait and the pulse unitary for every
-pulse, in timeline order, which reproduces the right-to-left operator
-products of multi-pulse interferometry.
+pulse unitary for every pulse and, in the lab frame, the free winding
+over every span of the clock, in timeline order, which reproduces the
+right-to-left operator products of multi-pulse interferometry.
 
 Phase bookkeeping: the phase argument handed to pulse ``k`` is
 ``rate * t_k + phase_offset`` where ``rate`` is the field's phase rate in
@@ -27,13 +27,13 @@ clock, the later pulse phases and the state become arrays of the grid's
 shape, and every later event costs one numpy operation over the grid.
 
 Inputs are checked once, where they enter.  :class:`Wait` checks its
-duration, so the walker skips ``free_unitary``'s check, and the walker
-holds the one overflow rule: it refuses a clock value, pulse phase or free
-phase that is not finite as it makes it, so a scan walks once.  Scan data
-has one checker, ``_scan_fault``, which :class:`FringeScan`, :func:`scan`,
-the scan CSV reader and the readout run and raise their own errors from;
-it never clips.  Scan data made valid by construction skips it via
-``_trusted``.
+duration, so the engine winds the frame with ``_phasor`` and skips
+``free_unitary`` and its check, and the walker holds the one overflow
+rule: it refuses a clock value, pulse phase or free phase that is not
+finite as it makes it, so a scan walks once.  Scan data has one checker,
+``_scan_fault``, which :class:`FringeScan`, :func:`scan`, the scan CSV
+reader and the readout run and raise their own errors from; it never
+clips.  Scan data made valid by construction skips it via ``_trusted``.
 
 Key-phase axis: a pulse's ``phase_offset`` may also be an array, which
 broadcasts against the grid the same way.  Shape ``(K, 1)`` adds a leading
@@ -59,7 +59,7 @@ from .spinor import (
     FieldParams,
     FrameConvention,
     SpinState,
-    _winding,
+    _phasor,
     excitation_probability,
     pulse_unitary,
 )
@@ -266,7 +266,7 @@ def _run(
             u = pulse_unitary(e.field, e.tau, arg)
             c_g, c_e = u.u_gg * c_g + u.u_ge * c_e, u.u_eg * c_g + u.u_ee * c_e
         if rate != 0.0 and span is not None:
-            z = _winding(rate, span)
+            z = _phasor(0.5 * rate * span)
             c_g, c_e = z * c_g, z.conjugate() * c_e
     return SpinState(c_g, c_e)
 
@@ -275,10 +275,10 @@ def evolve(seq: Sequence, initial: SpinState = GROUND, start_time: float = 0.0) 
     """Run the timeline on ``initial`` and return the final state.
 
     Applies ``pulse_unitary`` (with the compiled phase argument) for each
-    pulse and ``free_unitary`` for each wait, and for each pulse while the
-    clock runs, in timeline order, on complex scalars.  Chaining: evolving
-    sequence A and then sequence B with ``start_time = A.end_time()``
-    equals evolving their concatenation.
+    pulse and, in the lab frame only, the winding of ``free_unitary`` over
+    each wait, and over each pulse while the clock runs, in timeline order,
+    on complex scalars.  Chaining: evolving sequence A and then sequence B
+    with ``start_time = A.end_time()`` equals evolving their concatenation.
     """
     return _run(seq, initial, start_time)
 

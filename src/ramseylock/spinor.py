@@ -4,10 +4,10 @@ A spin with ground state ``|g>`` and excited state ``|e>`` is driven by
 rectangular field pulses.  Each pulse of a field with Rabi frequency
 ``rabi`` and detuning ``detuning`` (both angular, rad/s) rotates the state
 by the 2x2 unitary :func:`pulse_unitary`; between pulses the state picks up
-free-evolution phases through :func:`free_unitary`.  Everything here is a
-pure function of its inputs and uses plain double-precision complex
-scalars, so the unitarity of every operator can be checked to machine
-precision.
+the free-evolution phases of the diagonal :func:`free_unitary`, the
+identity in the rotating frame.  Everything here is a pure function of its
+inputs and uses plain double-precision complex scalars, so the unitarity
+of every operator can be checked to machine precision.
 
 The phase argument of :func:`pulse_unitary` and the interval of
 :func:`free_unitary` may also be float arrays; the operator entries then
@@ -232,15 +232,8 @@ def free_unitary(frame: FrameConvention, t: float) -> Unitary2:
         raise InvalidDurationError(f"free-evolution interval must be finite and >= 0, got {t}")
     if frame.free_rate == 0.0:
         return Unitary2.identity()
-    e = _winding(frame.free_rate, t)
+    e = _phasor(0.5 * frame.free_rate * t)
     return Unitary2(e, 0.0j, 0.0j, e.conjugate())
-
-
-def _winding(rate: float, t: float) -> complex:
-    """``exp(i*rate*t/2)``, the phase factor of ``c_g`` over an interval ``t``
-    (float or array, already checked) of free winding at ``rate``; ``c_e``
-    takes its conjugate."""
-    return _phasor(0.5 * rate * t)
 
 
 def _phasor(x):

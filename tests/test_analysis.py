@@ -663,6 +663,13 @@ class TestFitDiagnostics:
         with pytest.raises(ValueError):
             FitResult(0.5, 110.0, 0.0, 0.5, math.inf, 0.0, converged, 0.3, 3, reason)
 
+    @pytest.mark.parametrize("amplitude, rms_residual, field", [
+        (-1e-300, 0.0, "amplitude"), (0.5, -1e-300, "rms_residual"),
+    ])
+    def test_a_negative_amplitude_or_residual_is_refused(self, amplitude, rms_residual, field):
+        with pytest.raises(ValueError, match=f"^{field} must be >= 0"):
+            FitResult(amplitude, 110.0, 0.0, 0.5, math.inf, rms_residual, True, 0.3, 3, "step_tol")
+
 
 def _relative_full_step(T, p, weights, x):
     """The relative size ``max |step| / max(|x|, 1)`` of the full
@@ -850,6 +857,42 @@ class TestFitMany:
         assert list(reasons) == [alone[2][0], "singular"]
         assert iterations[1] == 1 and np.array_equal(params[1], start[1])
         assert iterations[0] == alone[1][0] and np.array_equal(params[0], alone[0][0])
+        # a relaxation at rate 0 and frequency 0: its offset and a columns
+        # are equal, so the batch's LU meets an exactly zero pivot, and the
+        # other rows are solved again with that one set aside
+        T = 1e-4 * np.arange(201)
+        P = np.array([0.5 - 0.3 * np.exp(-T / 0.1), 0.5 + 0.4 * np.cos(TWO_PI * 110.0 * T + 0.3)])
+        start = np.array([[0.5, 0.1, 0.0, 0.0, 0.0],
+                          [0.5, 0.4 * math.cos(0.3), -0.4 * math.sin(0.3), 0.0, 110.0]])
+        with mock.patch.object(np.linalg, "det", wraps=np.linalg.det) as det:
+            params, iterations, reasons = analysis._gauss_newton(T, P, weights, start)
+        assert det.called
+        alone = analysis._gauss_newton(T, P[1:], weights[1:], start[1:])
+        assert list(reasons) == ["singular", alone[2][0]] == ["singular", "step_tol"]
+        assert iterations[0] == 1 and np.array_equal(params[0], start[0])
+        assert iterations[1] == alone[1][0] and params[1].tobytes() == alone[0][0].tobytes()
+
+    @pytest.mark.parametrize("T0", [0.0, 5e-3])
+    def test_a_mirrored_solution_folds_to_the_same_fit(self, T0):
+        # (b, f) -> (-b, -f) is the same curve: fit_many folds it back to a
+        # positive frequency, bit for bit, on the scan's clock and carried to T = 0
+        T = T0 + 1e-4 * np.arange(201)
+        p = 0.5 + 0.3 * np.exp(-T / 0.03) * np.cos(TWO_PI * 110.0 * T + 1.0)
+        noisy = np.clip(p + 1e-3 * np.random.default_rng(1).standard_normal(201), 0.0, 1.0)
+        sd = np.array([np.zeros(201), np.full(201, 1e-3)])
+        scan_data = FringeScan(T, np.array([p, noisy]), sd)
+        gauss_newton = analysis._gauss_newton
+
+        def mirrored(*args):
+            params, iterations, reasons = gauss_newton(*args)
+            params[:, [2, 4]] *= -1.0
+            assert (params[:, 4] < 0.0).all()
+            return params, iterations, reasons
+
+        with mock.patch.object(analysis, "_gauss_newton", mirrored):
+            folded = analysis.fit_many(scan_data)
+        for got, expected in zip(folded, analysis.fit_many(scan_data)):
+            _assert_same_fit(got, expected)
 
     def test_one_dimensional_scan_is_a_batch_of_one(self):
         T = np.linspace(0.0, 20e-3, 201)

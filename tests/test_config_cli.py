@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from ramseylock import (
     ConfigError,
+    DegradedStateError,
     FieldParams,
     FitError,
     FringeScan,
@@ -1041,6 +1042,22 @@ class TestExitCodes:
         target.write_bytes(b"earlier output\n")
         assert main([str(path), "--output", str(target)]) == 2
         assert target.read_bytes() == b"earlier output\n"
+
+    def test_a_degraded_state_is_1_and_leaves_the_output_file_alone(
+        self, table1_path, tmp_path, capsys, monkeypatch
+    ):
+        # no description reaches a norm drift beyond the tolerance, so the scan fakes one
+        def degraded(template, grid):
+            raise DegradedStateError("state norm deviates from 1 by 0.5, beyond 1e-06")
+
+        monkeypatch.setattr(cli, "scan", degraded)
+        target = tmp_path / "kept.csv"
+        target.write_bytes(b"earlier output\n")
+        assert main([table1_path, "--output", str(target)]) == 1
+        assert target.read_bytes() == b"earlier output\n"
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: state norm deviates from 1 by 0.5, beyond 1e-06\n"
 
     @pytest.mark.parametrize("seed, noise_seed, bad", [(-1, 0, -1), (None, -2, -2)])
     def test_negative_seed_in_run_is_a_config_error(self, seed, noise_seed, bad):

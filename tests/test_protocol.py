@@ -126,6 +126,9 @@ class TestPlanRetrieval:
     def test_zero_detuning_rejected(self):
         with pytest.raises(NoPrecessionError):
             plan_retrieval(0.0, 1e-3)
+        # the odd-half-turn rule refuses it, once the minimum has passed its check
+        with pytest.raises(ValueError, match="min_T2 must be >= 0"):
+            plan_retrieval(0.0, -1.0)
 
     def test_nan_minimum_rejected(self):
         # not reported as infeasible: NaN is no minimum at all
@@ -215,6 +218,9 @@ class TestPlanDoubleRetrieval:
             plan_double_retrieval(0.0, TWO_PI * 100.0, 1e-3)
         with pytest.raises(NoPrecessionError):
             plan_double_retrieval(TWO_PI * 100.0, 0.0, 1e-3)
+        # the odd-half-turn rule refuses it, once the duration has passed its check
+        with pytest.raises(InvalidDurationError, match="tau_S2 must be >= 0"):
+            plan_double_retrieval(0.0, TWO_PI * 100.0, -1e-3)
 
     def test_unreachable_minimum_is_infeasible(self):
         with pytest.raises(InfeasiblePlanError):
@@ -480,6 +486,15 @@ class TestBuildRetrieved:
         with pytest.raises(PlanMismatchError):
             build_retrieved(write_key, scramble_key, bad, 1e-3)
 
+    def test_a_hand_made_plan_for_a_resonant_key_is_refused(self, write_key, scramble_key):
+        resonant = replace(scramble_key, field=FieldParams(scramble_key.field.rabi, 0.0))
+        with pytest.raises(NoPrecessionError):
+            build_retrieved(write_key, resonant, RetrievalPlan(n=0, T2=5e-3), 1e-3)
+
+    def test_a_negative_wait_is_no_plan(self):
+        with pytest.raises(ValueError, match="T2 must be >= 0, got -1.0"):
+            RetrievalPlan(n=0, T2=-1.0)
+
     def test_fringe_recovered_independent_of_key(self, write_key, scramble_key, readout_grid):
         plan = plan_retrieval(scramble_key.field.detuning, 1e-3)
         ref = scan(
@@ -673,6 +688,15 @@ class TestDoubleRetrieved:
         bad = replace(plan, tau_S2=math.nan, T4=plan.T4 + 1e-3, clock_during_pulses=True)
         with pytest.raises(PlanMismatchError, match="sum constraint"):
             build_double_retrieved(write_key, make_1(0.0), make_2(0.0), bad, 1e-3)
+
+    @pytest.mark.parametrize("resonant", [0, 1])
+    def test_a_hand_made_plan_for_a_resonant_key_is_refused(self, write_key, wide_keys,
+                                                             resonant):
+        make_1, make_2, plan = wide_keys
+        keys = [make_1(0.0), make_2(0.0)]
+        keys[resonant] = replace(keys[resonant], field=FieldParams(keys[resonant].field.rabi, 0.0))
+        with pytest.raises(NoPrecessionError):
+            build_double_retrieved(write_key, *keys, plan, 1e-3)
 
     def test_plan_key_mismatches_rejected(self, write_key, wide_keys):
         make_1, make_2, plan = wide_keys

@@ -70,6 +70,10 @@ class TestValidation:
         with pytest.raises(SequenceError):
             Sequence((Wait(1e-3),))
 
+    def test_sequence_refuses_an_event_that_is_no_wait_or_pulse(self, write_field):
+        with pytest.raises(SequenceError, match="^unsupported event type float$"):
+            Sequence((PulseSpec(write_field, 1e-3), 1e-3))
+
     def test_pulse_needs_positive_duration(self, write_field):
         with pytest.raises(ValueError):
             PulseSpec(write_field, 0.0)
@@ -451,6 +455,12 @@ class TestScan:
         with pytest.raises(SequenceError):
             scan(template, [2e-3, 1e-3])
 
+    def test_a_grid_that_starts_below_zero_is_refused(self, write_key):
+        # the CLI refuses such a grid when it parses it; the library refuses it here
+        template = build_write_read(write_key, 0.0, scanned=True)
+        with pytest.raises(SequenceError, match="^scan grid values must be >= 0$"):
+            scan(template, [-1e-3, 1e-3])
+
     def test_set_scan_value_replaces_only_marked_wait(self, write_key):
         template = build_write_read(write_key, 0.0, scanned=True)
         seq = set_scan_value(template, 4e-3)
@@ -714,6 +724,10 @@ class TestFringeScan:
         arrays[field][1] = bad
         with pytest.raises(ValueError, match="finite"):
             FringeScan(arrays["T"], arrays["p"], arrays["sd"])
+
+    def test_rejects_an_empty_grid(self):
+        with pytest.raises(ValueError, match="^scan needs at least one point$"):
+            FringeScan([], [], [])
 
     def test_rejects_nonincreasing_times(self):
         with pytest.raises(ValueError):

@@ -55,6 +55,11 @@ class TestEffectiveRabi:
         with pytest.raises(InvalidFieldError):
             FieldParams(-5.0, 1.0)
 
+    @pytest.mark.parametrize("detuning", [math.inf, -math.inf, math.nan])
+    def test_non_finite_detuning_rejected(self, detuning):
+        with pytest.raises(InvalidFieldError, match="^detuning must be finite, got "):
+            FieldParams(1.0, detuning)
+
 
 class TestPulseUnitary:
     def test_resonant_pi_pulse_swaps_populations(self):
@@ -118,6 +123,10 @@ class TestFreeUnitary:
         with pytest.raises(ValueError, match="rotating frame needs atomic_frequency 0"):
             FrameConvention("rotating", omega)
         assert FrameConvention("rotating", 0.0).free_rate == 0.0
+
+    def test_an_unknown_mode_is_refused(self):
+        with pytest.raises(ValueError, match="^mode must be 'rotating' or 'lab', got 'bogus'$"):
+            FrameConvention("bogus")
 
     def test_lab_mode_quarter_turn(self):
         frame = FrameConvention("lab", TWO_PI * 1000.0)
