@@ -27,6 +27,7 @@ scramble stage injects and how completely a retrieve stage removes it.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence as SequenceType
@@ -265,12 +266,17 @@ def _coarse_frequency(T, p, weights):
     else:
         scale = 2 * (COARSE_GRID_SIZE - 1) * step
         ssr = _grid_ssr(T, p, weights, 1.0 / scale, COARSE_GRID_SIZE)
-    rows, k, last = np.arange(len(p)), ssr.argmin(axis=-1), ssr.shape[-1] - 1
-    left, mid = ssr[rows, np.abs(k - 1)], ssr[rows, k]
-    right = ssr[rows, last - np.abs(last - k - 1)]
-    curv = left - 2.0 * mid + right
-    shift = np.divide(left - right, 2.0 * curv, out=np.zeros_like(mid), where=curv > 0.0)
-    return (k + shift.clip(-0.5, 0.5)) / scale
+    bins, width = ssr.argmin(axis=-1).tolist(), ssr.shape[-1]
+    last = width - 1
+    # the SSR of each row at k - 1, its least bin k and k + 1, mirrored at the ends
+    around = ssr.take([row * width + j for row, k in enumerate(bins)
+                       for j in (abs(k - 1), k, last - abs(last - k - 1))]).tolist()
+    seeds = []
+    for k, left, mid, right in zip(bins, around[::3], around[1::3], around[2::3]):
+        curv = left - 2.0 * mid + right
+        shift = min(max((left - right) / (2.0 * curv), -0.5), 0.5) if curv > 0.0 else 0.0
+        seeds.append((k + shift) / scale)
+    return np.array(seeds)
 
 
 def _rate_seeds(T, p, weights, freq):
@@ -293,10 +299,13 @@ def _rate_seeds(T, p, weights, freq):
     c, s, cp, sp = (terms[:, :4] @ env.T).transpose(1, 0, 2)
     cc, cs, ss = (terms[:, 4:] @ (env * env).T).transpose(1, 0, 2)
     P, total, a, b, ssr = _normal_solve(w2, p, c.copy(), s.copy(), cc, cs, ss, cp, sp)
-    rows, pick = np.arange(len(p)), ssr.argmin(axis=-1)
-    a, b = a[rows, pick], b[rows, pick]
-    offset = (P[:, 0] - c[rows, pick] * a - s[rows, pick] * b) / total[:, 0]
-    return np.stack([offset, a, b, rates[pick], freq], axis=-1), (env[pick], cos_t, sin_t)
+    picks, rate = ssr.argmin(axis=-1).tolist(), rates.tolist()
+    at = [row * len(rate) + j for row, j in enumerate(picks)]
+    a, b, c, s = (v.take(at).tolist() for v in (a, b, c, s))
+    offset = [(P_k - c_k * a_k - s_k * b_k) / total_k for P_k, total_k, c_k, s_k, a_k, b_k in zip(
+        P[:, 0].tolist(), total[:, 0].tolist(), c, s, a, b)]
+    starts = np.array([offset, a, b, [rate[j] for j in picks], freq.tolist()])
+    return starts.T, (env[picks], cos_t, sin_t)
 
 
 def _normal_steps(jac, resid):
@@ -322,27 +331,29 @@ def _gauss_newton(T, p, weights, params, trig=None):
     """Refine (offset, a, b, rate, freq) of each row of ``params`` against
     the same row of ``p``; returns (params, iterations, reasons), with each
     reason one of ``step_tol``, ``ssr_flat``, ``halving_exhausted``,
-    ``max_iter`` and ``singular``.  The rows step together, and a row leaves
-    the batch when it stops, so no row's outcome depends on another's.
-    A full step below STEP_TOLERANCE is taken unevaluated (``step_tol``);
-    any other is halved until the SSR does not rise, or until it promises
-    no reduction beyond the SSR's rounding ``N * eps * SSR``, where the row
-    stops (``ssr_flat``).  Each iterate is evaluated once, the start from
-    ``trig`` when given: its env, cos and sin (see ``_evaluate``), which
-    are overwritten."""
+    ``max_iter`` and ``singular``.  The rows step together on (K, N) and
+    (K, 5) arrays, and a row leaves the batch when it stops, so no row's
+    outcome depends on another's.  Whether and why a row stops is decided
+    on Python floats: once per iteration from its SSR, the reduction its
+    step promises and the step's relative size, and once per trial from
+    the trial's SSR.  A full step below STEP_TOLERANCE is taken unevaluated
+    (``step_tol``); any other is halved until the SSR does not rise, or
+    until it promises no reduction beyond the SSR's rounding
+    ``N * eps * SSR``, where the row stops (``ssr_flat``).  Each iterate is
+    evaluated once, the start from ``trig`` when given: its env, cos and
+    sin (see ``_evaluate``), which are overwritten."""
     params = np.array(params, dtype=float)
-    iterations = np.full(len(params), MAX_ITERATIONS)
-    reasons = np.full(len(params), "max_iter", dtype=object)
-    rows, x = np.arange(len(params)), params.copy()
+    iterations, reasons = [MAX_ITERATIONS] * len(params), ["max_iter"] * len(params)
+    rows, x = list(range(len(params))), params.copy()
     evaluated = _evaluate(T, p, weights, x, trig)
-    neg_T, two_pi_T, rounding = -T, TWO_PI * T, T.size * np.finfo(float).eps
+    neg_T, two_pi_T, rounding = -T, TWO_PI * T, T.size * float(np.finfo(float).eps)
     columns = np.empty((5, *p.shape))  # d(resid)/d(offset, a, b, rate, freq) of the live rows
 
     def pick(a):  # the pending rows of ``a``: ``take`` is cheaper than fancy indexing
-        return a if pending.size == len(x) else a.take(pending, 0)
+        return a if len(pending) == len(x) else a.take(pending, 0)
 
     for iteration in range(1, MAX_ITERATIONS + 1):
-        if not rows.size:
+        if not rows:
             break
         env, cos_t, sin_t, osc, resid, ssr = evaluated or _evaluate(T, p, weights, x)
         jac = columns[:, :len(x)]
@@ -356,51 +367,60 @@ def _gauss_newton(T, p, weights, params, trig=None):
         np.subtract(np.multiply(x[:, 2:3], cos_t, out=cos_t),
                     np.multiply(x[:, 1:2], sin_t, out=sin_t), out=jac[4])
         jac[4] *= np.multiply(two_pi_T, ew, out=ew)
+        ssr = ssr.tolist()
         # a row whose residual is not finite has no least-squares step
-        singular = ~np.isfinite(ssr)
-        if singular.any():
-            jac[:, singular] = 0.0
-            resid[singular] = 0.0
+        bad = [k for k, value in enumerate(ssr) if not math.isfinite(value)]
+        if bad:
+            jac[:, bad] = 0.0
+            resid[bad] = 0.0
         step, reduction = _normal_steps(jac, resid)
-        singular |= np.isnan(reduction)
-        rel_step = (np.abs(step) / np.maximum(np.abs(x), 1.0)).max(axis=1)
-        converged = ~singular & (rel_step < STEP_TOLERANCE)
-        x[converged] += step[converged]
+        reduction = reduction.tolist()
+        rel_step = (np.abs(step) / np.maximum(np.abs(x), 1.0)).max(axis=1).tolist()
+        stopped, pending = {}, []
+        for k, (value, promised, size) in enumerate(zip(ssr, reduction, rel_step)):
+            if not math.isfinite(value) or math.isnan(promised):
+                stopped[k] = "singular"
+            elif size < STEP_TOLERANCE:
+                stopped[k] = "step_tol"
+            else:
+                pending.append(k)
+        converged = [k for k, reason in stopped.items() if reason == "step_tol"]
+        if converged:
+            x[converged] += step[converged]
 
         # a step scaled by s promises s * (2 - s) times the full one's
         # reduction; ``pick`` gathers the pending rows, unless that is all
-        pending = (~(singular | converged)).nonzero()[0]
-        flat, floor = np.zeros(len(x), dtype=bool), rounding * ssr
         shrink, evaluated = 1.0, None
-        while pending.size and shrink > 2.0**-30:  # at most 30 trials
-            level = shrink * (2.0 - shrink) * pick(reduction) <= pick(floor)
-            flat[pending[level]] = True
-            pending = pending[~level]
-            if not pending.size:
+        while pending and shrink > 2.0**-30:  # at most 30 trials
+            promise = shrink * (2.0 - shrink)
+            stopped.update((k, "ssr_flat") for k in pending
+                           if promise * reduction[k] <= rounding * ssr[k])
+            pending = [k for k in pending if k not in stopped]
+            if not pending:
                 break
             trial = pick(x) + shrink * pick(step)
             # a trial may overflow: an SSR that is not finite fails the test below
             with np.errstate(over="ignore", invalid="ignore"):
                 result = _evaluate(T, pick(p), pick(weights), trial)
-            ok = result[5] <= pick(ssr)
-            x[pending[ok]] = trial[ok]
+            ok = [value <= ssr[k] for k, value in zip(pending, result[5].tolist())]
+            if all(ok) and len(pending) == len(x):
+                x = trial  # every row took it
+            else:
+                x[list(itertools.compress(pending, ok))] = trial[ok]
             # the next iteration reuses it when every row took its first trial
-            evaluated = result if shrink == 1.0 and ok.all() else None
-            pending, shrink = pending[~ok], 0.5 * shrink
-        done = singular | converged | flat
-        done[pending] = True
-        if done.any():
-            stopped = rows[done]
-            params[stopped] = x[done]
-            iterations[stopped] = iteration
-            reasons[rows[pending]] = "halving_exhausted"
-            reasons[rows[converged]] = "step_tol"
-            reasons[rows[flat]] = "ssr_flat"
-            reasons[rows[singular]] = "singular"
-            keep = ~done
-            rows, x, p, weights = rows[keep], x[keep], p[keep], weights[keep]
+            evaluated = result if shrink == 1.0 and all(ok) else None
+            pending, shrink = [k for k, took in zip(pending, ok) if not took], 0.5 * shrink
+        stopped.update(dict.fromkeys(pending, "halving_exhausted"))
+        if stopped:
+            done = sorted(stopped)
+            params[[rows[k] for k in done]] = x[done]
+            for k in done:
+                iterations[rows[k]], reasons[rows[k]] = iteration, stopped[k]
+            keep = [k for k in range(len(rows)) if k not in stopped]
+            rows = [rows[k] for k in keep]
+            x, p, weights = x.take(keep, 0), p.take(keep, 0), weights.take(keep, 0)
     params[rows] = x
-    return params, iterations, reasons
+    return params, np.array(iterations, dtype=int), np.array(reasons, dtype=object)
 
 
 def fit_many(scan: FringeScan) -> list[FitResult]:

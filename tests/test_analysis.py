@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ramseylock import analysis
@@ -281,6 +281,126 @@ def _expression_periodogram_ssr(p, weights, size):
     return _expression_spectral_ssr(w2, p, z1, z2, zp)
 
 
+def _expression_coarse_frequency(T, p, weights):
+    """``analysis._coarse_frequency`` with each row's vertex formed on
+    ``(K,)`` arrays: the oracle for its float form."""
+    dt = np.diff(T)
+    step = float(dt.min())
+    if (np.abs(dt - step) <= analysis.UNIFORM_TOLERANCE * step).all():
+        size = analysis._fast_length(
+            max(analysis.PAD_FACTOR * T.size, 2 * analysis.COARSE_GRID_SIZE))
+        scale = size * step
+        ssr = analysis._periodogram_ssr(p, weights, size)
+    else:
+        scale = 2 * (analysis.COARSE_GRID_SIZE - 1) * step
+        ssr = analysis._grid_ssr(T, p, weights, 1.0 / scale, analysis.COARSE_GRID_SIZE)
+    rows, k, last = np.arange(len(p)), ssr.argmin(axis=-1), ssr.shape[-1] - 1
+    left, mid = ssr[rows, np.abs(k - 1)], ssr[rows, k]
+    right = ssr[rows, last - np.abs(last - k - 1)]
+    curv = left - 2.0 * mid + right
+    shift = np.divide(left - right, 2.0 * curv, out=np.zeros_like(mid), where=curv > 0.0)
+    return (k + shift.clip(-0.5, 0.5)) / scale
+
+
+def _expression_rate_seeds(T, p, weights, freq):
+    """``analysis._rate_seeds`` with each row's start picked and formed on
+    ``(K,)`` arrays: the oracle for its float form."""
+    rates = np.array(analysis._RATE_SEEDS) / (T[-1] - T[0])
+    env = np.exp(-rates[:, None] * T)
+    arg = TWO_PI * freq[:, None] * T
+    cos_t, sin_t = np.cos(arg), np.sin(arg)
+    w2 = weights * weights
+    terms = np.empty((len(p), 7, T.size))  # w2 * (cos, sin, p cos, p sin, cos^2, cos sin, sin^2)
+    wc, ws = np.multiply(w2, cos_t, out=terms[:, 0]), np.multiply(w2, sin_t, out=terms[:, 1])
+    np.multiply(terms[:, :2], p[:, None], out=terms[:, 2:4])
+    np.multiply(wc, cos_t, out=terms[:, 4])
+    np.multiply(wc, sin_t, out=terms[:, 5])
+    np.multiply(ws, sin_t, out=terms[:, 6])
+    c, s, cp, sp = (terms[:, :4] @ env.T).transpose(1, 0, 2)
+    cc, cs, ss = (terms[:, 4:] @ (env * env).T).transpose(1, 0, 2)
+    P, total, a, b, ssr = analysis._normal_solve(w2, p, c.copy(), s.copy(), cc, cs, ss, cp, sp)
+    rows, pick = np.arange(len(p)), ssr.argmin(axis=-1)
+    a, b = a[rows, pick], b[rows, pick]
+    offset = (P[:, 0] - c[rows, pick] * a - s[rows, pick] * b) / total[:, 0]
+    return np.stack([offset, a, b, rates[pick], freq], axis=-1), (env[pick], cos_t, sin_t)
+
+
+def _expression_gauss_newton(T, p, weights, params, trig=None):
+    """``analysis._gauss_newton`` with every row's stop decided on ``(K,)``
+    masks and index arrays: the oracle for its float form."""
+    params = np.array(params, dtype=float)
+    iterations = np.full(len(params), analysis.MAX_ITERATIONS)
+    reasons = np.full(len(params), "max_iter", dtype=object)
+    rows, x = np.arange(len(params)), params.copy()
+    evaluated = analysis._evaluate(T, p, weights, x, trig)
+    neg_T, two_pi_T, rounding = -T, TWO_PI * T, T.size * np.finfo(float).eps
+    columns = np.empty((5, *p.shape))  # d(resid)/d(offset, a, b, rate, freq) of the live rows
+
+    def pick(a):  # the pending rows of ``a``: ``take`` is cheaper than fancy indexing
+        return a if pending.size == len(x) else a.take(pending, 0)
+
+    for iteration in range(1, analysis.MAX_ITERATIONS + 1):
+        if not rows.size:
+            break
+        env, cos_t, sin_t, osc, resid, ssr = evaluated or analysis._evaluate(T, p, weights, x)
+        jac = columns[:, :len(x)]
+        ew = np.multiply(env, weights, out=env)
+        jac[0] = weights
+        np.multiply(ew, cos_t, out=jac[1])
+        np.multiply(ew, sin_t, out=jac[2])
+        np.multiply(neg_T, ew, out=jac[3])
+        jac[3] *= osc
+        # cos, sin and env are spent: column 4 is formed over them
+        np.subtract(np.multiply(x[:, 2:3], cos_t, out=cos_t),
+                    np.multiply(x[:, 1:2], sin_t, out=sin_t), out=jac[4])
+        jac[4] *= np.multiply(two_pi_T, ew, out=ew)
+        # a row whose residual is not finite has no least-squares step
+        singular = ~np.isfinite(ssr)
+        if singular.any():
+            jac[:, singular] = 0.0
+            resid[singular] = 0.0
+        step, reduction = analysis._normal_steps(jac, resid)
+        singular |= np.isnan(reduction)
+        rel_step = (np.abs(step) / np.maximum(np.abs(x), 1.0)).max(axis=1)
+        converged = ~singular & (rel_step < analysis.STEP_TOLERANCE)
+        x[converged] += step[converged]
+
+        # a step scaled by s promises s * (2 - s) times the full one's
+        # reduction; ``pick`` gathers the pending rows, unless that is all
+        pending = (~(singular | converged)).nonzero()[0]
+        flat, floor = np.zeros(len(x), dtype=bool), rounding * ssr
+        shrink, evaluated = 1.0, None
+        while pending.size and shrink > 2.0**-30:  # at most 30 trials
+            level = shrink * (2.0 - shrink) * pick(reduction) <= pick(floor)
+            flat[pending[level]] = True
+            pending = pending[~level]
+            if not pending.size:
+                break
+            trial = pick(x) + shrink * pick(step)
+            # a trial may overflow: an SSR that is not finite fails the test below
+            with np.errstate(over="ignore", invalid="ignore"):
+                result = analysis._evaluate(T, pick(p), pick(weights), trial)
+            ok = result[5] <= pick(ssr)
+            x[pending[ok]] = trial[ok]
+            # the next iteration reuses it when every row took its first trial
+            evaluated = result if shrink == 1.0 and ok.all() else None
+            pending, shrink = pending[~ok], 0.5 * shrink
+        done = singular | converged | flat
+        done[pending] = True
+        if done.any():
+            stopped = rows[done]
+            params[stopped] = x[done]
+            iterations[stopped] = iteration
+            reasons[rows[pending]] = "halving_exhausted"
+            reasons[rows[converged]] = "step_tol"
+            reasons[rows[flat]] = "ssr_flat"
+            reasons[rows[singular]] = "singular"
+            keep = ~done
+            rows, x, p, weights = rows[keep], x[keep], p[keep], weights[keep]
+    params[rows] = x
+    return params, iterations, reasons
+
+
 def _reference_fit(sc):
     with mock.patch.object(analysis, "_coarse_frequency", _grid_seed):
         return fit_damped_sinusoid(sc)
@@ -552,6 +672,49 @@ class TestPeriodogramSeed:
             seed = analysis._coarse_frequency(T, np.full((1, T.size), 0.5), np.ones((1, T.size)))
         assert seed.tolist() == [0.0 if end == "zero" else 4096.0]
         assert sizes == [1600]
+
+    @settings(max_examples=30, deadline=None)
+    @given(extra=st.integers(0, 4), seed=st.integers(0, 2**32 - 1))
+    def test_the_vertex_and_the_rate_pick_equal_their_array_forms(self, extra, seed):
+        # chosen SSR rows and random ones, shuffled into one batch: a least
+        # bin at 0 and at the last bin, a curvature of 0 (a constant row), a
+        # shift of half a bin (a plateau), a tie between two minima, rows with
+        # inf beside or at their least bin and a row whose argmin is a NaN;
+        # the rate seeds start from these vertices, with a constant data row
+        # among their rows, whose SSR ties between rates
+        rng = np.random.default_rng(seed)
+        T = np.arange(201) / 8192.0  # a binary step: Nyquist is exactly 4096 Hz
+        rise = np.arange(801.0)
+        plateau, tie, dip, one_sided, gap = (np.full(801, 2.0) for _ in range(5))
+        plateau[299:302] = 1.0
+        tie[199:202], tie[599:602] = (1.5, 0.5, 1.0), (0.7, 0.5, 0.6)
+        dip[400] = one_sided[400] = 1.0
+        dip[[399, 401]] = one_sided[399] = math.inf
+        gap[123] = math.nan
+        ssr = np.vstack([
+            1.0 + rise**2 + rise**3, (1.0 + rise**2 + rise**3)[::-1], np.ones(801), plateau,
+            tie, dip, one_sided, np.full(801, math.inf), gap, rng.uniform(0.5, 1.0, (extra, 801)),
+        ])
+        # a random row's least bin is one of the first few, where the seed
+        # keeps the last bits of its shift
+        ssr[-extra or len(ssr):, 1:4] *= rng.uniform(0.0, 1.0, (extra, 3))
+        ssr = ssr[rng.permutation(len(ssr))]
+        P, SD = (np.array(a) for a in zip(*(_mixed_row(kind, T, rng)
+                                           for kind in rng.choice(_KINDS, len(ssr)))))
+        P[0] = 0.5
+        weights, weighted = np.ones_like(P), (SD > 0.0).all(axis=-1)
+        weights[weighted] = 1.0 / SD[weighted]
+
+        with mock.patch.object(analysis, "_periodogram_ssr", lambda p, w, size: ssr.copy()):
+            seeds = analysis._coarse_frequency(T, P, weights)
+            with np.errstate(invalid="ignore"):  # inf - inf in the vertex of an inf row
+                expected = _expression_coarse_frequency(T, P, weights)
+        assert repr(seeds.tolist()) == repr(expected.tolist())
+        assert np.isnan(seeds).any() and (seeds == 0.0).any() and (seeds == 4096.0).any()
+        starts, trig = analysis._rate_seeds(T, P, weights, seeds)
+        expected_starts, expected_trig = _expression_rate_seeds(T, P, weights, seeds)
+        assert starts.tobytes() == expected_starts.tobytes()
+        assert [a.tobytes() for a in trig] == [a.tobytes() for a in expected_trig]
 
     def test_the_padded_length_is_the_nearest_fast_length(self):
         # 201 points pad to 1,600 = 2^6 * 5^2, not 8 * 201 = 1,608 = 2^3 * 3 * 67;
@@ -939,6 +1102,54 @@ class TestTrigHandOver:
             own = analysis._gauss_newton(T, P, weights, x)
         assert [repr(v.tolist()) for v in handed] == [repr(v.tolist()) for v in own]
         assert list(handed[2][:2]) == ["singular", "halving_exhausted"]
+
+
+class TestStopDecisions:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        kinds=st.lists(st.sampled_from(_KINDS), max_size=6),
+        singular=st.booleans(),
+        exhausted=st.booleans(),
+        max_iterations=st.sampled_from([2, 5, 200]),
+        handed=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_the_float_stop_decisions_equal_their_mask_form(
+        self, kinds, singular, exhausted, max_iterations, handed, seed
+    ):
+        # 1 to 8 rows seeded by _rate_seeds, in a shuffled batch with a start
+        # that ends singular (an envelope that overflows) and one that ends
+        # halving_exhausted (the coin pattern started at Nyquist); a short
+        # cap leaves rows at max_iter beside rows that stop earlier.  Every
+        # parameter, iteration count and reason keeps its bits and type.
+        rng = np.random.default_rng(seed)
+        T = np.arange(16) * 1e-3
+        starts = [start for start, keep in (([0.5, 0.5, 0.0, -1e6, 110.0], singular),
+                                            ([0.5, 0.5, 0.0, 0.0, 500.0], exhausted)) if keep]
+        assume(kinds or starts)
+        rows = [_mixed_row(kind, T, rng) for kind in kinds]
+        P, SD = (np.reshape([row[i] for row in rows], (-1, 16)) for i in (0, 1))
+        weights, weighted = np.ones_like(P), (SD > 0.0).all(axis=-1)
+        weights[weighted] = 1.0 / SD[weighted]
+        if kinds:
+            seeds = analysis._rate_seeds(T, P, weights, analysis._coarse_frequency(T, P, weights))
+            starts = [*seeds[0].tolist(), *starts]
+        x = np.array(starts)
+        order = rng.permutation(len(x))
+        x = x[order]
+        P = np.vstack([P, np.tile(COIN, (len(starts), 1))])[order]
+        weights = np.vstack([weights, np.ones((len(starts), 16))])[order]
+        cap = mock.patch.object(analysis, "MAX_ITERATIONS", max_iterations)
+        with cap, np.errstate(over="ignore", invalid="ignore"):
+            trig = analysis._evaluate(T, P, weights, x)[:3] if handed else None
+            got = analysis._gauss_newton(T, P, weights, x, trig and [a.copy() for a in trig])
+            expected = _expression_gauss_newton(T, P, weights, x, trig)
+        assert [repr(v.tolist()) for v in got] == [repr(v.tolist()) for v in expected]
+        assert [v.dtype for v in got] == [v.dtype for v in expected]
+        if singular:
+            assert "singular" in got[2].tolist()
+        if exhausted:
+            assert "halving_exhausted" in got[2].tolist()
 
 
 class TestFringeVisibility:
